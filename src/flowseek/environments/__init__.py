@@ -83,7 +83,13 @@ class TabularIndex:
 
 
 class TabularEnv:
-    """Environment wrapper replacing the default featurizer with a one-hot table."""
+    """Environment wrapper replacing the default featurizer with a one-hot table.
+
+    Table rows are indexed by the full state, so two states never share rows:
+    `decision_key` is the identity here, rather than the wrapped env's key
+    (game24's drops the history), which `__getattr__` would otherwise expose
+    to `feature_matrix` and the oracle's policy cache.
+    """
 
     def __init__(self, env: Environment, table: TabularIndex):
         self._env = env
@@ -97,6 +103,9 @@ class TabularEnv:
     def feature_dim(self) -> int:
         return self.table.dim
 
+    def decision_key(self, state: str) -> str:
+        return state
+
     def featurize(self, state: str, goal: str, action: str) -> np.ndarray:
         vec = np.zeros(self.table.dim)
         idx = self.table.index.get((goal, state, action))
@@ -104,14 +113,8 @@ class TabularEnv:
             vec[idx] = 1.0
         return vec
 
-    def feature_matrix(self, state: str, goal: str, actions: list[str]) -> np.ndarray:
-        mat = self._featmat_cache.get(state)
-        if mat is None:
-            mat = np.stack([self.featurize(state, goal, a) for a in actions])
-            if len(self._featmat_cache) >= Environment.FEATURE_CACHE_STATES:
-                self._featmat_cache.pop(next(iter(self._featmat_cache)))
-            self._featmat_cache[state] = mat
-        return mat
+    # the base method, bound here so it calls this wrapper's key and featurize
+    feature_matrix = Environment.feature_matrix
 
 
 def make_env(

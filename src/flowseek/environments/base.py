@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,14 +87,15 @@ def read_instances(path) -> list[EnvInstance]:
 
 @dataclass
 class RewardBreakdown:
-    """Success and intermediate reward components; total is floored."""
+    """Success and intermediate reward components and their floored total.
+
+    Built by `Environment.floored`, which applies the env's configured floor
+    once, so a floor below `REWARD_FLOOR` is honoured.
+    """
 
     success_term: float
     intermediate_term: float
-    total: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.total = max(self.success_term + self.intermediate_term, REWARD_FLOOR)
+    total: float
 
 
 class ActionScorer:
@@ -150,6 +151,15 @@ class Environment:
     Subclasses set `env_id` and `parent_mode` ("tree" or "exact") and bind to
     one EnvInstance. All methods are pure; tree-mode subclasses inherit the
     trivial parent count.
+
+    `decision_key(state)` names the decision point a state stands for. The
+    contract: two states with the same key have the same valid actions and
+    the same feature rows, so `cached_valid_actions`, `feature_matrix` and
+    the oracle's per-state policy cache key on it. The default is the state
+    itself; game24 drops the equation history, because its actions and
+    features depend only on the numbers left. `TabularEnv` keys on the full
+    state again: its one-hot rows index the state itself, so the wrapped
+    env's coarser key would merge rows that differ.
     """
 
     env_id: str = "base"
@@ -224,20 +234,26 @@ class Environment:
 
     # -- cached lookups (features and action sets are parameter-independent) ----
 
+    def decision_key(self, state: str) -> str:
+        """Cache key shared by every state with the same actions and feature rows."""
+        return state
+
     def cached_valid_actions(self, state: str) -> list[str]:
-        actions = self._valid_cache.get(state)
+        key = self.decision_key(state)
+        actions = self._valid_cache.get(key)
         if actions is None:
             actions = self.valid_actions(state)
-            self._valid_cache[state] = actions
+            self._valid_cache[key] = actions
         return actions
 
     def feature_matrix(self, state: str, goal: str, actions: list[str]) -> np.ndarray:
-        mat = self._featmat_cache.get(state)
+        key = self.decision_key(state)
+        mat = self._featmat_cache.get(key)
         if mat is None:
             mat = np.stack([self.featurize(state, goal, a) for a in actions])
             if len(self._featmat_cache) >= self.FEATURE_CACHE_STATES:
                 self._featmat_cache.pop(next(iter(self._featmat_cache)))
-            self._featmat_cache[state] = mat
+            self._featmat_cache[key] = mat
         return mat
 
     def parent_count(self, state: str) -> int:
@@ -252,9 +268,8 @@ class Environment:
     # -- shared reward helpers -------------------------------------------------
 
     def floored(self, success_term: float, intermediate_term: float) -> RewardBreakdown:
-        bd = RewardBreakdown(success_term, intermediate_term)
-        bd.total = max(bd.total, self.reward_floor)
-        return bd
+        total = max(success_term + intermediate_term, self.reward_floor)
+        return RewardBreakdown(success_term, intermediate_term, total)
 
     def score_steps(self, traj) -> list[float]:
         """Clamped scorer probabilities for each step of `traj`."""

@@ -4,7 +4,9 @@ States are multisets of rationals; arithmetic is exact (fractions.Fraction),
 so the success test is equality with 24, never within-epsilon. Actions are
 canonical equation strings like "4 + 8 = 12" with commutative operands sorted,
 which makes "8 + 4" and "4 + 8" the same action and the same solution-key
-entry. State keys embed the equation history (tree mode).
+entry. State keys embed the equation history (tree mode), but everything
+derived from a state depends only on its `|left=` suffix, the decision key:
+each env decodes a multiset once and reuses it for every history reaching it.
 """
 
 from __future__ import annotations
@@ -90,6 +92,34 @@ def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
     return count
 
 
+class _Decoded:
+    """Everything one multiset of numbers left yields, decoded once per env.
+
+    `successors` maps each valid equation to its successor multiset (in
+    `enumerate_actions` order), and `ranks` maps each operand string to its
+    first index in the sorted values. `child_keys` holds the successor's
+    `|left=` key suffix for each equation applied so far. `hashed` is the
+    hashed-feature vector of the values token, which every row at this
+    decision point shares.
+    """
+
+    __slots__ = ("values", "left", "successors", "child_keys", "ranks", "hashed")
+
+    def __init__(self, values: tuple[Fraction, ...], n_hashed: int):
+        self.values = values
+        self.left = fmt_values(values)
+        self.child_keys: dict[str, str] = {}
+        self.ranks: dict[str, int] = {}
+        for rank, v in enumerate(values):
+            self.ranks.setdefault(fmt(v), rank)
+        if len(values) > 1:
+            self.successors = dict(enumerate_actions(values))
+            self.hashed = hashed_features(n_hashed, ("g24v", self.left))
+        else:  # terminal: no actions and no rows
+            self.successors = {}
+            self.hashed = None
+
+
 class Game24Env(Environment):
     env_id = "game24"
     parent_mode = "tree"
@@ -97,34 +127,44 @@ class Game24Env(Environment):
     _OPS = "+-*/"
     _N_HASHED = 32
 
-    def _parse(self, state: str) -> tuple[list[str], tuple[Fraction, ...]]:
-        hist_part, left_part = state.split("|left=")
-        history = hist_part[len("h=") :]
-        steps = history.split(";") if history else []
-        return steps, parse_values(left_part)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._decoded: dict[str, _Decoded] = {}
 
-    def _key(self, steps: list[str], values: tuple[Fraction, ...]) -> str:
-        return f"h={';'.join(steps)}|left={fmt_values(values)}"
+    def decision_key(self, state):
+        # the `|left=` suffix: actions and features never read the history
+        return state[state.index("|left=") :]
+
+    def _context(self, state: str) -> _Decoded:
+        left = state[state.index("|left=") + len("|left=") :]
+        ctx = self._decoded.get(left)
+        if ctx is None:
+            ctx = self._decoded[left] = _Decoded(parse_values(left), self._N_HASHED)
+        return ctx
 
     def valid_actions(self, state, goal=None):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
-        _, values = self._parse(state)
-        return [eq for eq, _ in enumerate_actions(values)]
+        return list(self._context(state).successors)
 
     def apply(self, state, action):
-        steps, values = self._parse(state)
-        for eq, result in enumerate_actions(values):
-            if eq == action:
-                return self._key(steps + [action], result)
-        raise InvalidActionError(f"action {action!r} invalid at {state!r}")
+        ctx = self._context(state)
+        tail = ctx.child_keys.get(action)
+        if tail is None:
+            nxt = ctx.successors.get(action)
+            if nxt is None:
+                raise InvalidActionError(f"action {action!r} invalid at {state!r}")
+            tail = ctx.child_keys[action] = f"|left={fmt_values(nxt)}"
+        # same string as "h=" + ";".join(history + [action]) + tail
+        head = state[: state.index("|left=")]
+        sep = "" if head == "h=" else ";"
+        return f"{head}{sep}{action}{tail}"
 
     def is_terminal(self, state):
-        _, values = self._parse(state)
-        return len(values) == 1
+        return len(self._context(state).values) == 1
 
     def is_success(self, traj):
-        _, values = self._parse(traj.states[-1])
+        values = self._context(traj.states[-1]).values
         return len(values) == 1 and values[0] == TARGET
 
     def reward(self, traj):
@@ -138,7 +178,7 @@ class Game24Env(Environment):
         return ";".join(traj.actions)
 
     def potential(self, state):
-        _, values = self._parse(state)
+        values = self._context(state).values
         closest = min(abs(float(v - TARGET)) for v in values)
         return -closest - len(values)
 
@@ -173,21 +213,16 @@ class Game24Env(Environment):
         return 4 + 16 + 3 + 3 * self._N_BUCKETS + 3 + 4 + 1 + self._N_HASHED
 
     def featurize(self, state, goal, action):
-        _, values = self._parse(state)
-        nxt = None
-        for eq, result in enumerate_actions(values):
-            if eq == action:
-                nxt = result
-                break
+        ctx = self._context(state)
+        nxt = ctx.successors.get(action)
         if nxt is None:
             raise InvalidActionError(f"action {action!r} invalid at {state!r}")
 
         lhs = action.split(" = ")[0]
         x_str, op, y_str = lhs.split(" ")
-        x, y = Fraction(x_str), Fraction(y_str)
-        sorted_vals = list(values)
-        rank_x = sorted_vals.index(x)
-        rank_y = rank_x + 1 if y == x else sorted_vals.index(y)
+        # operand strings are canonical, so equal strings mean equal values
+        rank_x = ctx.ranks[x_str]
+        rank_y = rank_x + 1 if y_str == x_str else ctx.ranks[y_str]
 
         vec = np.zeros(self.feature_dim)
         off = 0
@@ -214,9 +249,11 @@ class Game24Env(Environment):
         off += 4
         vec[off] = 1.0
         off += 1
-        left = fmt_values(values)
-        vec[off:] = hashed_features(
-            self._N_HASHED, ("g24v", left), ("g24a", action), ("g24va", left, action)
+        # hashed entries are small integers, so adding the shared values-token
+        # vector first gives the same floats as hashing all three tokens at once
+        vec[off:] = ctx.hashed
+        vec[off:] += hashed_features(
+            self._N_HASHED, ("g24a", action), ("g24va", ctx.left, action)
         )
         return vec
 

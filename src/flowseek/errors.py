@@ -6,7 +6,8 @@ class FlowseekError(Exception):
 
 
 class StructuralError(FlowseekError):
-    """Environment graph inconsistency (e.g. a non-initial state with no parents)."""
+    """Environment graph or shape inconsistency (e.g. a non-initial state with no
+    parents, or instances in one run whose feature dims differ)."""
 
 
 class InvalidRewardError(FlowseekError):

@@ -95,13 +95,15 @@ def policy_terminal_dist(
     params: PolicyParams, instance, env, cap: int = ENUMERATION_CAP
 ) -> dict[str, float]:
     """Exact terminal-state mass of the policy by enumerating all trajectories."""
+    # states sharing a decision key share their action distribution
     dist_cache: dict[str, tuple[list[str], np.ndarray]] = {}
 
     def step_logprobs(state: str) -> tuple[list[str], np.ndarray]:
-        if state not in dist_cache:
+        key = env.decision_key(state)
+        if key not in dist_cache:
             d = action_logits(params, state, env.goal, env)
-            dist_cache[state] = (d.action_ids, d.log_probs)
-        return dist_cache[state]
+            dist_cache[key] = (d.action_ids, d.log_probs)
+        return dist_cache[key]
 
     out: dict[str, float] = {}
     count = 0
@@ -123,9 +125,13 @@ def policy_terminal_dist(
 
 
 def tv_distance(p: dict, q: dict) -> float:
-    """Half the L1 distance between two distributions; missing keys count as 0."""
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    """Half the L1 distance between two distributions; missing keys count as 0.
+
+    The sum runs over sorted keys with `math.fsum`, so the result does not
+    depend on set iteration order, which follows the string hash seed.
+    """
+    keys = sorted(p.keys() | q.keys())
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 # Game24 brute-force search doubles as the offline-data generator.

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environments import EnvInstance, TabularEnv, TabularIndex, make_env, replay_trajectory
-from .errors import CorruptTrajectoryError, EmptyBufferError, FlowseekError, NumericError
+from .errors import (
+    CorruptTrajectoryError,
+    EmptyBufferError,
+    FlowseekError,
+    NumericError,
+    StructuralError,
+)
 from .exploration import (
     ExplorationSchedule,
     ReplayBuffer,
@@ -151,6 +157,13 @@ def build_envs(config: TrainConfig, instances: list[EnvInstance]) -> dict:
         envs = {k: TabularEnv(v, table) for k, v in envs.items()}
     elif config.featurizer != "default":
         raise ValueError(f"unknown featurizer {config.featurizer!r}")
+    dims = {k: env.feature_dim for k, env in envs.items()}
+    if len(set(dims.values())) > 1:
+        # one parameter vector scores every instance, so the dims must agree
+        raise StructuralError(
+            f"instances have different feature dims {sorted(dims.items())[:5]}; "
+            "use one instance or the tabular featurizer"
+        )
     return envs
 
 

@@ -1,12 +1,16 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import flowseek
 from flowseek.cli import main
 from flowseek.environments import read_instances, write_instances
 from flowseek.environments.game24 import make_instance, solve_game24
+from flowseek.environments.toydag import generate_instances as toydag_instances
 from flowseek.environments.toydag import two_terminal_instance
 
 
@@ -237,3 +241,40 @@ def test_console_script_entrypoint():
     )
     assert proc.returncode == 0
     assert "flowseek" in proc.stdout
+
+
+def test_train_mismatched_feature_dims_is_data_error(tmp_path, capsys):
+    inst_path = tmp_path / "instances.jsonl"
+    write_instances(inst_path, toydag_instances(3, 1))  # feature dims 9, 7, 7
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "env_id": "toydag", "instances_path": str(inst_path), "iterations": 2,
+        "out_dir": str(tmp_path / "run"),
+    }))
+    assert run_cli("train", config_path) == 3
+    assert "feature dims" in capsys.readouterr().err
+
+
+def test_oracle_output_independent_of_hash_seed(tmp_path):
+    inst_path = tmp_path / "instances.jsonl"
+    write_instances(inst_path, [make_instance(h, f"g{i}") for i, h in
+                                enumerate(([4, 4, 6, 8], [1, 2, 3, 4]))])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "env_id": "game24", "instances_path": str(inst_path), "iterations": 10,
+        "learning_rate": 0.05, "seed": 1, "out_dir": str(tmp_path / "run"),
+    }))
+    assert run_cli("train", config_path) == 0
+    src = str(Path(flowseek.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        out = tmp_path / f"oracle-{hash_seed}.csv"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run(
+            [sys.executable, "-m", "flowseek.cli", "oracle", "--instances", str(inst_path),
+             "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), "--out", str(out)],
+            env=env, check=True, capture_output=True,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

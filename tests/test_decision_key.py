@@ -1,0 +1,158 @@
+"""Decision keys: caches shared across histories must not change any result.
+
+game24 keys its action, feature and oracle caches on the numbers left, not
+the full history-bearing state. These tests hold the shared entries against
+values computed from scratch, and a whole training run against one that
+keys on the full state.
+"""
+
+import hashlib
+import math
+
+import numpy as np
+
+from flowseek.environments import make_env
+from flowseek.environments.game24 import (
+    Game24Env,
+    enumerate_actions,
+    fmt_values,
+    make_instance,
+    parse_values,
+)
+from flowseek.oracle import policy_terminal_dist, write_offline_game24
+from flowseek.policy import action_logits
+from flowseek.trainer import TrainConfig, build_envs, train
+
+from conftest import random_params
+
+HANDS = ([4, 4, 6, 8], [3, 3, 8, 8], [1, 2, 3, 4], [1, 1, 1, 1], [2, 5, 7, 10])
+
+
+def reachable_nonterminal(env):
+    """Every non-terminal state reachable from s0, in DFS order."""
+    out, stack = [], [env.s0]
+    while stack:
+        state = stack.pop()
+        if env.is_terminal(state):
+            continue
+        out.append(state)
+        for action in env.valid_actions(state):
+            stack.append(env.apply(state, action))
+    return out
+
+
+def test_shared_rows_match_fresh_featurize():
+    for hand in HANDS:
+        inst = make_instance(hand, "dk")
+        env = make_env(inst)
+        by_key = {}
+        for state in reachable_nonterminal(env):
+            fresh = make_env(inst)  # no memo, no cache
+            actions = env.cached_valid_actions(state)
+            assert actions == fresh.valid_actions(state)
+            mat = env.feature_matrix(state, env.goal, actions)
+            ref = np.stack([fresh.featurize(state, env.goal, a) for a in actions])
+            assert mat.tobytes() == ref.tobytes(), state
+            by_key.setdefault(env.decision_key(state), []).append((state, mat))
+        shared = [group for group in by_key.values() if len(group) > 1]
+        assert shared, hand
+        for group in shared:
+            states = {s for s, _ in group}
+            assert len(states) == len(group)  # different histories, one key
+            assert all(m is group[0][1] for _, m in group)
+
+
+def test_feature_rows_match_pinned_digest():
+    # digest of every row over two hands, as the history-parsing featurizer
+    # produced them; the shared per-multiset context must not move a bit
+    digest = hashlib.sha256()
+    for hand in ([4, 4, 6, 8], [3, 3, 8, 8]):
+        env = make_env(make_instance(hand, "pin"))
+        stack = [env.s0]
+        while stack:
+            state = stack.pop()
+            if env.is_terminal(state):
+                continue
+            for action in env.valid_actions(state):
+                digest.update(env.featurize(state, env.goal, action).astype("<f8").tobytes())
+                stack.append(env.apply(state, action))
+    assert digest.hexdigest() == "c9b835034a23a9af9336c9663d3848fa172e0916a3e34e982abe8b07c299c135"
+
+
+def test_apply_matches_history_key():
+    env = make_env(make_instance([4, 4, 6, 8], "apply"))
+    for state in reachable_nonterminal(env):
+        head, left = state.split("|left=")
+        history = head[len("h="):]
+        steps = history.split(";") if history else []
+        successors = dict(enumerate_actions(parse_values(left)))
+        for action in env.valid_actions(state):
+            want = f"h={';'.join(steps + [action])}|left={fmt_values(successors[action])}"
+            assert env.apply(state, action) == want
+    assert env.apply(env.s0, "4 + 8 = 12") == "h=4 + 8 = 12|left=4 6 12"
+
+
+def reference_terminal_dist(params, env):
+    """policy_terminal_dist with its per-state cache keyed on the full state."""
+    cache = {}
+    out = {}
+    stack = [(env.s0, 0.0)]
+    while stack:
+        state, logp = stack.pop()
+        if env.is_terminal(state):
+            out[state] = out.get(state, 0.0) + math.exp(logp)
+            continue
+        if state not in cache:
+            d = action_logits(params, state, env.goal, env)
+            cache[state] = (d.action_ids, d.log_probs)
+        for action, lp in zip(*cache[state]):
+            stack.append((env.apply(state, action), logp + float(lp)))
+    return out
+
+
+def test_tabular_rows_stay_per_state():
+    inst = make_instance([4, 4, 6, 8], "tab")
+    config = TrainConfig(env_id="game24", featurizer="tabular")
+    env = build_envs(config, [inst])[inst.instance_id]
+    by_multiset = {}
+    for state in reachable_nonterminal(env):
+        assert env.decision_key(state) == state
+        actions = env.cached_valid_actions(state)
+        mat = env.feature_matrix(state, env.goal, actions)
+        by_multiset.setdefault(state.split("|left=")[1], []).append(mat)
+    shared = [mats for mats in by_multiset.values() if len(mats) > 1]
+    assert shared
+    for mats in shared:
+        # one-hot rows index (goal, state, action), so histories never collide
+        assert not np.array_equal(mats[0], mats[1])
+
+    params = random_params("linear", env, seed=3)
+    assert policy_terminal_dist(params, inst, env) == reference_terminal_dist(params, env)
+
+
+def test_policy_terminal_dist_shares_default_rows():
+    inst = make_instance([3, 3, 8, 8], "dflt")
+    env = make_env(inst)
+    params = random_params("mlp", env, seed=4)
+    reference = reference_terminal_dist(params, make_env(inst))
+    assert policy_terminal_dist(params, inst, env) == reference
+
+
+def _train_outputs(instances, offline_path):
+    config = TrainConfig(
+        env_id="game24", iterations=24, batch_size=4, learning_rate=0.01, seed=9,
+        policy_variant="mlp", hidden_dim=8, offline_data_path=str(offline_path),
+        buffer_capacity=20,
+    )
+    params, report = train(config, instances)
+    records = [{k: v for k, v in r.items() if k != "wallclock"} for r in report.records]
+    return params.vector.tobytes(), report.trajectory_log, records
+
+
+def test_training_matches_full_state_keys(tmp_path, monkeypatch):
+    instances = [make_instance(h, f"g{i}") for i, h in enumerate(([4, 4, 6, 8], [1, 2, 3, 4]))]
+    offline = tmp_path / "offline.jsonl"
+    write_offline_game24(offline, instances)
+    shared = _train_outputs(instances, offline)
+    monkeypatch.setattr(Game24Env, "decision_key", lambda self, state: state)
+    assert _train_outputs(instances, offline) == shared

@@ -99,3 +99,11 @@ def test_generation_deterministic_and_depth_control():
     assert a == b
     for rec in a:
         assert rec["max_steps"] == 4
+
+
+def test_reward_floor_below_default_is_honoured():
+    # a zero-step trajectory earns nothing, so its total is the floor itself
+    low = make_env(chain_instance(), reward_floor=1e-12)
+    traj = replay_trajectory(low, [])
+    assert low.reward(traj).total == 1e-12
+    assert make_env(chain_instance()).reward(traj).total == 1e-8

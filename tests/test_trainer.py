@@ -3,10 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from flowseek.environments import make_env
+from flowseek.environments import make_env, toydag
 from flowseek.environments.game24 import make_instance
 from flowseek.environments.toydag import two_terminal_instance
-from flowseek.errors import CorruptTrajectoryError, FlowseekError
+from flowseek.errors import ConfigError, CorruptTrajectoryError, FlowseekError, StructuralError
 from flowseek.exploration import ExplorationSchedule
 from flowseek.oracle import write_offline_game24
 from flowseek.policy import OptimizerState, apply_update, init_params
@@ -228,3 +228,14 @@ def test_report_csv_roundtrip(tmp_path):
     path2 = tmp_path / "report2.csv"
     report.write_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_mismatched_feature_dims_raise_structural_error():
+    instances = toydag.generate_instances(3, 1)
+    assert len({make_env(inst).feature_dim for inst in instances}) > 1
+    with pytest.raises(StructuralError, match="feature dims"):
+        build_envs(TrainConfig(env_id="toydag"), instances)
+    assert not issubclass(StructuralError, ConfigError)
+    # the tabular featurizer gives every instance one shared dim
+    envs = build_envs(TrainConfig(env_id="toydag", featurizer="tabular"), instances)
+    assert len({env.feature_dim for env in envs.values()}) == 1
