@@ -83,7 +83,6 @@ TRAIN_CONFIG_SCHEMA = {
                 "to_training": {"type": "boolean"},
             },
         },
-        "phi_mean_stopgrad": {"type": "boolean"},
         "policy": {
             "type": "object",
             "additionalProperties": False,
@@ -214,7 +213,6 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict, Path, Path]:
         offline_data_path=doc.get("offline_data_path"),
         parent_mode_override=doc.get("parent_mode_override"),
         local_search=ls,
-        phi_mean_stopgrad=doc.get("phi_mean_stopgrad", False),
         policy_variant=policy_doc.get("variant", "linear"),
         hidden_dim=policy_doc.get("hidden_dim", 64),
         featurizer=policy_doc.get("featurizer", "default"),
@@ -279,7 +277,6 @@ def cmd_train(args) -> int:
     params, report = train(config, instances, checkpoint_writer=checkpoint_writer)
     save_checkpoint(ckpt_path, params, OptimizerState(kind=config.optimizer,
                                                       learning_rate=config.learning_rate), extra)
-    report.final_checkpoint = str(ckpt_path)
     report.write_csv(report_path)
     report.write_trajectory_log(trajlog_path)
     final_loss = report.records[-1]["mean_loss"]
@@ -329,15 +326,13 @@ def cmd_sample(args) -> int:
 
     from .exploration import sample_trajectory_mixed
 
+    beta = 0.0 if args.argmax else args.beta
     with open(out, "w", encoding="utf-8") as f:
         for inst in instances:
             env = envs[inst.instance_id]
             for k in range(args.n):
-                if args.argmax:
-                    traj = _argmax_rollout(params, env)
-                else:
-                    rng = substream(seed, "sample", inst.instance_id, k)
-                    traj = sample_trajectory_mixed(params, env, eps=0.0, beta=args.beta, rng=rng)
+                rng = substream(seed, "sample", inst.instance_id, k)
+                traj = sample_trajectory_mixed(params, env, eps=0.0, beta=beta, rng=rng)
                 success = env.is_success(traj)
                 rec = {
                     "instance_id": inst.instance_id,
@@ -351,27 +346,6 @@ def cmd_sample(args) -> int:
                 f.write("\n")
     print(f"wrote {args.n} samples per instance for {len(instances)} instances to {out}")
     return EXIT_OK
-
-
-def _argmax_rollout(params, env):
-    """Greedy decode: the beta -> 0 limit of tempered sampling, ties to the first index."""
-    import numpy as np
-
-    from .flow_core import Trajectory
-    from .policy import action_logits
-
-    state = env.s0
-    states, actions, logpf = [state], [], []
-    while not env.is_terminal(state):
-        dist = action_logits(params, state, env.goal, env)
-        idx = int(np.argmax(dist.logits))
-        actions.append(dist.action_ids[idx])
-        logpf.append(float(dist.log_probs[idx]))
-        state = env.apply(state, dist.action_ids[idx])
-        states.append(state)
-    traj = Trajectory(env.instance.instance_id, states, actions, logpf, is_complete=True)
-    traj.reward = env.reward(traj).total
-    return traj
 
 
 def cmd_eval(args) -> int:
@@ -472,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--argmax", action="store_true", help="greedy decode (beta -> 0 limit)")
+    p.add_argument("--argmax", action="store_true", help="greedy decode (the beta=0 rollout)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)
 

@@ -132,7 +132,10 @@ class ProgressScorer(ActionScorer):
     def score(self, env, state, goal, action):
         before = env.potential(state)
         after = env.potential(env.apply(state, action))
-        return 1.0 / (1.0 + math.exp(-(after - before)))
+        # past +-30 the logistic is already clamped to P_SCORE_MIN/MAX; clipping
+        # keeps exp finite and p strictly inside (0, 1) for any step
+        delta = min(max(after - before, -30.0), 30.0)
+        return 1.0 / (1.0 + math.exp(-delta))
 
 
 SCORERS = {"uniform": UniformScorer, "progress": ProgressScorer}

@@ -58,11 +58,15 @@ def sample_trajectory_mixed(
     beta: float,
     rng: np.random.Generator,
 ) -> Trajectory:
-    """Roll out one complete trajectory under the eps/beta behavior policy."""
+    """Roll out one complete trajectory under the eps/beta behavior policy.
+
+    beta == 0 is the greedy limit of tempered sampling: the highest logit,
+    ties to the first action.
+    """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0,1], got {eps}")
-    if beta <= 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if beta < 0.0:
+        raise ValueError(f"beta must be non-negative, got {beta}")
     state = env.s0
     states = [state]
     actions: list[str] = []
@@ -71,6 +75,8 @@ def sample_trajectory_mixed(
         dist = action_logits(params, state, env.goal, env)
         if rng.random() < eps:
             action = dist.action_ids[int(rng.integers(len(dist.action_ids)))]
+        elif beta == 0.0:
+            action = dist.action_ids[int(np.argmax(dist.logits))]
         else:
             action = sample_action(dist, beta, rng)
         logpf.append(float(dist.log_probs[dist.action_ids.index(action)]))

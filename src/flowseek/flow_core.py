@@ -20,7 +20,7 @@ of sum(log P_F) with respect to the flat parameter vector (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -34,8 +34,6 @@ class Trajectory:
 
     `states` has one more entry than `actions`; `logpf_terms` holds the
     natural-log forward probability of each step, scored at temperature 1.
-    `params_version` tags which parameter snapshot produced the logpf terms so
-    the trainer can refuse stale entries.
     """
 
     instance_id: str
@@ -44,7 +42,6 @@ class Trajectory:
     logpf_terms: list[float]
     reward: float = 0.0
     is_complete: bool = False
-    params_version: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.states) != len(self.actions) + 1:
@@ -61,20 +58,10 @@ class Trajectory:
 
 
 @dataclass
-class FlowBatch:
-    """A mini-batch of complete trajectories with their phi values."""
-
-    trajectories: list[Trajectory]
-    phi_values: list[float] = field(default_factory=list)
-    loss: float = 0.0
-
-
-@dataclass
 class LogZParam:
     """Scalar log-partition estimate used only by the baseline TB loss."""
 
     value: float = 0.0
-    shared: bool = True  # one scalar across instances vs one per instance
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.value):
@@ -107,18 +94,9 @@ def phi(traj: Trajectory, env) -> float:
     return math.log(traj.reward) + log_pb_uniform(traj, env) - traj.sum_logpf()
 
 
-def batch_phi(batch: FlowBatch, env) -> np.ndarray:
-    """Fill `batch.phi_values` and return them as an array."""
-    values = [phi(t, env) for t in batch.trajectories]
-    batch.phi_values = values
-    return np.asarray(values, dtype=np.float64)
-
-
 def loss_logvar(
-    batch: FlowBatch,
-    env,
+    phis: Sequence[float],
     sum_logpf_grads: Sequence[np.ndarray] | None = None,
-    phi_mean_stopgrad: bool = False,
 ) -> tuple[float, np.ndarray | None]:
     """Batch variance of phi and its gradient w.r.t. the policy parameters.
 
@@ -128,47 +106,41 @@ def loss_logvar(
     The expectation in the variance is the arithmetic mean of the current
     batch. Differentiating through that mean or treating it as a constant
     yields the same gradient, because the deviations (phi_i - mean) sum to
-    zero; the `phi_mean_stopgrad` flag selects which formula is evaluated.
+    zero.
     """
-    m = len(batch.trajectories)
+    phis = np.asarray(phis, dtype=np.float64)
+    m = len(phis)
     if m < 2:
         raise BatchTooSmallError(f"variance loss needs M >= 2 trajectories, got {m}")
-    phis = batch_phi(batch, env)
     centered = phis - phis.mean()
     loss = float(np.mean(centered**2))
-    batch.loss = loss
 
     if sum_logpf_grads is None:
         return loss, None
     grads = np.asarray(sum_logpf_grads, dtype=np.float64)  # (M, P)
     # d phi_i / d theta = -grad_i
     dphi = -grads
-    if phi_mean_stopgrad:
-        grad = (2.0 / m) * centered @ dphi
-    else:
-        dmean = dphi.mean(axis=0)
-        grad = (2.0 / m) * centered @ (dphi - dmean)
+    dmean = dphi.mean(axis=0)
+    grad = (2.0 / m) * centered @ (dphi - dmean)
     return loss, grad
 
 
 def loss_tb_logz(
-    batch: FlowBatch,
-    env,
-    z: LogZParam,
+    phis: Sequence[float],
+    z: float,
     sum_logpf_grads: Sequence[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray | None, float]:
     """Classic trajectory-balance loss with a learned log-Z scalar.
 
     Returns (loss, grad_params, grad_z) where the loss is the batch mean of
-    (z + sum(log P_F) - log R - sum(log P_B))^2.
+    (z + sum(log P_F) - log R - sum(log P_B))^2 = (z - phi)^2.
     """
-    m = len(batch.trajectories)
+    phis = np.asarray(phis, dtype=np.float64)
+    m = len(phis)
     if m < 1:
         raise BatchTooSmallError("TB loss needs at least one trajectory")
-    phis = batch_phi(batch, env)
-    residuals = z.value - phis
+    residuals = z - phis
     loss = float(np.mean(residuals**2))
-    batch.loss = loss
 
     grad_z = float(2.0 * residuals.mean())
     if sum_logpf_grads is None:

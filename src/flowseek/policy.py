@@ -126,16 +126,6 @@ def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generato
     return dist.action_ids[idx]
 
 
-def log_prob_of(params: PolicyParams, state: str, goal: str, action: str, env) -> float:
-    """Temperature-1 log probability of `action` at `state`."""
-    dist = action_logits(params, state, goal, env)
-    try:
-        idx = dist.action_ids.index(action)
-    except ValueError:
-        raise InvalidActionError(f"action {action!r} not valid at state {state!r}") from None
-    return float(dist.log_probs[idx])
-
-
 def step_logprob_and_grad(
     params: PolicyParams, state: str, goal: str, action: str, env
 ) -> tuple[float, np.ndarray]:

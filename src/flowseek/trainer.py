@@ -39,13 +39,12 @@ from .exploration import (
     local_search,
     sample_trajectory_mixed,
 )
-from .flow_core import FlowBatch, LogZParam, Trajectory, loss_logvar, loss_tb_logz
+from .flow_core import LogZParam, Trajectory, loss_logvar, loss_tb_logz, phi
 from .policy import (
     OptimizerState,
     PolicyParams,
     apply_update,
     init_params,
-    log_prob_of,
     trajectory_logpf_and_grad,
 )
 from .rngutil import substream
@@ -75,7 +74,6 @@ class TrainConfig:
     offline_data_path: str | None = None
     parent_mode_override: str | None = None
     local_search: LocalSearchConfig = field(default_factory=LocalSearchConfig)
-    phi_mean_stopgrad: bool = False
     policy_variant: str = "linear"
     hidden_dim: int = 64
     featurizer: str = "default"  # or "tabular"
@@ -106,7 +104,6 @@ class TrainReport:
 
     records: list[dict] = field(default_factory=list)
     trajectory_log: list[dict] = field(default_factory=list)
-    final_checkpoint: str | None = None
 
     REPORT_FIELDS = (
         "iteration",
@@ -119,13 +116,12 @@ class TrainReport:
         "replay_prob",
     )
 
-    def write_csv(self, path, include_wallclock: bool = False) -> None:
+    def write_csv(self, path) -> None:
         # wallclock stays out of the primary CSV so reruns are byte-identical
-        fields = self.REPORT_FIELDS + (("wallclock",) if include_wallclock else ())
         with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(fields) + "\n")
+            f.write(",".join(self.REPORT_FIELDS) + "\n")
             for rec in self.records:
-                f.write(",".join(_csv_cell(rec[k]) for k in fields) + "\n")
+                f.write(",".join(_csv_cell(rec[k]) for k in self.REPORT_FIELDS) + "\n")
 
     def write_trajectory_log(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
@@ -167,20 +163,6 @@ def build_envs(config: TrainConfig, instances: list[EnvInstance]) -> dict:
     return envs
 
 
-def recompute_logpf(traj: Trajectory, params: PolicyParams, env,
-                    version: int | None = None) -> Trajectory:
-    """Fresh copy of `traj` with logpf terms scored under `params`."""
-    terms = []
-    for state, action in zip(traj.states[:-1], traj.actions):
-        try:
-            terms.append(log_prob_of(params, state, env.goal, action, env))
-        except FlowseekError as exc:
-            raise CorruptTrajectoryError(
-                f"stored action {action!r} no longer replays at {state!r}: {exc}"
-            ) from exc
-    return dataclasses.replace(traj, logpf_terms=terms, params_version=version)
-
-
 def ingest_offline(path, envs_by_instance: dict) -> tuple[list[Trajectory], int]:
     """Replay offline {instance_id, actions} records; returns (accepted, rejected)."""
     accepted: list[Trajectory] = []
@@ -216,14 +198,13 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         config.policy_variant, any_env.feature_dim, config.hidden_dim, seed=config.seed
     )
     opt = OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
-    version = 0
 
     logz: dict[str, LogZParam] = {}
 
     def z_for(instance_id: str) -> LogZParam:
         key = "__shared__" if config.logz_shared else instance_id
         if key not in logz:
-            logz[key] = LogZParam(value=config.logz_init, shared=config.logz_shared)
+            logz[key] = LogZParam(value=config.logz_init)
         return logz[key]
 
     buffer = ReplayBuffer(capacity=config.buffer_capacity, priority_mode=config.priority_mode)
@@ -291,18 +272,15 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         grads: list[np.ndarray] = []
         for traj in batch_trajs:
             terms, grad = trajectory_logpf_and_grad(params, traj, env)
-            fresh.append(dataclasses.replace(traj, logpf_terms=terms, params_version=version))
+            fresh.append(dataclasses.replace(traj, logpf_terms=terms))
             grads.append(grad)
-        assert all(t.params_version == version for t in fresh)
+        phis = [phi(t, env) for t in fresh]
 
-        batch = FlowBatch(trajectories=fresh)
         if config.loss == "logvar":
-            loss, grad = loss_logvar(
-                batch, env, grads, phi_mean_stopgrad=config.phi_mean_stopgrad
-            )
+            loss, grad = loss_logvar(phis, grads)
         else:
             z = z_for(inst.instance_id)
-            loss, grad, grad_z = loss_tb_logz(batch, env, z, grads)
+            loss, grad, grad_z = loss_tb_logz(phis, z.value, grads)
             z_lr = (
                 config.logz_learning_rate
                 if config.logz_learning_rate is not None
@@ -321,9 +299,8 @@ def train(config: TrainConfig, instances: list[EnvInstance],
             if norm > config.max_grad_norm:
                 grad = grad * (config.max_grad_norm / norm)
         params = apply_update(params, grad, opt, lr_override=lr)
-        version += 1
 
-        for traj, phi_val in zip(fresh, batch.phi_values):
+        for traj, phi_val in zip(fresh, phis):
             report.trajectory_log.append(
                 {
                     "iteration": i,

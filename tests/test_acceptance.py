@@ -13,7 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from flowseek.cli import _argmax_rollout, main
+from flowseek.cli import main
 from flowseek.environments import generate_instances, make_env, replay_trajectory
 from flowseek.environments.game24 import parse_values, solve_game24
 from flowseek.environments.toydag import two_terminal_instance
@@ -31,7 +31,7 @@ from flowseek.exploration import (
     local_search,
     sample_trajectory_mixed,
 )
-from flowseek.flow_core import FlowBatch, LogZParam, loss_logvar, loss_tb_logz
+from flowseek.flow_core import loss_logvar, loss_tb_logz, phi
 from flowseek.metrics import EvalRun, accuracy, creativity, diversity
 from flowseek.oracle import enumerate_dag, policy_terminal_dist, tv_distance, write_offline_game24
 from flowseek.policy import PolicyParams, init_params, trajectory_logpf_and_grad
@@ -93,7 +93,6 @@ def test_criterion_2_gradient_correctness():
                 sample_trajectory_mixed(params, env, 1.0, 1.0, substream(batch_idx, "r", k))
                 for k in range(4)
             ]
-            z = LogZParam(0.3)
 
             def evaluate(v, kind):
                 p = PolicyParams(variant, env.feature_dim, hidden, v)
@@ -102,10 +101,10 @@ def test_criterion_2_gradient_correctness():
                     terms, g = trajectory_logpf_and_grad(p, t, env)
                     fresh.append(dataclasses.replace(t, logpf_terms=terms))
                     grads.append(g)
-                batch = FlowBatch(fresh)
+                phis = [phi(t, env) for t in fresh]
                 if kind == "logvar":
-                    return loss_logvar(batch, env, grads)
-                return loss_tb_logz(batch, env, z, grads)[:2]
+                    return loss_logvar(phis, grads)
+                return loss_tb_logz(phis, 0.3, grads)[:2]
 
             for kind in ("logvar", "tb_logz"):
                 loss, grad = evaluate(vec, kind)
@@ -300,7 +299,12 @@ def test_criterion_8_end_to_end_divergence(tmp_path):
                 params, env, 0.0, 1.0, substream(9, "acc8", inst.instance_id, k)
             ),
         )
-        argmax = collect("argmax", lambda env, inst, k: _argmax_rollout(params, env))
+        argmax = collect(
+            "argmax",
+            lambda env, inst, k: sample_trajectory_mixed(
+                params, env, 0.0, 0.0, substream(9, "acc8a", inst.instance_id, k)
+            ),
+        )
         uniform_params = {}
 
         def uniform_decode(env, inst, k):
@@ -389,10 +393,10 @@ def test_criterion_10_phi_shift_invariance():
             Trajectory("i", ["a", "b"], ["z"], [math.log(0.2)], reward=0.5, is_complete=True),
             Trajectory("i", ["a", "b"], ["w"], [math.log(0.9)], reward=1.0, is_complete=True),
         ]
-        base = FlowBatch(list(trajs))
-        base_loss, _ = loss_logvar(base, TreeEnv())
-        scaled = FlowBatch([dataclasses.replace(t, reward=t.reward * 10.0) for t in trajs])
-        scaled_loss, _ = loss_logvar(scaled, TreeEnv())
-        for p0, p1 in zip(base.phi_values, scaled.phi_values):
+        base = [phi(t, TreeEnv()) for t in trajs]
+        base_loss, _ = loss_logvar(base)
+        scaled = [phi(dataclasses.replace(t, reward=t.reward * 10.0), TreeEnv()) for t in trajs]
+        scaled_loss, _ = loss_logvar(scaled)
+        for p0, p1 in zip(base, scaled):
             assert p1 - p0 == pytest.approx(math.log(10.0), abs=1e-9)
         assert scaled_loss == pytest.approx(base_loss, abs=1e-9)

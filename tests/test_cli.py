@@ -180,6 +180,36 @@ def test_sample_outputs_and_determinism(tmp_path):
     assert all("reward" in r and "solution_key" in r for r in recs)
 
 
+def test_sample_argmax_is_seed_free_greedy_decode(tmp_path):
+    import numpy as np
+
+    from flowseek.cli import _envs_from_checkpoint
+    from flowseek.policy import action_logits, load_checkpoint
+
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=200)
+    write_instances(inst_path, toydag_instances(3, 1))  # branch points where argmax is not last
+    assert run_cli("train", config_path) == 0
+    outs = []
+    for seed in (1, 2):
+        code, out = sample_to(tmp_path, run_dir, inst_path, f"g{seed}.jsonl", seed=seed,
+                              extra=("--argmax",))
+        assert code == 0
+        outs.append(out)
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    params, _, extra = load_checkpoint(run_dir / "checkpoint.json")
+    envs = _envs_from_checkpoint(extra, read_instances(inst_path))
+    recs = [json.loads(l) for l in outs[0].read_text().splitlines()]
+    assert len(recs) == 12
+    for rec in recs:
+        env = envs[rec["instance_id"]]
+        state = env.s0
+        for action in rec["actions"]:
+            dist = action_logits(params, state, env.goal, env)
+            assert action == dist.action_ids[int(np.argmax(dist.logits))]
+            state = env.apply(state, action)
+        assert env.is_terminal(state)
+
+
 def test_sample_n_zero_empty_output(tmp_path):
     config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
     run_cli("train", config_path)

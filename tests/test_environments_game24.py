@@ -191,3 +191,36 @@ def test_feature_audit_dimension_and_collisions():
                 stack.append(child)
     assert total > 300
     assert collisions / total < 0.02
+
+
+def test_progress_scorer_survives_extreme_potential_changes():
+    from flowseek.environments.base import P_SCORE_MAX, P_SCORE_MIN, ProgressScorer
+
+    class OneStep:
+        """Potential 0 at "s" and `delta` after any action."""
+
+        def __init__(self, delta):
+            self.delta = delta
+
+        def potential(self, state):
+            return 0.0 if state == "s" else self.delta
+
+        def apply(self, state, action):
+            return "t"
+
+    scorer = ProgressScorer()
+    # game24 steps change the potential by -9,467 to +61 on the gen --seed 3 hands
+    for delta, expected in ((-1e4, P_SCORE_MIN), (61.0, P_SCORE_MAX)):
+        env = OneStep(delta)
+        assert 0.0 < scorer.score(env, "s", "g", "a") < 1.0
+        assert scorer.clamped(env, "s", "g", "a") == expected
+
+
+def test_progress_scorer_training_run_completes():
+    from flowseek.trainer import TrainConfig, train
+
+    instances = generate_instances(6, seed=3)
+    config = TrainConfig(env_id="game24", iterations=60, batch_size=4, scorer="progress", seed=1)
+    _, report = train(config, instances)
+    assert len(report.records) == 60
+    assert all(r["reward"] > 0.0 for r in report.trajectory_log)

@@ -88,6 +88,24 @@ def test_tempering_flattens(toy_env):
     assert freq[8.0] > freq[1.0] * 2  # higher temperature explores the weak action more
 
 
+def test_beta_zero_is_greedy_with_ties_to_first(toy_env):
+    params, tab = biased_params_tab(toy_env, "right", 2.0)
+    for k in range(5):
+        traj = sample_trajectory_mixed(params, tab, 0.0, 0.0, substream(k, "greedy"))
+        assert traj.actions[0] == "right"
+    # zero parameters tie every logit, so the first action wins
+    zero = PolicyParams("linear", tab.feature_dim, 64, np.zeros(tab.feature_dim))
+    traj = sample_trajectory_mixed(zero, tab, 0.0, 0.0, substream(0, "tie"))
+    assert traj.actions[0] == "left"
+    assert traj.logpf_terms[0] == pytest.approx(math.log(0.5))
+
+
+def test_negative_beta_rejected(toy_env):
+    params = PolicyParams("linear", toy_env.feature_dim, 64, np.zeros(toy_env.feature_dim))
+    with pytest.raises(ValueError, match="beta"):
+        sample_trajectory_mixed(params, toy_env, 0.0, -0.5, substream(0, "neg"))
+
+
 def test_buffer_dedup_and_eviction():
     buf = ReplayBuffer(capacity=2)
     t1 = make_traj("i", ["a"], 1.0)

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from flowseek.environments import make_env
 from flowseek.errors import BatchTooSmallError, InvalidRewardError
 from flowseek.flow_core import (
-    FlowBatch,
-    LogZParam,
     Trajectory,
     log_pb_uniform,
     loss_logvar,
@@ -90,51 +88,55 @@ def test_phi_matches_independent_resummation(toy_env):
     assert phi(traj, toy_env) == pytest.approx(expected, rel=1e-12)
 
 
+def phis_of(trajs, env):
+    return [phi(t, env) for t in trajs]
+
+
 def test_loss_logvar_zero_variance():
     t1 = make_traj(["a", "b"], ["x"], [math.log(0.5)], 2.0)
     t2 = make_traj(["a", "b"], ["x"], [math.log(0.5)], 2.0)
-    loss, _ = loss_logvar(FlowBatch([t1, t2]), FakeTreeEnv())
+    loss, _ = loss_logvar(phis_of([t1, t2], FakeTreeEnv()))
     assert loss == pytest.approx(0.0, abs=1e-15)
 
 
 def test_loss_logvar_two_point():
     t1 = make_traj(["a", "b"], ["x"], [0.0], 1.0)  # phi = 0
     t2 = make_traj(["a", "b"], ["x"], [0.0], math.e)  # phi = 1
-    batch = FlowBatch([t1, t2])
-    loss, _ = loss_logvar(batch, FakeTreeEnv())
+    phis = phis_of([t1, t2], FakeTreeEnv())
+    loss, _ = loss_logvar(phis)
     assert loss == pytest.approx(0.25)  # ((a-b)/2)^2 with a-b = 1
-    assert batch.phi_values == pytest.approx([0.0, 1.0])
+    assert phis == pytest.approx([0.0, 1.0])
 
 
 def test_loss_logvar_batch_too_small():
     t1 = make_traj(["a", "b"], ["x"], [0.0], 1.0)
     with pytest.raises(BatchTooSmallError):
-        loss_logvar(FlowBatch([t1]), FakeTreeEnv())
+        loss_logvar(phis_of([t1], FakeTreeEnv()))
 
 
 def test_loss_logvar_zero_iff_equal_phis():
     t1 = make_traj(["a", "b"], ["x"], [math.log(0.25)], 1.0)
     t2 = make_traj(["a", "b"], ["x"], [math.log(0.75)], 3.0)
-    loss, _ = loss_logvar(FlowBatch([t1, t2]), FakeTreeEnv())
+    loss, _ = loss_logvar(phis_of([t1, t2], FakeTreeEnv()))
     assert loss == pytest.approx(0.0, abs=1e-24)  # phi equal: log(1/.25)=log(3/.75)
     t3 = make_traj(["a", "b"], ["x"], [math.log(0.5)], 3.0)
-    loss2, _ = loss_logvar(FlowBatch([t1, t3]), FakeTreeEnv())
+    loss2, _ = loss_logvar(phis_of([t1, t3], FakeTreeEnv()))
     assert loss2 > 1e-3
 
 
 def test_loss_tb_singleton_zero_iff_z_matches():
     traj = make_traj(["a", "b"], ["x"], [math.log(0.5)], 100.0)
     z_val = phi(traj, FakeTreeEnv())
-    loss, _, grad_z = loss_tb_logz(FlowBatch([traj]), FakeTreeEnv(), LogZParam(z_val))
+    loss, _, grad_z = loss_tb_logz(phis_of([traj], FakeTreeEnv()), z_val)
     assert loss == pytest.approx(0.0, abs=1e-20)
     assert grad_z == pytest.approx(0.0, abs=1e-9)
-    loss2, _, _ = loss_tb_logz(FlowBatch([traj]), FakeTreeEnv(), LogZParam(z_val + 1.0))
+    loss2, _, _ = loss_tb_logz(phis_of([traj], FakeTreeEnv()), z_val + 1.0)
     assert loss2 == pytest.approx(1.0)
 
 
 def test_loss_tb_identity_case():
     traj = make_traj(["a", "b"], ["x"], [0.0], 1.0)
-    loss, _, _ = loss_tb_logz(FlowBatch([traj]), FakeTreeEnv(), LogZParam(0.0))
+    loss, _, _ = loss_tb_logz(phis_of([traj], FakeTreeEnv()), 0.0)
     assert loss == pytest.approx(0.0, abs=1e-20)
 
 
@@ -147,30 +149,14 @@ def test_logvar_shift_invariance_under_reward_scaling(k):
         make_traj(["a", "b"], ["x"], [math.log(0.2)], 2.5),
     ]
     env = FakeTreeEnv()
-    base_batch = FlowBatch(list(trajs))
-    base_loss, _ = loss_logvar(base_batch, env)
+    base_phis = phis_of(trajs, env)
+    base_loss, _ = loss_logvar(base_phis)
     scaled = [dataclasses.replace(t, reward=t.reward * k) for t in trajs]
-    scaled_batch = FlowBatch(scaled)
-    scaled_loss, _ = loss_logvar(scaled_batch, env)
-    for p0, p1 in zip(base_batch.phi_values, scaled_batch.phi_values):
+    scaled_phis = phis_of(scaled, env)
+    scaled_loss, _ = loss_logvar(scaled_phis)
+    for p0, p1 in zip(base_phis, scaled_phis):
         assert p1 - p0 == pytest.approx(math.log(k), abs=1e-9)
     assert scaled_loss == pytest.approx(base_loss, abs=1e-9)
-
-
-def test_stopgrad_variants_agree(toy_env):
-    params = random_params("linear", toy_env, seed=11)
-    trajs = []
-    grads = []
-    for k in range(4):
-        t = rollout(toy_env, seed=k, eps=1.0)
-        terms, g = trajectory_logpf_and_grad(params, t, toy_env)
-        trajs.append(dataclasses.replace(t, logpf_terms=terms))
-        grads.append(g)
-    loss_a, grad_a = loss_logvar(FlowBatch(list(trajs)), toy_env, grads, phi_mean_stopgrad=False)
-    loss_b, grad_b = loss_logvar(FlowBatch(list(trajs)), toy_env, grads, phi_mean_stopgrad=True)
-    # deviations sum to zero, so both readings of E[phi] give the same gradient
-    assert loss_a == loss_b
-    np.testing.assert_allclose(grad_a, grad_b, atol=1e-12)
 
 
 def test_complete_trajectory_stepwise_probability_bounds(toy_env):
@@ -205,7 +191,6 @@ def test_gradients_match_finite_differences(variant, loss_kind):
     env = make_env(inst)
     params = random_params(variant, env, hidden=4, seed=13)
     trajs = [rollout(env, seed=k, eps=1.0, tag=f"fd{k}") for k in range(4)]
-    z = LogZParam(0.4)
 
     def loss_value(vec):
         from flowseek.policy import PolicyParams
@@ -216,10 +201,10 @@ def test_gradients_match_finite_differences(variant, loss_kind):
             terms, g = trajectory_logpf_and_grad(p, t, env)
             fresh.append(dataclasses.replace(t, logpf_terms=terms))
             gs.append(g)
-        batch = FlowBatch(fresh)
+        phis = phis_of(fresh, env)
         if loss_kind == "logvar":
-            return loss_logvar(batch, env, gs)
-        return loss_tb_logz(batch, env, z, gs)[:2]
+            return loss_logvar(phis, gs)
+        return loss_tb_logz(phis, 0.4, gs)[:2]
 
     loss, grad = loss_value(params.vector)
     fd = fd_gradient(lambda v: loss_value(v)[0], params.vector.copy())

@@ -15,7 +15,6 @@ from flowseek.policy import (
     apply_update,
     init_params,
     load_checkpoint,
-    log_prob_of,
     param_count,
     sample_action,
     save_checkpoint,
@@ -54,7 +53,7 @@ def test_log_prob_consistency(toy_env):
     params = random_params("mlp", toy_env, hidden=4, seed=5)
     dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
     for i, action in enumerate(dist.action_ids):
-        lp = log_prob_of(params, toy_env.s0, toy_env.goal, action, toy_env)
+        lp, _ = step_logprob_and_grad(params, toy_env.s0, toy_env.goal, action, toy_env)
         assert lp == pytest.approx(float(dist.log_probs[i]), rel=1e-12)
     assert sum(np.exp(dist.log_probs)) == pytest.approx(1.0, abs=1e-9)
 
@@ -62,7 +61,7 @@ def test_log_prob_consistency(toy_env):
 def test_log_prob_invalid_action(toy_env):
     params = init_params("linear", toy_env.feature_dim)
     with pytest.raises(InvalidActionError):
-        log_prob_of(params, toy_env.s0, toy_env.goal, "not-an-action", toy_env)
+        step_logprob_and_grad(params, toy_env.s0, toy_env.goal, "not-an-action", toy_env)
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,15 +121,20 @@ def test_uniform_sampling_frequency_chi_square(toy_env):
 def test_scoring_is_temperature_independent(toy_env):
     # tempered behavior sampling never changes the beta=1 scores
     params = random_params("linear", toy_env, seed=3)
-    lp_before = log_prob_of(params, toy_env.s0, toy_env.goal, "left", toy_env)
+
+    def log_prob(action):
+        dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+        return float(dist.log_probs[dist.action_ids.index(action)])
+
+    lp_before = log_prob("left")
     from flowseek.exploration import sample_trajectory_mixed
 
     for beta in (0.5, 1.0, 3.0):
         traj = sample_trajectory_mixed(params, toy_env, 0.0, beta, substream(7, "t", beta))
         idx = ["left", "right"].index(traj.actions[0])
-        expected = log_prob_of(params, toy_env.s0, toy_env.goal, traj.actions[0], toy_env)
+        expected = log_prob(traj.actions[0])
         assert traj.logpf_terms[0] == pytest.approx(expected, rel=1e-12)
-    assert log_prob_of(params, toy_env.s0, toy_env.goal, "left", toy_env) == lp_before
+    assert log_prob("left") == lp_before
 
 
 def test_featurizer_determinism(toy_env):
@@ -217,6 +221,7 @@ def test_mlp_gradient_matches_manual_chain(toy_env):
     params = random_params("mlp", toy_env, hidden=3, seed=2)
     state, goal = toy_env.s0, toy_env.goal
     lp, grad = step_logprob_and_grad(params, state, goal, "left", toy_env)
+    left = action_logits(params, state, goal, toy_env).action_ids.index("left")
     h = 1e-6
     fd = np.zeros_like(params.vector)
     for j in range(len(params.vector)):
@@ -227,7 +232,7 @@ def test_mlp_gradient_matches_manual_chain(toy_env):
         pp = PolicyParams("mlp", params.feature_dim, 3, vp)
         pm = PolicyParams("mlp", params.feature_dim, 3, vm)
         fd[j] = (
-            log_prob_of(pp, state, goal, "left", toy_env)
-            - log_prob_of(pm, state, goal, "left", toy_env)
+            action_logits(pp, state, goal, toy_env).log_probs[left]
+            - action_logits(pm, state, goal, toy_env).log_probs[left]
         ) / (2 * h)
     np.testing.assert_allclose(grad, fd, atol=1e-6)

@@ -1,21 +1,23 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
+from flowseek import trainer
 from flowseek.environments import make_env, toydag
 from flowseek.environments.game24 import make_instance
 from flowseek.environments.toydag import two_terminal_instance
-from flowseek.errors import ConfigError, CorruptTrajectoryError, FlowseekError, StructuralError
+from flowseek.errors import ConfigError, FlowseekError, InvalidActionError, StructuralError
 from flowseek.exploration import ExplorationSchedule
 from flowseek.oracle import write_offline_game24
-from flowseek.policy import OptimizerState, apply_update, init_params
+from flowseek.policy import OptimizerState, apply_update, init_params, trajectory_logpf_and_grad
 from flowseek.trainer import (
     LocalSearchConfig,
     TrainConfig,
     build_envs,
     ingest_offline,
-    recompute_logpf,
     train,
 )
 
@@ -75,41 +77,99 @@ def test_config_validation():
         toy_config(loss="nonsense")
 
 
-def test_recompute_logpf_idempotent_and_fresh(toy_env):
+def test_trajectory_logpf_idempotent_and_fresh(toy_env):
     params = random_params("linear", toy_env, seed=5)
     traj = rollout(toy_env, seed=1, eps=1.0)
-    once = recompute_logpf(traj, params, toy_env, version=3)
-    twice = recompute_logpf(once, params, toy_env, version=3)
-    assert once.logpf_terms == twice.logpf_terms
-    assert once.params_version == 3
-    assert once.states == traj.states and once.actions == traj.actions
+    once, grad_once = trajectory_logpf_and_grad(params, traj, toy_env)
+    rescored = dataclasses.replace(traj, logpf_terms=once)
+    twice, grad_twice = trajectory_logpf_and_grad(params, rescored, toy_env)
+    assert once == twice
+    np.testing.assert_array_equal(grad_once, grad_twice)
+    assert rescored.states == traj.states and rescored.actions == traj.actions
     # zero-gradient update leaves the scores unchanged
     opt = OptimizerState(kind="sgd", learning_rate=0.1)
     same_params = apply_update(params, np.zeros_like(params.vector), opt)
-    after = recompute_logpf(traj, same_params, toy_env)
-    assert after.logpf_terms == once.logpf_terms
+    after, _ = trajectory_logpf_and_grad(same_params, traj, toy_env)
+    assert after == once
 
 
-def test_recompute_logpf_rejects_corrupt(toy_env):
+def test_trajectory_logpf_rejects_corrupt_action(toy_env):
     from flowseek.flow_core import Trajectory
 
     params = init_params("linear", toy_env.feature_dim)
     bad = Trajectory("toy-2term", ["s0", "mid_l"], ["no-such-action"], [0.0],
                      reward=1.0, is_complete=True)
-    with pytest.raises(CorruptTrajectoryError):
-        recompute_logpf(bad, params, toy_env)
+    with pytest.raises(InvalidActionError):
+        trajectory_logpf_and_grad(params, bad, toy_env)
 
 
 def test_trained_params_change_stored_scores(toy_env):
     # stored uniform-rollout terms differ from the converged policy's scores
     inst = two_terminal_instance()
     traj = rollout(toy_env, seed=2, eps=1.0)
-    uniform_terms = recompute_logpf(traj, init_params("linear", toy_env.feature_dim), toy_env)
+    uniform_terms, _ = trajectory_logpf_and_grad(
+        init_params("linear", toy_env.feature_dim), traj, toy_env
+    )
     config = toy_config(iterations=400)
     params, _ = train(config, [inst])
     env = build_envs(config, [inst])[inst.instance_id]
-    trained_terms = recompute_logpf(traj, params, env)
-    assert trained_terms.logpf_terms != uniform_terms.logpf_terms
+    trained_terms, _ = trajectory_logpf_and_grad(params, traj, env)
+    assert trained_terms != uniform_terms
+
+
+def spy_updates(monkeypatch):
+    """Record (lr_override, parameter step) for every optimizer update train() makes."""
+    steps = []
+    real = trainer.apply_update
+
+    def spy(params, grad, opt, lr_override=None):
+        new = real(params, grad, opt, lr_override=lr_override)
+        steps.append((lr_override, new.vector - params.vector))
+        return new
+
+    monkeypatch.setattr(trainer, "apply_update", spy)
+    return steps
+
+
+def test_cosine_lr_schedule(monkeypatch):
+    steps = spy_updates(monkeypatch)
+    config = toy_config(iterations=20, lr_schedule="cosine")
+    train(config, [two_terminal_instance()])
+    lrs = [lr for lr, _ in steps]
+    assert len(lrs) == 20
+    for i, lr in enumerate(lrs):
+        assert lr == pytest.approx(0.05 * 0.5 * (1.0 + math.cos(math.pi * i / 20)), rel=1e-15)
+    assert lrs[0] == 0.05 and lrs[10] == pytest.approx(0.025)
+
+
+def test_max_grad_norm_bounds_sgd_step(monkeypatch):
+    steps = spy_updates(monkeypatch)
+    config = toy_config(iterations=30, optimizer="sgd", learning_rate=0.5, max_grad_norm=0.01)
+    train(config, [two_terminal_instance()])
+    bound = 0.5 * 0.01
+    norms = [float(np.linalg.norm(step)) for _, step in steps]
+    assert all(n <= bound * (1 + 1e-9) for n in norms), max(norms)
+    assert max(norms) > 0.99 * bound  # the clip actually binds
+
+
+def test_per_instance_logz(monkeypatch):
+    seen_z = []
+    real = trainer.loss_tb_logz
+
+    def spy(phis, z, grads=None):
+        seen_z.append(z)
+        return real(phis, z, grads)
+
+    monkeypatch.setattr(trainer, "loss_tb_logz", spy)
+    instances = toydag.generate_instances(2, 1)
+    config = toy_config(iterations=40, loss="tb_logz", logz_shared=False, logz_init=0.5)
+    train(config, instances)
+    # round-robin: even iterations see instance 0's log Z, odd ones instance 1's
+    assert seen_z[0] == seen_z[1] == 0.5
+    assert seen_z[-2] != seen_z[-1]
+    seen_z.clear()
+    train(dataclasses.replace(config, logz_shared=True), instances)
+    assert seen_z[0] == 0.5 and seen_z[1] != 0.5
 
 
 def test_offline_ingest_roundtrip(tmp_path):
