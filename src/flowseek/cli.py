@@ -269,14 +269,12 @@ def cmd_train(args) -> int:
 
     envs = build_envs(config, instances)
     extra = _checkpoint_extra(config, envs)
-    from .policy import OptimizerState
 
     def checkpoint_writer(iteration, params, opt):
         save_checkpoint(out_dir / f"checkpoint-{iteration + 1}.json", params, opt, extra)
 
     params, report = train(config, instances, checkpoint_writer=checkpoint_writer)
-    save_checkpoint(ckpt_path, params, OptimizerState(kind=config.optimizer,
-                                                      learning_rate=config.learning_rate), extra)
+    save_checkpoint(ckpt_path, params, report.optimizer_state, extra)
     report.write_csv(report_path)
     report.write_trajectory_log(trajlog_path)
     final_loss = report.records[-1]["mean_loss"]
@@ -331,8 +329,10 @@ def cmd_sample(args) -> int:
         for inst in instances:
             env = envs[inst.instance_id]
             for k in range(args.n):
-                rng = substream(seed, "sample", inst.instance_id, k)
-                traj = sample_trajectory_mixed(params, env, eps=0.0, beta=beta, rng=rng)
+                # the greedy decode does not depend on rng, so one serves every k
+                if k == 0 or not args.argmax:
+                    rng = substream(seed, "sample", inst.instance_id, k)
+                    traj = sample_trajectory_mixed(params, env, eps=0.0, beta=beta, rng=rng)
                 success = env.is_success(traj)
                 rec = {
                     "instance_id": inst.instance_id,

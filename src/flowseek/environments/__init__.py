@@ -57,15 +57,12 @@ class TabularIndex:
             stack = [env.s0]
             while stack:
                 state = stack.pop()
-                if env.is_terminal(state):
-                    continue
-                for action in env.valid_actions(state):
+                for action, child in env.children(state) or ():
                     pairs.add((env.goal, state, action))
                     if len(pairs) > cap:
                         raise EnumerationCapError(
                             f"tabular featurizer exceeded {cap} pairs", len(pairs)
                         )
-                    child = env.apply(state, action)
                     if child not in seen:
                         seen.add(child)
                         stack.append(child)

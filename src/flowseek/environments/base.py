@@ -188,6 +188,8 @@ class Environment:
             self.parent_mode = parent_mode
         self._valid_cache: dict[str, list[str]] = {}
         self._featmat_cache: dict[str, np.ndarray] = {}
+        self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
+        self._parent_count_cache: dict[str, int] = {}
 
     @property
     def s0(self) -> str:
@@ -263,6 +265,27 @@ class Environment:
         if self.parent_mode == "tree":
             return 1
         raise NotImplementedError
+
+    # -- DAG expansion, cached per state so every walker expands a state once ----
+
+    def children(self, state: str) -> list[tuple[str, str]] | None:
+        """`(action, child)` per valid action in `valid_actions` order; None if terminal.
+
+        Keyed on the full state, not `decision_key`: child keys may embed the history."""
+        try:
+            return self._children_cache[state]
+        except KeyError:
+            kids = None if self.is_terminal(state) else [
+                (a, self.apply(state, a)) for a in self.valid_actions(state)
+            ]
+            self._children_cache[state] = kids
+            return kids
+
+    def cached_parent_count(self, state: str) -> int:
+        count = self._parent_count_cache.get(state)
+        if count is None:
+            count = self._parent_count_cache[state] = self.parent_count(state)
+        return count
 
     def potential(self, state: str) -> float:
         """Scalar progress estimate used by the `progress` scorer; higher is better."""

@@ -78,7 +78,7 @@ def log_pb_uniform(traj: Trajectory, env) -> float:
         return 0.0
     total = 0.0
     for state in traj.states[1:]:
-        n_parents = env.parent_count(state)
+        n_parents = env.cached_parent_count(state)
         if n_parents <= 0:
             raise StructuralError(f"state {state!r} reports {n_parents} parents")
         total -= math.log(n_parents)

@@ -42,44 +42,32 @@ class DagSummary:
         return len(self.target_terminal_dist)
 
 
-def _walk(env, cap: int):
-    """Yield (actions, states) for every complete trajectory from s0."""
-    count = 0
-    stack: list[tuple[list[str], list[str]]] = [([], [env.s0])]
-    while stack:
-        actions, states = stack.pop()
-        state = states[-1]
-        if env.is_terminal(state):
-            count += 1
-            if count > cap:
-                raise EnumerationCapError(
-                    f"instance exceeds the {cap}-trajectory enumeration cap", count
-                )
-            yield actions, states
-            continue
-        for action in reversed(env.valid_actions(state)):
-            stack.append((actions + [action], states + [env.apply(state, action)]))
-
-
 def enumerate_dag(instance, env, cap: int = ENUMERATION_CAP) -> DagSummary:
-    """Exhaustively enumerate the instance and compute the target distributions."""
+    """Exhaustively enumerate the instance and compute the target distributions.
+
+    Each state is expanded once per env (`env.children`), so merging paths
+    share that work; a stack entry carries its path's backward product."""
+    exact = env.parent_mode != "tree"
     trajectories = []
     flows = []
-    for actions, states in _walk(env, cap):
-        traj = Trajectory(
-            instance_id=instance.instance_id,
-            states=states,
-            actions=actions,
-            logpf_terms=[0.0] * len(actions),
-            is_complete=True,
-        )
-        reward = env.reward(traj).total
-        back = 1.0
-        if env.parent_mode != "tree":
-            for state in states[1:]:
-                back /= env.parent_count(state)
-        trajectories.append((tuple(actions), states[-1], reward))
-        flows.append(reward * back)
+    stack: list[tuple[list[str], list[str], float]] = [([], [env.s0], 1.0)]
+    while stack:
+        actions, states, back = stack.pop()
+        children = env.children(states[-1])
+        if children is None:
+            if len(trajectories) >= cap:
+                raise EnumerationCapError(
+                    f"instance exceeds the {cap}-trajectory enumeration cap", cap + 1
+                )
+            traj = Trajectory(instance.instance_id, states, actions, [0.0] * len(actions),
+                              is_complete=True)
+            reward = env.reward(traj).total
+            trajectories.append((tuple(actions), states[-1], reward))
+            flows.append(reward * back)
+            continue
+        for action, child in reversed(children):
+            child_back = back / env.cached_parent_count(child) if exact else back
+            stack.append((actions + [action], states + [child], child_back))
 
     z = float(sum(flows))
     traj_dist: dict[tuple[str, ...], float] = {}
@@ -96,13 +84,12 @@ def policy_terminal_dist(
 ) -> dict[str, float]:
     """Exact terminal-state mass of the policy by enumerating all trajectories."""
     # states sharing a decision key share their action distribution
-    dist_cache: dict[str, tuple[list[str], np.ndarray]] = {}
+    dist_cache: dict[str, np.ndarray] = {}
 
-    def step_logprobs(state: str) -> tuple[list[str], np.ndarray]:
+    def step_logprobs(state: str) -> np.ndarray:
         key = env.decision_key(state)
         if key not in dist_cache:
-            d = action_logits(params, state, env.goal, env)
-            dist_cache[key] = (d.action_ids, d.log_probs)
+            dist_cache[key] = action_logits(params, state, env.goal, env).log_probs
         return dist_cache[key]
 
     out: dict[str, float] = {}
@@ -110,7 +97,8 @@ def policy_terminal_dist(
     stack: list[tuple[str, float]] = [(env.s0, 0.0)]
     while stack:
         state, logp = stack.pop()
-        if env.is_terminal(state):
+        children = env.children(state)
+        if children is None:
             count += 1
             if count > cap:
                 raise EnumerationCapError(
@@ -118,9 +106,9 @@ def policy_terminal_dist(
                 )
             out[state] = out.get(state, 0.0) + math.exp(logp)
             continue
-        actions, logps = step_logprobs(state)
-        for action, lp in zip(actions, logps):
-            stack.append((env.apply(state, action), logp + float(lp)))
+        # log_probs follow `valid_actions` order, as `children` does
+        for (_, child), lp in zip(children, step_logprobs(state)):
+            stack.append((child, logp + float(lp)))
     return out
 
 

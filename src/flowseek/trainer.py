@@ -100,10 +100,11 @@ class TrainConfig:
 
 @dataclass
 class TrainReport:
-    """Per-iteration scalars plus the trajectory log collected during training."""
+    """Per-iteration scalars, the trajectory log and the final optimizer state."""
 
     records: list[dict] = field(default_factory=list)
     trajectory_log: list[dict] = field(default_factory=list)
+    optimizer_state: OptimizerState | None = None
 
     REPORT_FIELDS = (
         "iteration",
@@ -214,7 +215,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         for traj in offline:
             offline_pool.setdefault(traj.instance_id, []).append(traj)
 
-    report = TrainReport()
+    report = TrainReport(optimizer_state=opt)
     m = config.batch_size
 
     for i in range(config.iterations):

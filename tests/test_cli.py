@@ -122,7 +122,10 @@ def test_train_periodic_checkpoints(tmp_path):
     assert run_cli("train", config_path) == 0
     assert (run_dir / "checkpoint-10.json").exists()
     assert (run_dir / "checkpoint-20.json").exists()
-    assert (run_dir / "checkpoint.json").exists()
+    # the final checkpoint keeps the optimizer state, so it is the last periodic one
+    final = run_dir / "checkpoint.json"
+    assert final.read_bytes() == (run_dir / "checkpoint-20.json").read_bytes()
+    assert json.loads(final.read_text())["optimizer"]["step"] == 20
 
 
 def test_train_missing_instances_is_data_error(tmp_path):
@@ -208,6 +211,48 @@ def test_sample_argmax_is_seed_free_greedy_decode(tmp_path):
             assert action == dist.action_ids[int(np.argmax(dist.logits))]
             state = env.apply(state, action)
         assert env.is_terminal(state)
+
+
+def test_sample_argmax_decodes_once_per_instance(tmp_path, monkeypatch):
+    from flowseek import exploration
+    from flowseek.cli import _envs_from_checkpoint
+    from flowseek.policy import load_checkpoint
+    from flowseek.rngutil import substream
+
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=50)
+    write_instances(inst_path, toydag_instances(3, 1))
+    assert run_cli("train", config_path) == 0
+    decode = exploration.sample_trajectory_mixed
+    calls = []
+
+    def counting(params, env, *args, **kwargs):
+        calls.append(env.instance.instance_id)
+        return decode(params, env, *args, **kwargs)
+
+    monkeypatch.setattr(exploration, "sample_trajectory_mixed", counting)
+    code, out = sample_to(tmp_path, run_dir, inst_path, "g.jsonl", n=5, extra=("--argmax",))
+    assert code == 0
+    instances = read_instances(inst_path)
+    assert calls == [inst.instance_id for inst in instances]
+    # the records are those of a separate greedy decode for every sample index
+    params, _, extra = load_checkpoint(run_dir / "checkpoint.json")
+    envs = _envs_from_checkpoint(extra, instances)
+    expected = []
+    for inst in instances:
+        env = envs[inst.instance_id]
+        for k in range(5):
+            traj = decode(params, env, eps=0.0, beta=0.0,
+                          rng=substream(9, "sample", inst.instance_id, k))
+            success = env.is_success(traj)
+            expected.append({
+                "instance_id": inst.instance_id,
+                "sample_index": k,
+                "actions": traj.actions,
+                "reward": traj.reward,
+                "success": bool(success),
+                "solution_key": env.solution_key(traj) if success else None,
+            })
+    assert out.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
 def test_sample_n_zero_empty_output(tmp_path):

@@ -40,6 +40,8 @@ class FakeExactEnv:
     def parent_count(self, state):
         return self.counts[state]
 
+    cached_parent_count = parent_count
+
 
 def test_log_pb_tree_mode_is_zero():
     traj = make_traj(["a", "b", "c"], ["x", "y"], [-0.1, -0.2], 1.0)
