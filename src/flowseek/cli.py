@@ -273,7 +273,7 @@ def cmd_train(args) -> int:
     def checkpoint_writer(iteration, params, opt):
         save_checkpoint(out_dir / f"checkpoint-{iteration + 1}.json", params, opt, extra)
 
-    params, report = train(config, instances, checkpoint_writer=checkpoint_writer)
+    params, report = train(config, instances, checkpoint_writer=checkpoint_writer, envs=envs)
     save_checkpoint(ckpt_path, params, report.optimizer_state, extra)
     report.write_csv(report_path)
     report.write_trajectory_log(trajlog_path)

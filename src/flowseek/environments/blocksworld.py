@@ -113,7 +113,7 @@ class BlocksWorldEnv(Environment):
         return actions
 
     def apply(self, state, action):
-        if action not in self.valid_actions(state):
+        if action not in self.cached_valid_actions(state):
             raise InvalidActionError(f"action {action!r} invalid at {state!r}")
         step, hand, on = _decode(state)
         on = dict(on)

@@ -6,12 +6,14 @@ States embed the move count, which layers the graph into a DAG; parent
 counting enumerates the 9 inverse moves (always distinct under the free group
 action) and drops predecessors that would be terminal.
 
-Distance-to-solved is breadth-first search from the solved configuration,
-expanded lazily one layer at a time and memoized for the whole process, with
-a hard cap of 11 moves.
+Distance-to-solved is breadth-first search from the solved configuration over
+a dense table of every reachable configuration, filled lazily one vectorised
+layer at a time and kept for the whole process; the diameter is 11 moves.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -67,26 +69,62 @@ def is_solved(config: bytes) -> bool:
     return config == SOLVED
 
 
-# process-wide BFS ball around the solved configuration
-_DIST: dict[bytes, int] = {SOLVED: 0}
-_FRONTIER: list[bytes] = [SOLVED]
-_DEPTH = 0
+# The 3,674,160 configurations reachable from SOLVED keep DBL in slot 6 untwisted
+# and their twists sum to 0 mod 3. Dense index: 729 * rank of the permutation of
+# the other 7 corners + base-3 rank of the twists of slots 0-5.
+_PERM_INDEX: dict[bytes, int] = {}  # config[:8] -> 729 * permutation rank
+_TWIST_INDEX: dict[bytes, int] = {}  # config[8:] -> twist rank
+_DIST_BYTES = b""  # bytes copy of _dist for cheap lookups, refreshed per layer
+_dist = _perm_moves = _twist_moves = None
+_depth = 0
+
+
+def _build_tables() -> None:
+    global _dist, _perm_moves, _twist_moves, _DIST_BYTES
+    others = itertools.permutations((0, 1, 2, 3, 4, 5, 7))
+    perms = np.array([p[:6] + (6,) + p[6:] for p in others], np.uint8)
+    slots = itertools.product(range(3), repeat=6)
+    twists = np.array([t + (0, -sum(t) % 3) for t in slots], np.uint8)  # sum 0 mod 3
+    weights = 8 ** np.arange(7, -1, -1)  # base-8 codes sort like lexicographic permutations
+    moves = [_MOVE[m] for m in MOVES]
+    _perm_moves = np.array([729 * np.searchsorted(perms @ weights, perms[:, p] @ weights)
+                            for p, _ in moves], np.int32)
+    _twist_moves = np.array([(twists[:, p[:6]] + d[:6]) % 3 @ 3 ** np.arange(5, -1, -1)
+                             for p, d in moves], np.int32)
+    _PERM_INDEX.update({bytes(p): 729 * r for r, p in enumerate(perms)})
+    _TWIST_INDEX.update({bytes(t): r for r, t in enumerate(twists)})
+    _dist = np.full(5040 * 729, 255, np.uint8)  # 255: not reached yet
+    _dist[0] = 0  # SOLVED: identity permutation, zero twist
+    _DIST_BYTES = _dist.tobytes()
+
+
+def _grow() -> None:
+    """Mark the next BFS layer: every unseen one-move neighbour of the current one."""
+    global _depth, _DIST_BYTES
+    perm, twist = np.divmod(np.flatnonzero(_dist == _depth), 729)
+    _depth += 1
+    for perm_move, twist_move in zip(_perm_moves, _twist_moves):  # per move: bounds peak memory
+        nbrs = perm_move[perm] + twist_move[twist]
+        _dist[nbrs[_dist[nbrs] == 255]] = _depth
+    _DIST_BYTES = _dist.tobytes()
 
 
 def distance_to_solved(config: bytes) -> int:
-    """Minimum URF-move count to solve `config`, capped at DIST_CAP."""
-    global _FRONTIER, _DEPTH
-    while config not in _DIST and _DEPTH < DIST_CAP:
-        nxt = []
-        for cfg in _FRONTIER:
-            for move in MOVES:
-                nc = apply_move(cfg, move)
-                if nc not in _DIST:
-                    _DIST[nc] = _DEPTH + 1
-                    nxt.append(nc)
-        _FRONTIER = nxt
-        _DEPTH += 1
-    return _DIST.get(config, DIST_CAP)
+    """Minimum URF-move count to solve `config`; at most DIST_CAP, the diameter.
+
+    Raises StructuralError for a configuration no move sequence reaches."""
+    try:
+        index = _PERM_INDEX[config[:8]] + _TWIST_INDEX[config[8:]]
+    except KeyError:
+        if _PERM_INDEX:
+            raise StructuralError(f"cube configuration {config!r} is unreachable") from None
+        _build_tables()
+        return distance_to_solved(config)
+    d = _DIST_BYTES[index]
+    while d == 255:  # not reached yet; ends by depth DIST_CAP, the diameter
+        _grow()
+        d = _DIST_BYTES[index]
+    return d
 
 
 def _encode(step: int, config: bytes) -> str:
@@ -106,6 +144,14 @@ class Cube2x2Env(Environment):
     parent_mode = "exact"
 
     _N_HASHED = 32
+
+    def __init__(self, instance: EnvInstance, **kwargs):
+        super().__init__(instance, **kwargs)
+        try:
+            config = _decode(instance.s0)[1]
+        except ValueError:
+            raise StructuralError(f"malformed cube state {instance.s0!r}") from None
+        distance_to_solved(config)  # raises StructuralError for an unreachable start
 
     def valid_actions(self, state, goal=None):
         if self.is_terminal(state):
@@ -130,10 +176,9 @@ class Cube2x2Env(Environment):
 
     def reward(self, traj):
         success = self.w if self.is_success(traj) else 0.0
+        dists = [distance_to_solved(_decode(s)[1]) for s in traj.states]
         intermediate = 0.0
-        for prev, nxt in zip(traj.states[:-1], traj.states[1:]):
-            r_prev = distance_to_solved(_decode(prev)[1])
-            r_next = distance_to_solved(_decode(nxt)[1])
+        for r_prev, r_next in zip(dists[:-1], dists[1:]):
             intermediate += float(np.exp(r_prev - r_next))
         return self.floored(success, intermediate)
 

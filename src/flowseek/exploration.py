@@ -107,8 +107,10 @@ class ReplayBuffer:
     priority_mode: str = "reward"  # or "log_reward"
     entries: list[ReplayEntry] = field(default_factory=list)
     _keys: set = field(default_factory=set)
+    _priorities: list = field(default_factory=list)  # entries' priorities, in entries order
 
     def __post_init__(self) -> None:
+        self._priorities = [e.priority for e in self.entries]
         if self.capacity < 1:
             raise ValueError("buffer capacity must be positive")
         if self.priority_mode not in ("reward", "log_reward"):
@@ -129,9 +131,11 @@ def buffer_insert(buffer: ReplayBuffer, traj: Trajectory, iteration: int = 0) ->
     if key in buffer._keys:
         return buffer
     buffer.entries.append(ReplayEntry(traj, buffer.priority_of(traj), iteration))
+    buffer._priorities.append(buffer.entries[-1].priority)
     buffer._keys.add(key)
     if len(buffer.entries) > buffer.capacity:
-        lowest = min(range(len(buffer.entries)), key=lambda i: buffer.entries[i].priority)
+        lowest = buffer._priorities.index(min(buffer._priorities))
+        del buffer._priorities[lowest]
         evicted = buffer.entries.pop(lowest)
         buffer._keys.discard((evicted.traj.instance_id, tuple(evicted.traj.actions)))
     return buffer

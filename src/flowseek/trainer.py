@@ -189,11 +189,12 @@ def ingest_offline(path, envs_by_instance: dict) -> tuple[list[Trajectory], int]
 
 
 def train(config: TrainConfig, instances: list[EnvInstance],
-          checkpoint_writer=None) -> tuple[PolicyParams, TrainReport]:
-    """Run the full training loop; returns final parameters and the report."""
+          checkpoint_writer=None, envs: dict | None = None) -> tuple[PolicyParams, TrainReport]:
+    """Train on `envs` (default `build_envs(config, instances)`); returns params and report."""
     if not instances:
         raise ValueError("training needs at least one instance")
-    envs = build_envs(config, instances)
+    if envs is None:
+        envs = build_envs(config, instances)
     any_env = envs[instances[0].instance_id]
     params = init_params(
         config.policy_variant, any_env.feature_dim, config.hidden_dim, seed=config.seed

@@ -8,7 +8,7 @@ import pytest
 
 import flowseek
 from flowseek.cli import main
-from flowseek.environments import read_instances, write_instances
+from flowseek.environments import EnvInstance, read_instances, write_instances
 from flowseek.environments.game24 import make_instance, solve_game24
 from flowseek.environments.toydag import generate_instances as toydag_instances
 from flowseek.environments.toydag import two_terminal_instance
@@ -111,6 +111,29 @@ def test_train_byte_identical_outputs(tmp_path):
     }
     assert run_cli("train", config_path) == 0
     for name, body in first.items():
+        assert (run_dir / name).read_bytes() == body, name
+
+
+def test_tabular_train_builds_envs_once(tmp_path, monkeypatch):
+    from flowseek import cli
+    from flowseek.environments import TabularIndex
+
+    builds = []
+    real_build = TabularIndex.build.__func__
+    monkeypatch.setattr(TabularIndex, "build",
+                        classmethod(lambda cls, envs: builds.append(1) or real_build(cls, envs)))
+    config_path, _, run_dir = write_toy_setup(tmp_path, iterations=30)
+    assert run_cli("train", config_path) == 0
+    assert len(builds) == 1
+    outputs = {name: (run_dir / name).read_bytes()
+               for name in ("checkpoint.json", "report.csv", "trajectories.jsonl")}
+    # the same run with train() building its own envs writes the same bytes
+    real_train = cli.train
+    monkeypatch.setattr(cli, "train", lambda config, instances, checkpoint_writer, envs:
+                        real_train(config, instances, checkpoint_writer=checkpoint_writer))
+    assert run_cli("train", config_path) == 0
+    assert len(builds) == 3
+    for name, body in outputs.items():
         assert (run_dir / name).read_bytes() == body, name
 
 
@@ -308,6 +331,14 @@ def test_oracle_cap_exceeded_rows(tmp_path):
     out = tmp_path / "o.csv"
     assert run_cli("oracle", "--instances", inst_path, "--cap", 10, "--out", out) == 3
     assert "cap-exceeded" in out.read_text()
+
+
+def test_oracle_unreachable_cube_start_is_data_error(tmp_path, capsys):
+    inst_path = tmp_path / "cube.jsonl"
+    write_instances(inst_path, [EnvInstance("cube2x2", "dbl-moved", "t=0|01234576|00000000",
+                                            "solved", 11)])
+    assert run_cli("oracle", "--instances", inst_path, "--out", tmp_path / "o.csv") == 3
+    assert "unreachable" in capsys.readouterr().err
 
 
 def test_console_script_entrypoint():

@@ -13,7 +13,7 @@ from flowseek.environments.blocksworld import (
     check_physics,
     generate_instances,
 )
-from flowseek.errors import InvalidActionError, StructuralError
+from flowseek.errors import InvalidActionError, StructuralError, TerminalQueryError
 from flowseek.rngutil import substream
 
 
@@ -52,6 +52,19 @@ def test_stacked_block_not_pickable():
 def test_apply_invalid_action(three_on_table):
     with pytest.raises(InvalidActionError):
         three_on_table.apply(three_on_table.s0, "stack red blue")  # hand empty
+    # still rejected once the state's valid actions are cached
+    three_on_table.cached_valid_actions(three_on_table.s0)
+    with pytest.raises(InvalidActionError):
+        three_on_table.apply(three_on_table.s0, "stack red blue")
+
+
+def test_apply_at_terminal_state_raises(three_on_table):
+    env = three_on_table
+    solved = env.apply(env.apply(env.s0, "pickup red"), "stack red blue")
+    assert env.is_terminal(solved)
+    for _ in range(2):  # the raise is not cached away
+        with pytest.raises(TerminalQueryError):
+            env.apply(solved, "unstack red blue")
 
 
 def test_physics_invariants_after_random_walks():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from flowseek.environments import make_env, replay_trajectory
+from flowseek.environments import cube2x2, make_env, replay_trajectory
+from flowseek.environments.base import EnvInstance
 from flowseek.environments.cube2x2 import (
+    DIST_CAP,
     INVERSE,
     MOVES,
     SOLVED,
@@ -176,3 +178,101 @@ def test_solution_key_is_move_sequence():
     env = make_env(inst)
     traj = replay_trajectory(env, ["U'", "R'"])
     assert env.solution_key(traj) == "U' R'"
+
+
+# -- dense distance table ------------------------------------------------------
+
+# published layer sizes of the 2x2x2 cube in the half-turn metric (diameter 11)
+LAYER_SIZES = [1, 9, 54, 321, 1847, 9992, 50136, 227536, 870072, 1887748, 623800, 2644]
+
+
+def reset_table(mp):
+    """Point the module's table state at fresh, empty values (restored by `mp`)."""
+    for name, value in (("_PERM_INDEX", {}), ("_TWIST_INDEX", {}), ("_DIST_BYTES", b""),
+                        ("_dist", None), ("_perm_moves", None), ("_twist_moves", None),
+                        ("_depth", 0)):
+        mp.setattr(cube2x2, name, value)
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    reset_table(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def full_table():
+    with pytest.MonkeyPatch.context() as mp:
+        reset_table(mp)
+        distance_to_solved(SOLVED)
+        while cube2x2._depth < DIST_CAP:
+            cube2x2._grow()
+        yield cube2x2._dist
+
+
+def dict_bfs(max_depth):
+    """The pure-Python BFS the dense table replaced: {config: distance}."""
+    dist = {SOLVED: 0}
+    frontier = [SOLVED]
+    for depth in range(max_depth):
+        nxt = []
+        for cfg in frontier:
+            for move in MOVES:
+                nc = apply_move(cfg, move)
+                if nc not in dist:
+                    dist[nc] = depth + 1
+                    nxt.append(nc)
+        frontier = nxt
+    return dist
+
+
+def test_full_table_layer_histogram(full_table):
+    assert np.bincount(full_table).tolist() == LAYER_SIZES
+    assert cube2x2._depth == DIST_CAP
+
+
+def test_every_configuration_one_move_from_previous_layer(full_table):
+    # moves are closed under inversion, so this also bounds every neighbour's
+    # depth within one of the configuration's
+    perm, twist = np.divmod(np.arange(full_table.size, dtype=np.int32), 729)
+    nbr_min = np.full(full_table.size, 255, np.uint8)
+    for pm, tm in zip(cube2x2._perm_moves, cube2x2._twist_moves):
+        np.minimum(nbr_min, full_table[pm[perm] + tm[twist]], out=nbr_min)
+    solved = full_table == 0
+    assert solved.sum() == 1
+    assert (nbr_min[~solved] == full_table[~solved] - 1).all()
+    # the index move tables agree with apply_move on random configurations
+    rng = substream(3, "cube-table-moves")
+    index = lambda c: cube2x2._PERM_INDEX[c[:8]] + cube2x2._TWIST_INDEX[c[8:]]
+    for _ in range(200):
+        config = random_config(rng)
+        p, t = divmod(index(config), 729)
+        for m, move in enumerate(MOVES):
+            assert index(apply_move(config, move)) == (
+                cube2x2._perm_moves[m][p] + cube2x2._twist_moves[m][t])
+
+
+def test_table_matches_dict_bfs_through_depth_7(fresh_table):
+    reference = dict_bfs(7)
+    assert len(reference) == sum(LAYER_SIZES[:8])
+    for config, depth in reference.items():
+        assert distance_to_solved(config) == depth
+    assert cube2x2._depth == 7
+
+
+def test_depth_2_query_fills_only_two_layers(fresh_table):
+    d = distance_to_solved(apply_move(apply_move(SOLVED, "U"), "R"))
+    assert d == 2 and type(d) is int
+    assert cube2x2._depth == 2
+    assert np.bincount(cube2x2._dist).tolist()[:3] == LAYER_SIZES[:3]
+    assert (cube2x2._dist == 255).sum() == cube2x2._dist.size - sum(LAYER_SIZES[:3])
+
+
+@pytest.mark.parametrize("s0", [
+    "t=0|01234576|00000000",  # DBL corner (6) moved to slot 7
+    "t=0|01234567|10000000",  # twists sum to 1 mod 3
+    "t=0|0123456x|00000000",  # malformed digit
+])
+def test_unreachable_start_is_structural_error(fresh_table, s0):
+    with pytest.raises(StructuralError):
+        make_env(EnvInstance("cube2x2", "bad", s0, "solved", DIST_CAP))
+    assert cube2x2._depth == 0

@@ -118,6 +118,20 @@ def test_buffer_dedup_and_eviction():
     assert sorted(e.priority for e in buf.entries) == [3.0, 5.0]
 
 
+def test_buffer_eviction_matches_first_lowest_priority():
+    # reference: the victim is the first entry with the lowest priority
+    rng = substream(4, "evict")
+    buf = ReplayBuffer(capacity=6)
+    expected = []
+    for n in range(300):
+        traj = make_traj("i", [f"a{n}"], float(rng.integers(1, 5)))  # few values: many ties
+        buffer_insert(buf, traj)
+        expected.append(traj)
+        if len(expected) > buf.capacity:
+            expected.pop(min(range(len(expected)), key=lambda i: expected[i].reward))
+        assert [e.traj for e in buf.entries] == expected
+
+
 def test_buffer_log_reward_priority():
     buf = ReplayBuffer(capacity=4, priority_mode="log_reward")
     buffer_insert(buf, make_traj("i", ["a"], math.e - 1.0))
