@@ -22,7 +22,7 @@ from pathlib import Path
 import jsonschema
 
 from . import __version__
-from .environments import EnvInstance, make_env, read_instances, write_instances
+from .environments import EnvInstance, TabularIndex, make_env, read_instances, write_instances
 from .environments import generate_instances as gen_instances
 from .errors import (
     CheckpointError,
@@ -34,9 +34,9 @@ from .errors import (
 from .exploration import ExplorationSchedule
 from .metrics import evaluate, load_run, write_breakdown_jsonl, write_metrics_csv
 from .oracle import enumerate_dag, policy_terminal_dist, tv_distance
-from .policy import load_checkpoint, save_checkpoint
+from .policy import PolicyParams, load_checkpoint, save_checkpoint
 from .rngutil import substream
-from .trainer import LocalSearchConfig, TrainConfig, train
+from .trainer import ENV_SETTINGS, LocalSearchConfig, TrainConfig, build_envs, train
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -60,7 +60,6 @@ TRAIN_CONFIG_SCHEMA = {
         "lambda": {"type": "number"},
         "reward_floor": {"type": "number", "exclusiveMinimum": 0},
         "offline_data_path": {"type": ["string", "null"]},
-        "parent_mode_override": {"enum": ["tree", "exact", None]},
         "schedules": {
             "type": "object",
             "additionalProperties": False,
@@ -115,6 +114,20 @@ TRAIN_CONFIG_SCHEMA = {
         "checkpoint_interval": {"type": ["integer", "null"]},
         "out_dir": {"type": "string"},
     },
+}
+
+# config keys whose TrainConfig field has another name; nested keys as "group.key"
+FIELD_NAMES = {
+    "w": "success_weight",
+    "lambda": "intermediate_weight",
+    "policy.variant": "policy_variant",
+    "policy.hidden_dim": "hidden_dim",
+    "policy.featurizer": "featurizer",
+    "buffer.capacity": "buffer_capacity",
+    "buffer.priority_mode": "priority_mode",
+    "logz.shared": "logz_shared",
+    "logz.init": "logz_init",
+    "logz.learning_rate": "logz_learning_rate",
 }
 
 
@@ -191,54 +204,28 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict, Path, Path]:
     doc.setdefault("seed", _default_seed(None))
     doc.setdefault("out_dir", "runs/latest")
 
-    sched = ExplorationSchedule(
-        total_iterations=doc.get("iterations", 100), **doc.get("schedules", {})
-    )
-    ls = LocalSearchConfig(**doc.get("local_search", {}))
-    policy_doc = doc.get("policy", {})
-    buffer_doc = doc.get("buffer", {})
-    logz_doc = doc.get("logz", {})
-    config = TrainConfig(
-        env_id=doc["env_id"],
-        iterations=doc.get("iterations", 100),
-        batch_size=doc.get("batch_size", 4),
-        learning_rate=doc.get("learning_rate", 1e-3),
-        optimizer=doc.get("optimizer", "adaptive"),
-        loss=doc.get("loss", "logvar"),
-        success_weight=doc.get("w", 100.0),
-        intermediate_weight=doc.get("lambda", 1.5),
-        reward_floor=doc.get("reward_floor", 1e-8),
-        seed=doc["seed"],
-        schedules=sched,
-        offline_data_path=doc.get("offline_data_path"),
-        parent_mode_override=doc.get("parent_mode_override"),
-        local_search=ls,
-        policy_variant=policy_doc.get("variant", "linear"),
-        hidden_dim=policy_doc.get("hidden_dim", 64),
-        featurizer=policy_doc.get("featurizer", "default"),
-        scorer=doc.get("scorer", "uniform"),
-        buffer_capacity=buffer_doc.get("capacity", 1000),
-        priority_mode=buffer_doc.get("priority_mode", "reward"),
-        logz_shared=logz_doc.get("shared", True),
-        logz_init=logz_doc.get("init", 0.0),
-        logz_learning_rate=logz_doc.get("learning_rate"),
-        lr_schedule=doc.get("lr_schedule", "none"),
-        max_grad_norm=doc.get("max_grad_norm"),
-        checkpoint_interval=doc.get("checkpoint_interval"),
-    )
+    # only the keys the config sets are passed, so every default is TrainConfig's
+    fields = {}
+    for key, value in doc.items():
+        if key in ("policy", "buffer", "logz"):
+            for sub, sub_value in value.items():
+                fields[FIELD_NAMES[f"{key}.{sub}"]] = sub_value
+        elif key == "local_search":
+            fields[key] = LocalSearchConfig(**value)
+        elif key not in ("instances_path", "out_dir", "schedules"):
+            fields[FIELD_NAMES.get(key, key)] = value
+    config = TrainConfig(**fields)
+    if "schedules" in doc:
+        # annealed over the resolved iteration count
+        config.schedules = ExplorationSchedule(
+            total_iterations=config.iterations, **doc["schedules"]
+        )
     return config, doc, Path(doc["instances_path"]), Path(doc["out_dir"])
 
 
 def _checkpoint_extra(config: TrainConfig, envs: dict) -> dict:
-    extra = {
-        "env_id": config.env_id,
-        "scorer": config.scorer,
-        "success_weight": config.success_weight,
-        "intermediate_weight": config.intermediate_weight,
-        "reward_floor": config.reward_floor,
-        "parent_mode_override": config.parent_mode_override,
-        "featurizer": {"kind": config.featurizer},
-    }
+    extra = {name: getattr(config, name) for name in ("env_id", *ENV_SETTINGS)}
+    extra["featurizer"] = {"kind": config.featurizer}
     if config.featurizer == "tabular":
         any_env = next(iter(envs.values()))
         extra["featurizer"]["table"] = any_env.table.to_doc()
@@ -261,12 +248,6 @@ def cmd_train(args) -> int:
                    [ckpt_path, report_path, trajlog_path])
 
     instances = read_instances(instances_path)
-    bad = [i.instance_id for i in instances if i.env_id != config.env_id]
-    if bad:
-        raise FlowseekError(f"instances {bad[:3]} do not match env_id {config.env_id}")
-
-    from .trainer import build_envs
-
     envs = build_envs(config, instances)
     extra = _checkpoint_extra(config, envs)
 
@@ -284,29 +265,28 @@ def cmd_train(args) -> int:
 
 
 def _envs_from_checkpoint(extra: dict, instances: list[EnvInstance]) -> dict:
-    from .environments import TabularEnv, TabularIndex
+    """The envs of the run that wrote `extra`, rebuilt from its stored settings."""
+    settings = {name: extra[name] for name in ENV_SETTINGS if name in extra}
+    feat = extra.get("featurizer", {})
+    if "kind" in feat:
+        settings["featurizer"] = feat["kind"]
+    config = TrainConfig(env_id=extra.get("env_id"), **settings)
+    table = TabularIndex.from_doc(feat["table"]) if "table" in feat else None
+    return build_envs(config, instances, table)
 
-    env_id = extra.get("env_id")
-    mismatched = [i.instance_id for i in instances if i.env_id != env_id]
-    if mismatched:
+
+def _load_for_instances(path, instances: list[EnvInstance]) -> tuple[PolicyParams, dict]:
+    """A checkpoint's params and the envs it scores `instances` with."""
+    params, _, extra = load_checkpoint(path)
+    envs = _envs_from_checkpoint(extra, instances)
+    # build_envs has checked that the envs share one feature dim
+    dim = next((env.feature_dim for env in envs.values()), params.feature_dim)
+    if dim != params.feature_dim:
         raise CheckpointError(
-            f"checkpoint is for env {env_id!r} but instances {mismatched[:3]} are not"
+            f"{path}: checkpoint feature_dim {params.feature_dim} does not fit "
+            f"the instances' feature dim {dim}"
         )
-    envs = {}
-    for inst in instances:
-        envs[inst.instance_id] = make_env(
-            inst,
-            scorer=extra.get("scorer", "uniform"),
-            parent_mode=extra.get("parent_mode_override"),
-            success_weight=extra.get("success_weight", 100.0),
-            intermediate_weight=extra.get("intermediate_weight", 1.5),
-            reward_floor=extra.get("reward_floor", 1e-8),
-        )
-    feat = extra.get("featurizer", {"kind": "default"})
-    if feat.get("kind") == "tabular":
-        table = TabularIndex.from_doc(feat["table"])
-        envs = {k: TabularEnv(v, table) for k, v in envs.items()}
-    return envs
+    return params, envs
 
 
 def cmd_sample(args) -> int:
@@ -318,9 +298,8 @@ def cmd_sample(args) -> int:
                    {"n": args.n, "beta": args.beta, "argmax": args.argmax},
                    [ckpt_path, inst_path], [out])
 
-    params, _, extra = load_checkpoint(ckpt_path)
     instances = read_instances(inst_path)
-    envs = _envs_from_checkpoint(extra, instances)
+    params, envs = _load_for_instances(ckpt_path, instances)
 
     from .exploration import sample_trajectory_mixed
 
@@ -377,18 +356,17 @@ def cmd_oracle(args) -> int:
     inst_path = Path(args.instances)
     out = Path(args.out)
     inputs = [inst_path]
-    params = extra = None
     if args.checkpoint:
         inputs.append(Path(args.checkpoint))
-        params, _, extra = load_checkpoint(args.checkpoint)
     write_manifest(out.parent, "oracle", 0, {"cap": args.cap}, inputs, [out])
 
     instances = read_instances(inst_path)
-    envs = (
-        _envs_from_checkpoint(extra, instances)
-        if extra is not None
-        else {i.instance_id: make_env(i) for i in instances}
-    )
+    params = None
+    if args.checkpoint:
+        params, envs = _load_for_instances(args.checkpoint, instances)
+    else:
+        # enumeration reads no features, so instances of any dims may mix
+        envs = {i.instance_id: make_env(i) for i in instances}
     n_failed = 0
     with open(out, "w", encoding="utf-8") as f:
         f.write("instance_id,Z,n_trajectories,n_terminals,tv_vs_policy,error\n")

@@ -8,9 +8,6 @@ from ..errors import EnumerationCapError, GenerationError
 from ..flow_core import Trajectory
 from .arc1d import Arc1dEnv
 from .base import (
-    DEFAULT_INTERMEDIATE_WEIGHT,
-    DEFAULT_SUCCESS_WEIGHT,
-    REWARD_FLOOR,
     ActionScorer,
     EnvInstance,
     Environment,
@@ -115,27 +112,16 @@ class TabularEnv:
 
 
 def make_env(
-    instance: EnvInstance,
-    scorer: str | ActionScorer = "uniform",
-    parent_mode: str | None = None,
-    success_weight: float = DEFAULT_SUCCESS_WEIGHT,
-    intermediate_weight: float = DEFAULT_INTERMEDIATE_WEIGHT,
-    reward_floor: float = REWARD_FLOOR,
+    instance: EnvInstance, scorer: str | ActionScorer | None = None, **settings
 ) -> Environment:
+    """The instance's environment; `settings` are `Environment` reward keywords."""
     try:
         cls = ENV_CLASSES[instance.env_id]
     except KeyError:
         raise GenerationError(f"unknown environment id {instance.env_id!r}") from None
     if isinstance(scorer, str):
         scorer = make_scorer(scorer)
-    return cls(
-        instance,
-        scorer=scorer,
-        success_weight=success_weight,
-        intermediate_weight=intermediate_weight,
-        reward_floor=reward_floor,
-        parent_mode=parent_mode,
-    )
+    return cls(instance, scorer=scorer, **settings)
 
 
 def generate_instances(
@@ -163,7 +149,9 @@ def replay_trajectory(env: Environment, actions: list[str]) -> Trajectory:
 
     logpf terms are zero placeholders; callers re-score before any loss use.
     """
-    states = env.replay(list(actions))
+    states = [env.s0]
+    for action in actions:
+        states.append(env.apply(states[-1], action))  # raises if illegal
     traj = Trajectory(
         instance_id=env.instance.instance_id,
         states=states,

@@ -177,15 +177,12 @@ class Environment:
         success_weight: float = DEFAULT_SUCCESS_WEIGHT,
         intermediate_weight: float = DEFAULT_INTERMEDIATE_WEIGHT,
         reward_floor: float = REWARD_FLOOR,
-        parent_mode: str | None = None,
     ):
         self.instance = instance
         self.scorer = scorer or UniformScorer()
         self.w = success_weight
         self.lam = intermediate_weight
         self.reward_floor = reward_floor
-        if parent_mode is not None:
-            self.parent_mode = parent_mode
         self._valid_cache: dict[str, list[str]] = {}
         self._featmat_cache: dict[str, np.ndarray] = {}
         self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
@@ -303,15 +300,6 @@ class Environment:
             self.scorer.clamped(self, s, self.goal, a)
             for s, a in zip(traj.states[:-1], traj.actions)
         ]
-
-    # -- rollout helper ---------------------------------------------------------
-
-    def replay(self, actions: list[str]) -> list[str]:
-        """States visited when applying `actions` from s0; raises if illegal."""
-        states = [self.s0]
-        for a in actions:
-            states.append(self.apply(states[-1], a))
-        return states
 
 
 def hashed_features(dim: int, *tokens: object) -> np.ndarray:

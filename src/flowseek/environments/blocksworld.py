@@ -179,9 +179,6 @@ class BlocksWorldEnv(Environment):
         _, _, on = _decode(state)
         return float(sum(1 for b, s in self.goal_relations if on.get(b) == s))
 
-    def _solution_key(self, traj):
-        return "|".join(traj.actions)
-
     @property
     def feature_dim(self):
         # action type(4) + satisfied count(5) + delta(3) + flags(4)

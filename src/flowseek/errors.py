@@ -7,7 +7,7 @@ class FlowseekError(Exception):
 
 class StructuralError(FlowseekError):
     """Environment graph or shape inconsistency (e.g. a non-initial state with no
-    parents, or instances in one run whose feature dims differ)."""
+    parents, or instances in one run whose env ids or feature dims differ)."""
 
 
 class InvalidRewardError(FlowseekError):

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .environments import EnvInstance, TabularEnv, TabularIndex, make_env, replay_trajectory
+from .environments.base import DEFAULT_INTERMEDIATE_WEIGHT, DEFAULT_SUCCESS_WEIGHT, REWARD_FLOOR
 from .errors import (
     CorruptTrajectoryError,
     EmptyBufferError,
@@ -41,6 +42,7 @@ from .exploration import (
 )
 from .flow_core import LogZParam, Trajectory, loss_logvar, loss_tb_logz, phi
 from .policy import (
+    DEFAULT_HIDDEN_DIM,
     OptimizerState,
     PolicyParams,
     apply_update,
@@ -66,16 +68,15 @@ class TrainConfig:
     learning_rate: float = 1e-3
     optimizer: str = "adaptive"  # or "sgd"
     loss: str = "logvar"  # or "tb_logz"
-    success_weight: float = 100.0
-    intermediate_weight: float = 1.5
-    reward_floor: float = 1e-8
+    success_weight: float = DEFAULT_SUCCESS_WEIGHT
+    intermediate_weight: float = DEFAULT_INTERMEDIATE_WEIGHT
+    reward_floor: float = REWARD_FLOOR
     seed: int = 0
     schedules: ExplorationSchedule | None = None
     offline_data_path: str | None = None
-    parent_mode_override: str | None = None
     local_search: LocalSearchConfig = field(default_factory=LocalSearchConfig)
     policy_variant: str = "linear"
-    hidden_dim: int = 64
+    hidden_dim: int = DEFAULT_HIDDEN_DIM
     featurizer: str = "default"  # or "tabular"
     scorer: str = "uniform"
     buffer_capacity: int = 1000
@@ -137,20 +138,27 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def build_envs(config: TrainConfig, instances: list[EnvInstance]) -> dict:
-    """One environment per instance; the tabular featurizer is shared across all."""
-    envs = {}
-    for inst in instances:
-        envs[inst.instance_id] = make_env(
-            inst,
-            scorer=config.scorer,
-            parent_mode=config.parent_mode_override,
-            success_weight=config.success_weight,
-            intermediate_weight=config.intermediate_weight,
-            reward_floor=config.reward_floor,
+# the TrainConfig fields `build_envs` forwards to `make_env`; a checkpoint stores
+# them, with `env_id` and `featurizer`, so sampling rebuilds the envs it trained on
+ENV_SETTINGS = ("scorer", "success_weight", "intermediate_weight", "reward_floor")
+
+
+def build_envs(config: TrainConfig, instances: list[EnvInstance],
+               table: TabularIndex | None = None) -> dict:
+    """One environment per instance; the tabular featurizer is shared across all.
+
+    `table` is the stored index of a trained tabular policy; without it the
+    index is built over `instances`."""
+    mismatched = [i.instance_id for i in instances if i.env_id != config.env_id]
+    if mismatched:
+        raise StructuralError(
+            f"instances {mismatched[:3]} do not match env_id {config.env_id!r}"
         )
+    settings = {name: getattr(config, name) for name in ENV_SETTINGS}
+    envs = {inst.instance_id: make_env(inst, **settings) for inst in instances}
     if config.featurizer == "tabular":
-        table = TabularIndex.build(list(envs.values()))
+        if table is None:
+            table = TabularIndex.build(list(envs.values()))
         envs = {k: TabularEnv(v, table) for k, v in envs.items()}
     elif config.featurizer != "default":
         raise ValueError(f"unknown featurizer {config.featurizer!r}")

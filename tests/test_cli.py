@@ -384,3 +384,182 @@ def test_oracle_output_independent_of_hash_seed(tmp_path):
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def train_default_featurizer_toy(tmp_path):
+    """A checkpoint of the toy fixture's 4-dim default features, with an
+    instance file of one 9-dim toydag instance next to it."""
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
+    doc = json.loads(config_path.read_text())
+    del doc["policy"]["featurizer"]
+    config_path.write_text(json.dumps(doc))
+    assert run_cli("train", config_path) == 0
+    other = tmp_path / "wider.jsonl"
+    write_instances(other, toydag_instances(1, 1))
+    return run_dir, other
+
+
+def test_sample_checkpoint_feature_dim_mismatch_is_data_error(tmp_path, capsys):
+    run_dir, wider = train_default_featurizer_toy(tmp_path)
+    code, out = sample_to(tmp_path, run_dir, wider, "bad.jsonl")
+    assert code == 3
+    assert not out.exists()
+    assert "feature_dim 4" in capsys.readouterr().err
+
+
+def test_oracle_checkpoint_feature_dim_mismatch_is_data_error(tmp_path, capsys):
+    run_dir, wider = train_default_featurizer_toy(tmp_path)
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", wider, "--checkpoint",
+                   run_dir / "checkpoint.json", "--out", out) == 3
+    assert not out.exists()
+    assert "feature_dim 4" in capsys.readouterr().err
+
+
+def test_parent_mode_override_is_rejected(tmp_path, capsys):
+    config_path, _, run_dir = write_toy_setup(tmp_path, iterations=5)
+    doc = json.loads(config_path.read_text())
+    for value in ("exact", "tree", None):
+        doc["parent_mode_override"] = value
+        config_path.write_text(json.dumps(doc))
+        assert run_cli("train", config_path) == 2
+        assert "parent_mode_override" in capsys.readouterr().err
+    assert not (run_dir / "checkpoint.json").exists()
+
+
+def test_checkpoint_with_parent_mode_override_entry_still_loads(tmp_path):
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=50)
+    write_instances(inst_path, toydag_instances(3, 1))
+    assert run_cli("train", config_path) == 0
+    ckpt = run_dir / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    assert "parent_mode_override" not in doc["extra"]
+    doc["extra"]["parent_mode_override"] = None  # as older checkpoints carry it
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    outputs = []
+    for path in (ckpt, legacy):
+        tag = path.stem
+        files = [tmp_path / f"{tag}-s.jsonl", tmp_path / f"{tag}-g.jsonl",
+                 tmp_path / f"{tag}-o.csv"]
+        common = ("--checkpoint", path, "--instances", inst_path)
+        assert run_cli("sample", *common, "-n", 4, "--seed", 9, "--out", files[0]) == 0
+        assert run_cli("sample", *common, "-n", 2, "--argmax", "--out", files[1]) == 0
+        assert run_cli("oracle", *common, "--out", files[2]) == 0
+        outputs.append([f.read_bytes() for f in files])
+    assert outputs[0] == outputs[1]
+    assert all(outputs[0])
+
+
+# every train config key set away from its default: key -> (value, TrainConfig
+# field); nested groups map their own keys the same way
+NON_DEFAULT_CONFIG = {
+    "iterations": (7, "iterations"),
+    "batch_size": (3, "batch_size"),
+    "learning_rate": (0.02, "learning_rate"),
+    "optimizer": ("sgd", "optimizer"),
+    "loss": ("tb_logz", "loss"),
+    "seed": (11, "seed"),
+    "w": (50.0, "success_weight"),
+    "lambda": (2.5, "intermediate_weight"),
+    "reward_floor": (1e-6, "reward_floor"),
+    "offline_data_path": ("offline.jsonl", "offline_data_path"),
+    "policy": {
+        "variant": ("mlp", "policy_variant"),
+        "hidden_dim": (8, "hidden_dim"),
+        "featurizer": ("tabular", "featurizer"),
+    },
+    "scorer": ("progress", "scorer"),
+    "buffer": {
+        "capacity": (10, "buffer_capacity"),
+        "priority_mode": ("log_reward", "priority_mode"),
+    },
+    "logz": {
+        "shared": (False, "logz_shared"),
+        "init": (1.5, "logz_init"),
+        "learning_rate": (0.3, "logz_learning_rate"),
+    },
+    "lr_schedule": ("cosine", "lr_schedule"),
+    "max_grad_norm": (2.0, "max_grad_norm"),
+    "checkpoint_interval": (5, "checkpoint_interval"),
+}
+NON_DEFAULT_SCHEDULES = {"eps_start": 0.5, "eps_end": 0.1, "beta_start": 0.5, "beta_end": 3.0,
+                         "replay_prob_start": 0.1, "replay_prob_end": 0.9}
+NON_DEFAULT_LOCAL_SEARCH = {"enabled": False, "num_recon": 2, "k_mode": 1, "to_training": True}
+
+
+def resolve_config(tmp_path, doc):
+    import argparse
+
+    from flowseek.cli import _resolve_train_config
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    args = argparse.Namespace(config=path, seed=None, iterations=None, out_dir=None, loss=None)
+    return _resolve_train_config(args)[0]
+
+
+def test_every_config_key_is_honoured(tmp_path):
+    from flowseek.cli import TRAIN_CONFIG_SCHEMA
+    from flowseek.exploration import ExplorationSchedule
+    from flowseek.trainer import LocalSearchConfig, TrainConfig
+
+    doc = {"env_id": "toydag", "instances_path": "i.jsonl", "out_dir": "run",
+           "schedules": NON_DEFAULT_SCHEDULES, "local_search": NON_DEFAULT_LOCAL_SEARCH}
+    expected = {}
+    for key, spec in NON_DEFAULT_CONFIG.items():
+        if isinstance(spec, dict):
+            doc[key] = {sub: value for sub, (value, _) in spec.items()}
+            expected.update({field: value for value, field in spec.values()})
+        else:
+            doc[key] = spec[0]
+            expected[spec[1]] = spec[0]
+    # the test covers every key the schema allows, nested ones included
+    schema = TRAIN_CONFIG_SCHEMA["properties"]
+    assert set(doc) == set(schema)
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            assert set(value) == set(schema[key]["properties"]), key
+
+    config = resolve_config(tmp_path, doc)
+    default = TrainConfig(env_id="toydag")
+    for field, value in expected.items():
+        assert getattr(config, field) == value, field
+        assert getattr(default, field) != value, field
+    assert config.schedules == ExplorationSchedule(total_iterations=7, **NON_DEFAULT_SCHEDULES)
+    assert config.local_search == LocalSearchConfig(**NON_DEFAULT_LOCAL_SEARCH)
+    assert default.local_search != config.local_search
+
+
+def test_minimal_config_resolves_to_train_config_defaults(tmp_path, monkeypatch):
+    from flowseek.trainer import TrainConfig
+
+    monkeypatch.delenv("FLOWSEEK_SEED", raising=False)
+    doc = {"env_id": "cube2x2", "instances_path": "i.jsonl"}
+    assert resolve_config(tmp_path, doc) == TrainConfig(env_id="cube2x2", seed=0)
+    doc["seed"] = 4
+    assert resolve_config(tmp_path, doc) == TrainConfig(env_id="cube2x2", seed=4)
+
+
+def test_logz_learning_rate_sets_the_log_z_step(tmp_path, monkeypatch):
+    from flowseek import trainer
+
+    config_path, _, _ = write_toy_setup(tmp_path, iterations=6, loss="tb_logz")
+    doc = json.loads(config_path.read_text())
+    doc["logz"] = {"learning_rate": 0.5}  # the policy's learning_rate is 0.05
+    config_path.write_text(json.dumps(doc))
+    steps = []
+    real_loss = trainer.loss_tb_logz
+
+    def recording(phis, log_z, grads):
+        loss, grad, grad_z = real_loss(phis, log_z, grads)
+        steps.append((log_z, grad_z))
+        return loss, grad, grad_z
+
+    monkeypatch.setattr(trainer, "loss_tb_logz", recording)
+    assert run_cli("train", config_path) == 0
+    assert len(steps) == 6
+    for (z, grad_z), (z_next, _) in zip(steps, steps[1:]):
+        assert grad_z != 0.0
+        assert z_next == z - 0.5 * grad_z
+        assert z_next != z - 0.05 * grad_z

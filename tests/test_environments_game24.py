@@ -65,7 +65,7 @@ def test_terminal_and_success(env_4468):
 
 
 def test_terminal_query_error(env_4468):
-    terminal = env_4468.replay(["4 + 8 = 12", "6 - 4 = 2", "2 * 12 = 24"])[-1]
+    terminal = replay_trajectory(env_4468, ["4 + 8 = 12", "6 - 4 = 2", "2 * 12 = 24"]).states[-1]
     with pytest.raises(TerminalQueryError):
         env_4468.valid_actions(terminal)
 
@@ -132,7 +132,7 @@ def test_solver_case_study_intermediate_state():
     env = make_env(make_instance([3, 4, 6, 11], "cs"))
     hits = []
     for k in keys:
-        states = env.replay(k.split(";"))
+        states = replay_trajectory(env, k.split(";")).states
         if any(s.endswith("|left=3 6 15") for s in states):
             hits.append(k)
     assert hits, "no solution path passes through {3, 6, 15}"

@@ -299,3 +299,21 @@ def test_mismatched_feature_dims_raise_structural_error():
     # the tabular featurizer gives every instance one shared dim
     envs = build_envs(TrainConfig(env_id="toydag", featurizer="tabular"), instances)
     assert len({env.feature_dim for env in envs.values()}) == 1
+
+
+def test_build_envs_rejects_instances_of_another_env():
+    instances = [two_terminal_instance(), make_instance([4, 4, 6, 8], "g24")]
+    with pytest.raises(StructuralError, match="do not match env_id 'toydag'"):
+        build_envs(TrainConfig(env_id="toydag"), instances)
+
+
+def test_build_envs_uses_a_given_tabular_index():
+    from flowseek.environments import TabularIndex
+
+    trained_on = toydag.generate_instances(2, 1)
+    table = TabularIndex.build([make_env(inst) for inst in trained_on])
+    # a stored index keeps its rows even for instances it was not built over
+    others = toydag.generate_instances(2, 2)
+    envs = build_envs(TrainConfig(env_id="toydag", featurizer="tabular"), others, table)
+    assert all(env.table is table for env in envs.values())
+    assert {env.feature_dim for env in envs.values()} == {table.dim}
