@@ -100,9 +100,9 @@ class TabularEnv:
     def decision_key(self, state: str) -> str:
         return state
 
-    def featurize(self, state: str, goal: str, action: str) -> np.ndarray:
+    def featurize(self, state: str, action: str) -> np.ndarray:
         vec = np.zeros(self.table.dim)
-        idx = self.table.index.get((goal, state, action))
+        idx = self.table.index.get((self.goal, state, action))
         if idx is not None:
             vec[idx] = 1.0
         return vec

@@ -142,6 +142,7 @@ def _parse_grids(text: str) -> list[Grid]:
 class Arc1dEnv(Environment):
     env_id = "arc1d"
     parent_mode = "tree"
+    solution_sep = ","
 
     _N_HASHED = 32
 
@@ -166,7 +167,7 @@ class Arc1dEnv(Environment):
     def _matched(self, grids: list[Grid]) -> bool:
         return all(hamming(g, t) == 0 for g, t in zip(grids, self.targets))
 
-    def valid_actions(self, state, goal=None):
+    def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
         return list(ACTIONS)
@@ -202,16 +203,13 @@ class Arc1dEnv(Environment):
         _, grids, _ = self._decode(state)
         return -float(sum(hamming(g, t) for g, t in zip(grids, self.targets)))
 
-    def _solution_key(self, traj):
-        return ",".join(traj.actions)
-
     @property
     def feature_dim(self):
         # action(10) + delta sign(3) + delta magnitude(1) + matched pairs(K+1 up to 4)
         # + stop-when-matched(1) + step fraction(1) + bias(1) + hashed
         return 10 + 3 + 1 + 4 + 1 + 1 + 1 + self._N_HASHED
 
-    def featurize(self, state, goal, action):
+    def featurize(self, state, action):
         hist, grids, _ = self._decode(state)
         new_grids = [TRANSFORMS[action](g) for g in grids]
         before = sum(hamming(g, t) for g, t in zip(grids, self.targets))

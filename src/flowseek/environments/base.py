@@ -99,26 +99,26 @@ class RewardBreakdown:
 
 
 class ActionScorer:
-    """Per-step probability score p(action | state, goal) in (0, 1)."""
+    """Per-step probability score p(action | state) in (0, 1); the env holds the goal."""
 
     name = "base"
 
-    def score(self, env: "Environment", state: str, goal: str, action: str) -> float:
+    def score(self, env: "Environment", state: str, action: str) -> float:
         raise NotImplementedError
 
-    def clamped(self, env: "Environment", state: str, goal: str, action: str) -> float:
-        p = self.score(env, state, goal, action)
+    def clamped(self, env: "Environment", state: str, action: str) -> float:
+        p = self.score(env, state, action)
         if not (0.0 < p < 1.0):
             raise ScorerContractError(f"scorer {self.name} returned p={p} outside (0,1)")
         return min(max(p, P_SCORE_MIN), P_SCORE_MAX)
 
 
 class UniformScorer(ActionScorer):
-    """p = 1 / |valid actions at state|, goal ignored."""
+    """p = 1 / |valid actions at state|."""
 
     name = "uniform"
 
-    def score(self, env, state, goal, action):
+    def score(self, env, state, action):
         n = len(env.cached_valid_actions(state))
         # a single-action state would give p = 1; the clamp keeps log p finite
         return 1.0 / n if n > 1 else P_SCORE_MAX
@@ -129,7 +129,7 @@ class ProgressScorer(ActionScorer):
 
     name = "progress"
 
-    def score(self, env, state, goal, action):
+    def score(self, env, state, action):
         before = env.potential(state)
         after = env.potential(env.apply(state, action))
         # past +-30 the logistic is already clamped to P_SCORE_MIN/MAX; clipping
@@ -167,6 +167,7 @@ class Environment:
 
     env_id: str = "base"
     parent_mode: str = "tree"
+    solution_sep: str = "|"  # joins a successful trajectory's actions into its solution key
 
     FEATURE_CACHE_STATES = 2048
 
@@ -202,7 +203,7 @@ class Environment:
 
     # -- interface -----------------------------------------------------------
 
-    def valid_actions(self, state: str, goal: str | None = None) -> list[str]:
+    def valid_actions(self, state: str) -> list[str]:
         raise NotImplementedError
 
     def apply(self, state: str, action: str) -> str:
@@ -222,12 +223,9 @@ class Environment:
 
         if not (traj.is_complete and self.is_success(traj)):
             raise NotASolutionError("solution keys exist only for successful trajectories")
-        return self._solution_key(traj)
+        return self.solution_sep.join(traj.actions)
 
-    def _solution_key(self, traj) -> str:
-        return "|".join(traj.actions)
-
-    def featurize(self, state: str, goal: str, action: str) -> np.ndarray:
+    def featurize(self, state: str, action: str) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -248,11 +246,12 @@ class Environment:
             self._valid_cache[key] = actions
         return actions
 
-    def feature_matrix(self, state: str, goal: str, actions: list[str]) -> np.ndarray:
+    def feature_matrix(self, state: str) -> np.ndarray:
+        """One feature row per action of `cached_valid_actions(state)`, in its order."""
         key = self.decision_key(state)
         mat = self._featmat_cache.get(key)
         if mat is None:
-            mat = np.stack([self.featurize(state, goal, a) for a in actions])
+            mat = np.stack([self.featurize(state, a) for a in self.cached_valid_actions(state)])
             if len(self._featmat_cache) >= self.FEATURE_CACHE_STATES:
                 self._featmat_cache.pop(next(iter(self._featmat_cache)))
             self._featmat_cache[key] = mat
@@ -297,7 +296,7 @@ class Environment:
     def score_steps(self, traj) -> list[float]:
         """Clamped scorer probabilities for each step of `traj`."""
         return [
-            self.scorer.clamped(self, s, self.goal, a)
+            self.scorer.clamped(self, s, a)
             for s, a in zip(traj.states[:-1], traj.actions)
         ]
 

@@ -94,7 +94,7 @@ class BlocksWorldEnv(Environment):
         super().__init__(instance, **kwargs)
         self.goal_relations = _parse_goal(instance.goal)
 
-    def valid_actions(self, state, goal=None):
+    def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
         _, hand, on = _decode(state)
@@ -185,7 +185,7 @@ class BlocksWorldEnv(Environment):
         # + step fraction(1) + bias(1) + hashed
         return 4 + 5 + 3 + 4 + 1 + 1 + self._N_HASHED
 
-    def featurize(self, state, goal, action):
+    def featurize(self, state, action):
         step, _, on_before = _decode(state)
         _, hand_after, on_after = _decode(self.apply(state, action))
         sat_before = sum(1 for b, s in self.goal_relations if on_before.get(b) == s)

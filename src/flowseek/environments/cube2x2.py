@@ -2,9 +2,9 @@
 
 Corner permutation + orientation representation with the DBL corner fixed,
 so the solved configuration is unique (identity permutation, zero twist).
-States embed the move count, which layers the graph into a DAG; parent
-counting enumerates the 9 inverse moves (always distinct under the free group
-action) and drops predecessors that would be terminal.
+States embed the move count, which layers the graph into a DAG. The 9
+inverse moves give 9 distinct predecessors (the group acts freely); parent
+counting drops the solved one, which is terminal, so it counts 8 or 9.
 
 Distance-to-solved is breadth-first search from the solved configuration over
 a dense table of every reachable configuration, filled lazily one vectorised
@@ -67,6 +67,9 @@ def apply_move(config: bytes, move: str) -> bytes:
 
 def is_solved(config: bytes) -> bool:
     return config == SOLVED
+
+
+_ONE_MOVE = frozenset(apply_move(SOLVED, m) for m in MOVES)
 
 
 # The 3,674,160 configurations reachable from SOLVED keep DBL in slot 6 untwisted
@@ -142,6 +145,7 @@ def _decode(state: str) -> tuple[int, bytes]:
 class Cube2x2Env(Environment):
     env_id = "cube2x2"
     parent_mode = "exact"
+    solution_sep = " "
 
     _N_HASHED = 32
 
@@ -153,7 +157,7 @@ class Cube2x2Env(Environment):
             raise StructuralError(f"malformed cube state {instance.s0!r}") from None
         distance_to_solved(config)  # raises StructuralError for an unreachable start
 
-    def valid_actions(self, state, goal=None):
+    def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
         return list(MOVES)
@@ -186,21 +190,9 @@ class Cube2x2Env(Environment):
         step, config = _decode(state)
         if step == 0:
             raise StructuralError("parent count undefined for the initial state")
-        count = 0
-        seen = set()
-        for move in MOVES:
-            pred = apply_move(config, INVERSE[move])
-            if pred in seen:
-                continue
-            seen.add(pred)
-            if not is_solved(pred):  # a solved predecessor is terminal, so no edge
-                count += 1
-        if count == 0:
-            raise StructuralError(f"state {state!r} has no legal parents")
-        return count
-
-    def _solution_key(self, traj):
-        return " ".join(traj.actions)
+        # the 9 inverse moves give 9 distinct predecessors; a solved one is terminal,
+        # so no edge, and exactly one is solved when `config` is one move from solved
+        return 8 if config in _ONE_MOVE else 9
 
     def potential(self, state):
         return -float(distance_to_solved(_decode(state)[1]))
@@ -211,7 +203,7 @@ class Cube2x2Env(Environment):
         # + step fraction(1) + bias(1) + hashed
         return 9 + 1 + 27 + 1 + 1 + self._N_HASHED
 
-    def featurize(self, state, goal, action):
+    def featurize(self, state, action):
         step, config = _decode(state)
         nxt = apply_move(config, action)
         placed = sum(1 for i in range(8) if nxt[i] == i)

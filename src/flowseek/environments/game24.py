@@ -123,6 +123,7 @@ class _Decoded:
 class Game24Env(Environment):
     env_id = "game24"
     parent_mode = "tree"
+    solution_sep = ";"
 
     _OPS = "+-*/"
     _N_HASHED = 32
@@ -142,7 +143,7 @@ class Game24Env(Environment):
             ctx = self._decoded[left] = _Decoded(parse_values(left), self._N_HASHED)
         return ctx
 
-    def valid_actions(self, state, goal=None):
+    def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
         return list(self._context(state).successors)
@@ -173,9 +174,6 @@ class Game24Env(Environment):
         for p in self.score_steps(traj):
             product *= p
         return self.floored(success, product)
-
-    def _solution_key(self, traj):
-        return ";".join(traj.actions)
 
     def potential(self, state):
         values = self._context(state).values
@@ -212,7 +210,7 @@ class Game24Env(Environment):
         # + combinable-pair count(3) + two-left-combinable(1) + bias(1) + hashed
         return 4 + 16 + 3 + 3 * self._N_BUCKETS + 3 + 4 + 1 + self._N_HASHED
 
-    def featurize(self, state, goal, action):
+    def featurize(self, state, action):
         ctx = self._context(state)
         nxt = ctx.successors.get(action)
         if nxt is None:

@@ -44,6 +44,7 @@ def _claim_category(claim: str) -> str:
 class LogicChainEnv(Environment):
     env_id = "logicchain"
     parent_mode = "tree"
+    solution_sep = "~"
 
     _N_HASHED = 32
 
@@ -66,7 +67,7 @@ class LogicChainEnv(Environment):
     def _encode(self, hist: list[str], claim: str) -> str:
         return f"h={'~'.join(hist)}|claim={claim}"
 
-    def valid_actions(self, state, goal=None):
+    def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
         return list(self.facts) + [FINISH]
@@ -118,16 +119,13 @@ class LogicChainEnv(Environment):
         cat = _claim_category(claim)
         return float(self.chain.index(cat)) if cat in self.chain else -1.0
 
-    def _solution_key(self, traj):
-        return "~".join(traj.actions)
-
     @property
     def feature_dim(self):
         # premise match(1) + finish(1) + reaches conclusion(1) + revisit(1)
         # + step fraction(1) + bias(1) + hashed
         return 6 + self._N_HASHED
 
-    def featurize(self, state, goal, action):
+    def featurize(self, state, action):
         hist, claim = self._decode(state)
         cat = _claim_category(claim)
         vec = np.zeros(self.feature_dim)

@@ -41,7 +41,7 @@ class ToyDagEnv(Environment):
                 pairs.append((state, action))
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
 
-    def valid_actions(self, state, goal=None):
+    def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
         return sorted(self.edges[state])
@@ -76,7 +76,7 @@ class ToyDagEnv(Environment):
     def feature_dim(self):
         return len(self._pair_index)
 
-    def featurize(self, state, goal, action):
+    def featurize(self, state, action):
         vec = np.zeros(self.feature_dim)
         vec[self._pair_index[(state, action)]] = 1.0
         return vec

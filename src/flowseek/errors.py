@@ -54,10 +54,6 @@ class EmptyBufferError(FlowseekError):
     """A sample was requested from an empty replay buffer."""
 
 
-class CorruptTrajectoryError(FlowseekError):
-    """A stored trajectory could not be replayed through its environment."""
-
-
 class CheckpointError(FlowseekError):
     """Checkpoint file is malformed or incompatible with the requested environment."""
 

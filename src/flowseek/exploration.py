@@ -11,7 +11,6 @@ strict reward improvements.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -72,7 +71,7 @@ def sample_trajectory_mixed(
     actions: list[str] = []
     logpf: list[float] = []
     while not env.is_terminal(state):
-        dist = action_logits(params, state, env.goal, env)
+        dist = action_logits(params, state, env)
         if rng.random() < eps:
             action = dist.action_ids[int(rng.integers(len(dist.action_ids)))]
         elif beta == 0.0:
@@ -95,29 +94,23 @@ def sample_trajectory_mixed(
 
 
 @dataclass
-class ReplayEntry:
-    traj: Trajectory
-    priority: float
-    insert_iteration: int
-
-
-@dataclass
 class ReplayBuffer:
+    """Complete trajectories and their priorities, side by side in insertion order."""
+
     capacity: int
     priority_mode: str = "reward"  # or "log_reward"
-    entries: list[ReplayEntry] = field(default_factory=list)
+    trajs: list[Trajectory] = field(default_factory=list)
+    priorities: list[float] = field(default_factory=list)
     _keys: set = field(default_factory=set)
-    _priorities: list = field(default_factory=list)  # entries' priorities, in entries order
 
     def __post_init__(self) -> None:
-        self._priorities = [e.priority for e in self.entries]
         if self.capacity < 1:
             raise ValueError("buffer capacity must be positive")
         if self.priority_mode not in ("reward", "log_reward"):
             raise ValueError(f"unknown priority mode {self.priority_mode!r}")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.trajs)
 
     def priority_of(self, traj: Trajectory) -> float:
         if self.priority_mode == "log_reward":
@@ -125,19 +118,21 @@ class ReplayBuffer:
         return traj.reward
 
 
-def buffer_insert(buffer: ReplayBuffer, traj: Trajectory, iteration: int = 0) -> ReplayBuffer:
-    """Insert a complete trajectory; duplicates keep the existing entry."""
+def buffer_insert(buffer: ReplayBuffer, traj: Trajectory) -> ReplayBuffer:
+    """Insert a complete trajectory; duplicates keep the existing entry.
+
+    Past capacity the first entry of lowest priority is evicted."""
     key = (traj.instance_id, tuple(traj.actions))
     if key in buffer._keys:
         return buffer
-    buffer.entries.append(ReplayEntry(traj, buffer.priority_of(traj), iteration))
-    buffer._priorities.append(buffer.entries[-1].priority)
+    buffer.trajs.append(traj)
+    buffer.priorities.append(buffer.priority_of(traj))
     buffer._keys.add(key)
-    if len(buffer.entries) > buffer.capacity:
-        lowest = buffer._priorities.index(min(buffer._priorities))
-        del buffer._priorities[lowest]
-        evicted = buffer.entries.pop(lowest)
-        buffer._keys.discard((evicted.traj.instance_id, tuple(evicted.traj.actions)))
+    if len(buffer.trajs) > buffer.capacity:
+        lowest = buffer.priorities.index(min(buffer.priorities))
+        del buffer.priorities[lowest]
+        evicted = buffer.trajs.pop(lowest)
+        buffer._keys.discard((evicted.instance_id, tuple(evicted.actions)))
     return buffer
 
 
@@ -151,17 +146,17 @@ def buffer_sample(
 
     With `instance_id`, sampling is restricted to that instance's entries.
     """
-    pool = buffer.entries
+    pool = range(len(buffer.trajs))
     if instance_id is not None:
-        pool = [e for e in pool if e.traj.instance_id == instance_id]
+        pool = [i for i in pool if buffer.trajs[i].instance_id == instance_id]
     if not pool:
         raise EmptyBufferError(
             "replay buffer empty" + (f" for instance {instance_id}" if instance_id else "")
         )
-    priorities = np.array([e.priority for e in pool], dtype=np.float64)
+    priorities = np.array([buffer.priorities[i] for i in pool], dtype=np.float64)
     probs = priorities / priorities.sum()
     idx = rng.choice(len(pool), size=count, replace=True, p=probs)
-    return [pool[int(i)].traj for i in idx]
+    return [buffer.trajs[pool[int(i)]] for i in idx]
 
 
 def local_search(
@@ -169,10 +164,10 @@ def local_search(
     env,
     num_recon: int = 4,
     k_mode: str | int = "uniform",
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> list[Trajectory]:
     """Destroy-and-reconstruct: back up K steps, re-roll uniformly, keep strict improvers."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     n = traj_best.n_steps
     if n < 1:
         return []
@@ -205,35 +200,3 @@ def local_search(
         if cand.reward > traj_best.reward:
             candidates.append(cand)
     return candidates
-
-
-def dump_buffer(buffer: ReplayBuffer, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for entry in buffer.entries:
-            rec = {
-                "instance_id": entry.traj.instance_id,
-                "actions": entry.traj.actions,
-                "reward": entry.traj.reward,
-                "priority": entry.priority,
-                "insert_iteration": entry.insert_iteration,
-            }
-            f.write(json.dumps(rec, sort_keys=True))
-            f.write("\n")
-
-
-def restore_buffer(path, envs_by_instance: dict, capacity: int,
-                   priority_mode: str = "reward") -> ReplayBuffer:
-    """Rebuild a buffer dump by replaying each record through its environment."""
-    from .environments import replay_trajectory
-
-    buffer = ReplayBuffer(capacity=capacity, priority_mode=priority_mode)
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            env = envs_by_instance[rec["instance_id"]]
-            traj = replay_trajectory(env, rec["actions"])
-            buffer_insert(buffer, traj, iteration=rec.get("insert_iteration", 0))
-    return buffer

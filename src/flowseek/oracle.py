@@ -89,7 +89,7 @@ def policy_terminal_dist(
     def step_logprobs(state: str) -> np.ndarray:
         key = env.decision_key(state)
         if key not in dist_cache:
-            dist_cache[key] = action_logits(params, state, env.goal, env).log_probs
+            dist_cache[key] = action_logits(params, state, env).log_probs
         return dist_cache[key]
 
     out: dict[str, float] = {}

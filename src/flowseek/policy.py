@@ -1,10 +1,10 @@
 """Parameterized forward policy over valid actions.
 
-The policy scores each (state, goal, action) triple with a scalar logit
-computed from the environment's feature vector, either through a linear head
-or a one-hidden-layer tanh head, and normalizes with a softmax over the
-valid-action set. Sampling may temper the logits; scoring for training always
-happens at temperature 1.
+The policy scores each (state, action) pair of an instance's environment with
+a scalar logit computed from the environment's feature vector, either through
+a linear head or a one-hidden-layer tanh head, and normalizes with a softmax
+over the valid-action set. Sampling may temper the logits; scoring for
+training always happens at temperature 1.
 
 Parameters live in a single flat float64 vector so optimizers and
 finite-difference checks stay trivial.
@@ -94,24 +94,23 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _action_logits_and_features(
-    params: PolicyParams, state: str, goal: str, env
-) -> tuple[list[str], np.ndarray, np.ndarray]:
+    params: PolicyParams, state: str, env
+) -> tuple[list[str], np.ndarray, np.ndarray | None, np.ndarray]:
+    """(actions, feature rows, mlp hidden layer or None for linear, logits)."""
     actions = env.cached_valid_actions(state)
     if not actions:
         raise DeadEndError(f"no valid actions at non-terminal state {state!r}")
-    feats = env.feature_matrix(state, goal, actions)  # (A, d)
+    feats = env.feature_matrix(state)  # (A, d)
     if params.variant == "linear":
-        logits = feats @ params.vector
-    else:
-        w1, b1, w2 = params._views()
-        hidden = np.tanh(feats @ w1.T + b1)  # (A, h)
-        logits = hidden @ w2
-    return actions, feats, logits
+        return actions, feats, None, feats @ params.vector
+    w1, b1, w2 = params._views()
+    hidden = np.tanh(feats @ w1.T + b1)  # (A, h)
+    return actions, feats, hidden, hidden @ w2
 
 
-def action_logits(params: PolicyParams, state: str, goal: str, env) -> ActionDistribution:
+def action_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
     """Distribution over the environment's valid actions at `state`."""
-    actions, _, logits = _action_logits_and_features(params, state, goal, env)
+    actions, _, _, logits = _action_logits_and_features(params, state, env)
     return ActionDistribution(actions, logits, _log_softmax(logits))
 
 
@@ -127,10 +126,10 @@ def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generato
 
 
 def step_logprob_and_grad(
-    params: PolicyParams, state: str, goal: str, action: str, env
+    params: PolicyParams, state: str, action: str, env
 ) -> tuple[float, np.ndarray]:
     """log P_F(action | state) and its gradient w.r.t. the flat parameter vector."""
-    actions, feats, logits = _action_logits_and_features(params, state, goal, env)
+    actions, feats, hidden, logits = _action_logits_and_features(params, state, env)
     try:
         idx = actions.index(action)
     except ValueError:
@@ -142,9 +141,7 @@ def step_logprob_and_grad(
         # grad log p(a) = phi_a - E_p[phi]
         grad = feats[idx] - probs @ feats
     else:
-        w1, b1, w2 = params._views()
-        pre = feats @ w1.T + b1  # (A, h)
-        hidden = np.tanh(pre)
+        w2 = params._views()[2]
         dtanh = 1.0 - hidden**2
         # per-action logit gradients, combined as g_a - E_p[g]
         coeff = -probs.copy()
@@ -161,9 +158,8 @@ def trajectory_logpf_and_grad(params: PolicyParams, traj, env) -> tuple[list[flo
     """Per-step log P_F terms and the gradient of their sum under `params`."""
     terms: list[float] = []
     total_grad = np.zeros_like(params.vector)
-    goal = env.goal
     for state, action in zip(traj.states[:-1], traj.actions):
-        lp, g = step_logprob_and_grad(params, state, goal, action, env)
+        lp, g = step_logprob_and_grad(params, state, action, env)
         terms.append(lp)
         total_grad += g
     return terms, total_grad

@@ -26,7 +26,6 @@ import numpy as np
 from .environments import EnvInstance, TabularEnv, TabularIndex, make_env, replay_trajectory
 from .environments.base import DEFAULT_INTERMEDIATE_WEIGHT, DEFAULT_SUCCESS_WEIGHT, REWARD_FLOOR
 from .errors import (
-    CorruptTrajectoryError,
     EmptyBufferError,
     FlowseekError,
     NumericError,
@@ -180,17 +179,18 @@ def ingest_offline(path, envs_by_instance: dict) -> tuple[list[Trajectory], int]
         lines = [ln.strip() for ln in f if ln.strip()]
     if not lines:
         raise FlowseekError(f"offline data file {path} is empty")
-    for lineno, line in enumerate(lines, start=1):
+    for line in lines:
         try:
             rec = json.loads(line)
             env = envs_by_instance[rec["instance_id"]]
             traj = replay_trajectory(env, rec["actions"])
-            if not traj.is_complete:
-                raise CorruptTrajectoryError("record does not reach a terminal state")
-            accepted.append(traj)
         except (KeyError, ValueError, FlowseekError):
             rejected += 1
             continue
+        if traj.is_complete:
+            accepted.append(traj)
+        else:  # the record stops short of a terminal state
+            rejected += 1
     if not accepted:
         raise FlowseekError(f"no replayable records in {path} ({rejected} rejected)")
     return accepted, rejected
@@ -262,7 +262,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
             ]
             best = max(range(m), key=lambda j: batch_trajs[j].reward)
             for traj in batch_trajs:
-                buffer_insert(buffer, traj, iteration=i)
+                buffer_insert(buffer, traj)
             if config.local_search.enabled:
                 found = local_search(
                     batch_trajs[best],
@@ -272,7 +272,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                     rng=substream(config.seed, "localsearch", i),
                 )
                 for traj in found:
-                    buffer_insert(buffer, traj, iteration=i)
+                    buffer_insert(buffer, traj)
                     extra_log.append(("local_search", traj))
                 if config.local_search.to_training:
                     batch_trajs = batch_trajs + found

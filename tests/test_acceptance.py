@@ -208,7 +208,7 @@ def test_criterion_5_replay_proportionality():
         lo = Trajectory("i", ["a", "b"], ["lo"], [0.0], reward=1.0, is_complete=True)
         buffer_insert(buf, hi)
         buffer_insert(buf, lo)
-        assert [e.priority for e in buf.entries] == [3.0, 1.0]
+        assert buf.priorities == [3.0, 1.0]
         n = 10_000
         counts = {"hi": 0, "lo": 0}
         for traj in buffer_sample(buf, n, substream(17, "acc5")):

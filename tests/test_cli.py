@@ -230,7 +230,7 @@ def test_sample_argmax_is_seed_free_greedy_decode(tmp_path):
         env = envs[rec["instance_id"]]
         state = env.s0
         for action in rec["actions"]:
-            dist = action_logits(params, state, env.goal, env)
+            dist = action_logits(params, state, env)
             assert action == dist.action_ids[int(np.argmax(dist.logits))]
             state = env.apply(state, action)
         assert env.is_terminal(state)

@@ -121,7 +121,7 @@ def reference_policy_terminal_dist(params, env, cap):
     def step_logprobs(state):
         key = env.decision_key(state)
         if key not in dist_cache:
-            d = action_logits(params, state, env.goal, env)
+            d = action_logits(params, state, env)
             dist_cache[key] = (d.action_ids, d.log_probs)
         return dist_cache[key]
 

@@ -50,8 +50,8 @@ def test_shared_rows_match_fresh_featurize():
             fresh = make_env(inst)  # no memo, no cache
             actions = env.cached_valid_actions(state)
             assert actions == fresh.valid_actions(state)
-            mat = env.feature_matrix(state, env.goal, actions)
-            ref = np.stack([fresh.featurize(state, env.goal, a) for a in actions])
+            mat = env.feature_matrix(state)
+            ref = np.stack([fresh.featurize(state, a) for a in actions])
             assert mat.tobytes() == ref.tobytes(), state
             by_key.setdefault(env.decision_key(state), []).append((state, mat))
         shared = [group for group in by_key.values() if len(group) > 1]
@@ -74,7 +74,7 @@ def test_feature_rows_match_pinned_digest():
             if env.is_terminal(state):
                 continue
             for action in env.valid_actions(state):
-                digest.update(env.featurize(state, env.goal, action).astype("<f8").tobytes())
+                digest.update(env.featurize(state, action).astype("<f8").tobytes())
                 stack.append(env.apply(state, action))
     assert digest.hexdigest() == "c9b835034a23a9af9336c9663d3848fa172e0916a3e34e982abe8b07c299c135"
 
@@ -103,7 +103,7 @@ def reference_terminal_dist(params, env):
             out[state] = out.get(state, 0.0) + math.exp(logp)
             continue
         if state not in cache:
-            d = action_logits(params, state, env.goal, env)
+            d = action_logits(params, state, env)
             cache[state] = (d.action_ids, d.log_probs)
         for action, lp in zip(*cache[state]):
             stack.append((env.apply(state, action), logp + float(lp)))
@@ -117,8 +117,7 @@ def test_tabular_rows_stay_per_state():
     by_multiset = {}
     for state in reachable_nonterminal(env):
         assert env.decision_key(state) == state
-        actions = env.cached_valid_actions(state)
-        mat = env.feature_matrix(state, env.goal, actions)
+        mat = env.feature_matrix(state)
         by_multiset.setdefault(state.split("|left=")[1], []).append(mat)
     shared = [mats for mats in by_multiset.values() if len(mats) > 1]
     assert shared

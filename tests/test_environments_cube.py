@@ -225,6 +225,35 @@ def dict_bfs(max_depth):
     return dist
 
 
+def loop_parent_count(config):
+    """The inverse-move loop the closed form replaced: distinct, non-solved predecessors."""
+    count = 0
+    seen = set()
+    for move in MOVES:
+        pred = apply_move(config, INVERSE[move])
+        if pred in seen:
+            continue
+        seen.add(pred)
+        if not is_solved(pred):
+            count += 1
+    return count
+
+
+def test_parent_count_closed_form_matches_loop_within_five_moves():
+    env = make_env(scramble_instance(["U"], "pc5"))
+    configs = dict_bfs(5)
+    assert len(configs) == sum(LAYER_SIZES[:6])
+    counts = set()
+    for config in configs:
+        expected = loop_parent_count(config)
+        counts.add(expected)
+        cp = "".join(str(c) for c in config[:8])
+        co = "".join(str(c) for c in config[8:])
+        for step in (1, 2, 5, DIST_CAP):
+            assert env.parent_count(f"t={step}|{cp}|{co}") == expected
+    assert counts == {8, 9}
+
+
 def test_full_table_layer_histogram(full_table):
     assert np.bincount(full_table).tolist() == LAYER_SIZES
     assert cube2x2._depth == DIST_CAP

@@ -175,7 +175,7 @@ def test_feature_audit_dimension_and_collisions():
             continue
         values = state.split("|left=")[1]
         for action in env.valid_actions(state):
-            vec = env.featurize(state, env.goal, action)
+            vec = env.featurize(state, action)
             assert vec.shape == (env.feature_dim,)
             sig = vec.tobytes()
             identity = (values, action)
@@ -212,8 +212,8 @@ def test_progress_scorer_survives_extreme_potential_changes():
     # game24 steps change the potential by -9,467 to +61 on the gen --seed 3 hands
     for delta, expected in ((-1e4, P_SCORE_MIN), (61.0, P_SCORE_MAX)):
         env = OneStep(delta)
-        assert 0.0 < scorer.score(env, "s", "g", "a") < 1.0
-        assert scorer.clamped(env, "s", "g", "a") == expected
+        assert 0.0 < scorer.score(env, "s", "a") < 1.0
+        assert scorer.clamped(env, "s", "a") == expected
 
 
 def test_progress_scorer_training_run_completes():

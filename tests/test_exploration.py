@@ -10,9 +10,7 @@ from flowseek.exploration import (
     ReplayBuffer,
     buffer_insert,
     buffer_sample,
-    dump_buffer,
     local_search,
-    restore_buffer,
     sample_trajectory_mixed,
 )
 from flowseek.flow_core import Trajectory
@@ -115,7 +113,7 @@ def test_buffer_dedup_and_eviction():
     buffer_insert(buf, make_traj("i", ["b"], 5.0))
     buffer_insert(buf, make_traj("i", ["c"], 3.0))
     assert len(buf) == 2
-    assert sorted(e.priority for e in buf.entries) == [3.0, 5.0]
+    assert sorted(buf.priorities) == [3.0, 5.0]
 
 
 def test_buffer_eviction_matches_first_lowest_priority():
@@ -129,13 +127,13 @@ def test_buffer_eviction_matches_first_lowest_priority():
         expected.append(traj)
         if len(expected) > buf.capacity:
             expected.pop(min(range(len(expected)), key=lambda i: expected[i].reward))
-        assert [e.traj for e in buf.entries] == expected
+        assert buf.trajs == expected
 
 
 def test_buffer_log_reward_priority():
     buf = ReplayBuffer(capacity=4, priority_mode="log_reward")
     buffer_insert(buf, make_traj("i", ["a"], math.e - 1.0))
-    assert buf.entries[0].priority == pytest.approx(1.0)
+    assert buf.priorities[0] == pytest.approx(1.0)
 
 
 def test_buffer_sample_single_entry_and_empty():
@@ -173,6 +171,59 @@ def test_buffer_uniform_when_priorities_equal():
     for traj in buffer_sample(buf, 2000, substream(8, "uni")):
         counts[traj.actions[0]] += 1
     assert abs(counts["a"] - 1000) < 3 * math.sqrt(2000 * 0.25)
+
+
+class EntriesBuffer:
+    """Reference: the buffer as one (traj, priority) record per entry, first-lowest eviction."""
+
+    def __init__(self, capacity, priority_mode):
+        self.capacity = capacity
+        self.priority_mode = priority_mode
+        self.entries = []
+        self.keys = set()
+        self.tied_evictions = 0  # evictions with more than one lowest-priority entry
+
+    def insert(self, traj):
+        key = (traj.instance_id, tuple(traj.actions))
+        if key in self.keys:
+            return
+        log = self.priority_mode == "log_reward"
+        self.entries.append((traj, math.log1p(traj.reward) if log else traj.reward))
+        self.keys.add(key)
+        if len(self.entries) > self.capacity:
+            priorities = [p for _, p in self.entries]
+            self.tied_evictions += priorities.count(min(priorities)) > 1
+            evicted, _ = self.entries.pop(priorities.index(min(priorities)))
+            self.keys.discard((evicted.instance_id, tuple(evicted.actions)))
+
+    def sample(self, count, rng, instance_id):
+        pool = [e for e in self.entries if e[0].instance_id == instance_id]
+        priorities = np.array([p for _, p in pool], dtype=np.float64)
+        idx = rng.choice(len(pool), size=count, replace=True, p=priorities / priorities.sum())
+        return [pool[int(i)][0] for i in idx]
+
+
+@pytest.mark.parametrize("mode", ["reward", "log_reward"])
+def test_buffer_draws_match_entries_reference(mode):
+    ids = ["i0", "i1", "i2"]
+    rng = substream(9, "pin-insert", mode)
+    buf = ReplayBuffer(capacity=12, priority_mode=mode)
+    ref = EntriesBuffer(12, mode)
+    for _ in range(400):
+        # 60 action names per instance: duplicates; rewards 1..4: tied priorities
+        iid = ids[int(rng.integers(3))]
+        traj = make_traj(iid, [f"a{int(rng.integers(60))}"], float(rng.integers(1, 5)))
+        buffer_insert(buf, traj)
+        ref.insert(traj)
+        assert [id(t) for t in buf.trajs] == [id(t) for t, _ in ref.entries]
+        assert buf.priorities == [p for _, p in ref.entries]
+    assert ref.tied_evictions > 0
+    for iid in ids:
+        assert any(t.instance_id == iid for t in buf.trajs)
+        for draw in range(200):
+            got = buffer_sample(buf, 4, substream(9, "pin-draw", mode, iid, draw), instance_id=iid)
+            want = ref.sample(4, substream(9, "pin-draw", mode, iid, draw), iid)
+            assert [id(t) for t in got] == [id(t) for t in want]
 
 
 def test_local_search_strict_improvement_and_prefix(toy_env):
@@ -214,19 +265,3 @@ def test_local_search_full_reroll_boundary(toy_env):
     for cand in found:
         assert cand.states[0] == base.states[0]  # prefix at K = n is just s0
         assert cand.reward > base.reward
-
-
-def test_buffer_dump_restore_roundtrip(tmp_path, toy_instance, toy_env):
-    buf = ReplayBuffer(capacity=8)
-    buffer_insert(buf, replay_trajectory(toy_env, ["left", "go"]), iteration=3)
-    buffer_insert(buf, replay_trajectory(toy_env, ["right", "go"]), iteration=4)
-    path = tmp_path / "buffer.jsonl"
-    dump_buffer(buf, path)
-    restored = restore_buffer(path, {toy_instance.instance_id: toy_env}, capacity=8)
-    assert len(restored) == 2
-    assert sorted(e.priority for e in restored.entries) == sorted(
-        e.priority for e in buf.entries
-    )
-    assert {tuple(e.traj.actions) for e in restored.entries} == {
-        ("left", "go"), ("right", "go"),
-    }

@@ -27,7 +27,7 @@ from conftest import random_params
 
 def test_zero_params_give_uniform(toy_env):
     params = init_params("linear", toy_env.feature_dim)
-    dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+    dist = action_logits(params, toy_env.s0, toy_env)
     assert dist.action_ids == ["left", "right"]
     np.testing.assert_allclose(np.exp(dist.log_probs), [0.5, 0.5])
 
@@ -35,7 +35,7 @@ def test_zero_params_give_uniform(toy_env):
 def test_single_valid_action_logprob_zero(toy_env):
     params = random_params("linear", toy_env, seed=1)
     # mid states of the two-terminal tree have exactly one action
-    dist = action_logits(params, "mid_l", toy_env.goal, toy_env)
+    dist = action_logits(params, "mid_l", toy_env)
     assert dist.action_ids == ["go"]
     assert dist.log_probs[0] == pytest.approx(0.0, abs=1e-12)
 
@@ -51,9 +51,9 @@ def test_softmax_shift_invariance():
 
 def test_log_prob_consistency(toy_env):
     params = random_params("mlp", toy_env, hidden=4, seed=5)
-    dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+    dist = action_logits(params, toy_env.s0, toy_env)
     for i, action in enumerate(dist.action_ids):
-        lp, _ = step_logprob_and_grad(params, toy_env.s0, toy_env.goal, action, toy_env)
+        lp, _ = step_logprob_and_grad(params, toy_env.s0, action, toy_env)
         assert lp == pytest.approx(float(dist.log_probs[i]), rel=1e-12)
     assert sum(np.exp(dist.log_probs)) == pytest.approx(1.0, abs=1e-9)
 
@@ -61,7 +61,7 @@ def test_log_prob_consistency(toy_env):
 def test_log_prob_invalid_action(toy_env):
     params = init_params("linear", toy_env.feature_dim)
     with pytest.raises(InvalidActionError):
-        step_logprob_and_grad(params, toy_env.s0, toy_env.goal, "not-an-action", toy_env)
+        step_logprob_and_grad(params, toy_env.s0, "not-an-action", toy_env)
 
 
 @settings(max_examples=25, deadline=None)
@@ -71,13 +71,13 @@ def test_normalization_property(seed):
 
     env = make_env(two_terminal_instance())
     params = random_params("mlp", env, hidden=4, seed=seed)
-    dist = action_logits(params, env.s0, env.goal, env)
+    dist = action_logits(params, env.s0, env)
     assert np.exp(dist.log_probs).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_sampling_deterministic_under_fixed_seed(toy_env):
     params = random_params("linear", toy_env, seed=8)
-    dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+    dist = action_logits(params, toy_env.s0, toy_env)
     picks = {sample_action(dist, 1.0, substream(4, "s")) for _ in range(5)}
     # rebuilding the same substream must reproduce the same first draw
     again = {sample_action(dist, 1.0, substream(4, "s")) for _ in range(5)}
@@ -88,7 +88,7 @@ def test_sampling_deterministic_under_fixed_seed(toy_env):
 
 def test_beta_zero_limit_is_argmax(toy_env):
     params = random_params("linear", toy_env, seed=9)
-    dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+    dist = action_logits(params, toy_env.s0, toy_env)
     best = dist.action_ids[int(np.argmax(dist.logits))]
     for k in range(10):
         assert sample_action(dist, 1e-9, substream(k, "b")) == best
@@ -96,7 +96,7 @@ def test_beta_zero_limit_is_argmax(toy_env):
 
 def test_beta_nonpositive_rejected(toy_env):
     params = init_params("linear", toy_env.feature_dim)
-    dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+    dist = action_logits(params, toy_env.s0, toy_env)
     with pytest.raises(ValueError):
         sample_action(dist, 0.0, substream(0))
     with pytest.raises(ValueError):
@@ -107,7 +107,7 @@ def test_uniform_sampling_frequency_chi_square(toy_env):
     from scipy import stats
 
     params = init_params("linear", toy_env.feature_dim)
-    dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+    dist = action_logits(params, toy_env.s0, toy_env)
     rng = substream(1234, "chi")
     counts = {a: 0 for a in dist.action_ids}
     n = 10_000
@@ -123,7 +123,7 @@ def test_scoring_is_temperature_independent(toy_env):
     params = random_params("linear", toy_env, seed=3)
 
     def log_prob(action):
-        dist = action_logits(params, toy_env.s0, toy_env.goal, toy_env)
+        dist = action_logits(params, toy_env.s0, toy_env)
         return float(dist.log_probs[dist.action_ids.index(action)])
 
     lp_before = log_prob("left")
@@ -138,8 +138,8 @@ def test_scoring_is_temperature_independent(toy_env):
 
 
 def test_featurizer_determinism(toy_env):
-    a = toy_env.featurize(toy_env.s0, toy_env.goal, "left")
-    b = toy_env.featurize(toy_env.s0, toy_env.goal, "left")
+    a = toy_env.featurize(toy_env.s0, "left")
+    b = toy_env.featurize(toy_env.s0, "left")
     np.testing.assert_array_equal(a, b)
 
 
@@ -219,9 +219,9 @@ def test_tabular_linear_policy_represents_arbitrary_conditionals(toy_instance, t
 def test_mlp_gradient_matches_manual_chain(toy_env):
     # one-step chain-rule recomputation for a tiny mlp
     params = random_params("mlp", toy_env, hidden=3, seed=2)
-    state, goal = toy_env.s0, toy_env.goal
-    lp, grad = step_logprob_and_grad(params, state, goal, "left", toy_env)
-    left = action_logits(params, state, goal, toy_env).action_ids.index("left")
+    state = toy_env.s0
+    lp, grad = step_logprob_and_grad(params, state, "left", toy_env)
+    left = action_logits(params, state, toy_env).action_ids.index("left")
     h = 1e-6
     fd = np.zeros_like(params.vector)
     for j in range(len(params.vector)):
@@ -232,7 +232,7 @@ def test_mlp_gradient_matches_manual_chain(toy_env):
         pp = PolicyParams("mlp", params.feature_dim, 3, vp)
         pm = PolicyParams("mlp", params.feature_dim, 3, vm)
         fd[j] = (
-            action_logits(pp, state, goal, toy_env).log_probs[left]
-            - action_logits(pm, state, goal, toy_env).log_probs[left]
+            action_logits(pp, state, toy_env).log_probs[left]
+            - action_logits(pm, state, toy_env).log_probs[left]
         ) / (2 * h)
     np.testing.assert_allclose(grad, fd, atol=1e-6)
