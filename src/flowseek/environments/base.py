@@ -155,6 +155,13 @@ class Environment:
     one EnvInstance. All methods are pure; tree-mode subclasses inherit the
     trivial parent count.
 
+    An exact-mode reward is edge-decomposed: `success_term(terminal)` plus
+    `edge_scale` times the sum of `edge_term(state, action, child)` over the
+    steps, floored at `reward_floor`. Exact-mode subclasses implement the two
+    terms and inherit `reward`, the one fold over them; the oracle's forward
+    pass reads the same terms edge by edge. Tree-mode subclasses, whose
+    rewards are not edge sums, override `reward` instead.
+
     `decision_key(state)` names the decision point a state stands for. The
     contract: two states with the same key have the same valid actions and
     the same feature rows, so `cached_valid_actions`, `feature_matrix` and
@@ -216,7 +223,27 @@ class Environment:
         raise NotImplementedError
 
     def reward(self, traj) -> RewardBreakdown:
+        """`success_term` of the terminal plus `edge_scale` times the summed edge terms.
+
+        Exact-mode envs reward through this fold; tree-mode envs override it."""
+        states = traj.states
+        intermediate = 0.0
+        for state, action, child in zip(states, traj.actions, states[1:]):
+            intermediate += self.edge_term(state, action, child)
+        return self.floored(self.success_term(states[-1]), self.edge_scale * intermediate)
+
+    def success_term(self, terminal: str) -> float:
+        """Exact mode: the reward's terminal part."""
         raise NotImplementedError
+
+    def edge_term(self, state: str, action: str, child: str) -> float:
+        """Exact mode: the step's share of the intermediate sum, before `edge_scale`."""
+        raise NotImplementedError
+
+    @property
+    def edge_scale(self) -> float:
+        """Factor on the summed edge terms (blocksworld's lambda)."""
+        return 1.0
 
     def solution_key(self, traj) -> str:
         from ..errors import NotASolutionError

@@ -140,12 +140,15 @@ class BlocksWorldEnv(Environment):
         _, _, on = _decode(traj.states[-1])
         return _goal_met(on, self.goal_relations)
 
-    def reward(self, traj):
-        success = self.w if self.is_success(traj) else 0.0
-        intermediate = 0.0
-        for p in self.score_steps(traj):
-            intermediate += -1.0 / math.log(p)
-        return self.floored(success, self.lam * intermediate)
+    def success_term(self, terminal):
+        return self.w if _goal_met(_decode(terminal)[2], self.goal_relations) else 0.0
+
+    def edge_term(self, state, action, child):
+        return -1.0 / math.log(self.scorer.clamped(self, state, action))
+
+    @property
+    def edge_scale(self):
+        return self.lam
 
     def parent_count(self, state):
         step, hand, on = _decode(state)

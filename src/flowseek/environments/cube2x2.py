@@ -156,6 +156,7 @@ class Cube2x2Env(Environment):
         except ValueError:
             raise StructuralError(f"malformed cube state {instance.s0!r}") from None
         distance_to_solved(config)  # raises StructuralError for an unreachable start
+        self._distances: dict[str, int] = {}
 
     def valid_actions(self, state):
         if self.is_terminal(state):
@@ -178,13 +179,18 @@ class Cube2x2Env(Environment):
         _, config = _decode(traj.states[-1])
         return is_solved(config)
 
-    def reward(self, traj):
-        success = self.w if self.is_success(traj) else 0.0
-        dists = [distance_to_solved(_decode(s)[1]) for s in traj.states]
-        intermediate = 0.0
-        for r_prev, r_next in zip(dists[:-1], dists[1:]):
-            intermediate += float(np.exp(r_prev - r_next))
-        return self.floored(success, intermediate)
+    def _distance(self, state):
+        """Distance to solved of `state`, decoded once per state."""
+        d = self._distances.get(state)
+        if d is None:
+            d = self._distances[state] = distance_to_solved(_decode(state)[1])
+        return d
+
+    def success_term(self, terminal):
+        return self.w if self._distance(terminal) == 0 else 0.0
+
+    def edge_term(self, state, action, child):
+        return float(np.exp(self._distance(state) - self._distance(child)))
 
     def parent_count(self, state):
         step, config = _decode(state)

@@ -58,9 +58,11 @@ class ToyDagEnv(Environment):
     def is_success(self, traj):
         return traj.is_complete
 
-    def reward(self, traj):
-        terminal = traj.states[-1]
-        return self.floored(0.0, float(self.rewards.get(terminal, 0.0)))
+    def success_term(self, terminal):
+        return float(self.rewards.get(terminal, 0.0))
+
+    def edge_term(self, state, action, child):
+        return 0.0
 
     def parent_count(self, state):
         from ..errors import StructuralError

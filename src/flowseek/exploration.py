@@ -95,13 +95,17 @@ def sample_trajectory_mixed(
 
 @dataclass
 class ReplayBuffer:
-    """Complete trajectories and their priorities, side by side in insertion order."""
+    """Complete trajectories and their priorities, side by side in insertion order.
+
+    `_pools` holds the same entries per instance, in the same relative order,
+    so an instance's draws read its pool without scanning the whole buffer."""
 
     capacity: int
     priority_mode: str = "reward"  # or "log_reward"
     trajs: list[Trajectory] = field(default_factory=list)
     priorities: list[float] = field(default_factory=list)
     _keys: set = field(default_factory=set)
+    _pools: dict[str, tuple[list[Trajectory], list[float]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -125,14 +129,21 @@ def buffer_insert(buffer: ReplayBuffer, traj: Trajectory) -> ReplayBuffer:
     key = (traj.instance_id, tuple(traj.actions))
     if key in buffer._keys:
         return buffer
+    priority = buffer.priority_of(traj)
     buffer.trajs.append(traj)
-    buffer.priorities.append(buffer.priority_of(traj))
+    buffer.priorities.append(priority)
     buffer._keys.add(key)
+    pool_trajs, pool_priorities = buffer._pools.setdefault(traj.instance_id, ([], []))
+    pool_trajs.append(traj)
+    pool_priorities.append(priority)
     if len(buffer.trajs) > buffer.capacity:
         lowest = buffer.priorities.index(min(buffer.priorities))
         del buffer.priorities[lowest]
         evicted = buffer.trajs.pop(lowest)
         buffer._keys.discard((evicted.instance_id, tuple(evicted.actions)))
+        pool_trajs, pool_priorities = buffer._pools[evicted.instance_id]
+        at = next(i for i, t in enumerate(pool_trajs) if t is evicted)
+        del pool_trajs[at], pool_priorities[at]
     return buffer
 
 
@@ -146,17 +157,17 @@ def buffer_sample(
 
     With `instance_id`, sampling is restricted to that instance's entries.
     """
-    pool = range(len(buffer.trajs))
-    if instance_id is not None:
-        pool = [i for i in pool if buffer.trajs[i].instance_id == instance_id]
-    if not pool:
+    if instance_id is None:
+        trajs, priorities = buffer.trajs, buffer.priorities
+    else:
+        trajs, priorities = buffer._pools.get(instance_id, ((), ()))
+    if not trajs:
         raise EmptyBufferError(
             "replay buffer empty" + (f" for instance {instance_id}" if instance_id else "")
         )
-    priorities = np.array([buffer.priorities[i] for i in pool], dtype=np.float64)
-    probs = priorities / priorities.sum()
-    idx = rng.choice(len(pool), size=count, replace=True, p=probs)
-    return [buffer.trajs[pool[int(i)]] for i in idx]
+    weights = np.array(priorities, dtype=np.float64)
+    idx = rng.choice(len(trajs), size=count, replace=True, p=weights / weights.sum())
+    return [trajs[int(i)] for i in idx]
 
 
 def local_search(
@@ -184,7 +195,7 @@ def local_search(
         actions = list(traj_best.actions[: n - k])
         state = states[-1]
         while not env.is_terminal(state):
-            options = env.valid_actions(state)
+            options = env.cached_valid_actions(state)
             action = options[int(rng.integers(len(options)))]
             state = env.apply(state, action)
             states.append(state)

@@ -1,19 +1,32 @@
-"""Ground-truth machinery: exhaustive DAG enumeration and exact distributions.
+"""Ground-truth machinery: exact target and policy distributions of an instance.
 
-Enumeration walks every legal complete trajectory of an instance. Each
-trajectory tau carries flow F(tau) = R(tau) * prod(1/|Pa(s_t)|); summing flows
-gives the partition value Z, and normalizing gives the target trajectory and
-terminal distributions the trained sampler should match. In tree mode the
+A complete trajectory tau carries flow F(tau) = R(tau) * prod(1/|Pa(s_t)|);
+summing flows gives the partition value Z, and normalizing gives the target
+terminal distribution the trained sampler should match. In tree mode the
 backward product is 1, so Z is simply the sum of trajectory rewards; when
 trajectories merge, a terminal's reward mass is split across its incoming
 trajectories in proportion to the uniform backward flow.
+
+Exact mode (merging states) makes one forward pass over the instance's states
+in topological order instead of walking every trajectory. Its rewards are a
+success term plus scaled edge terms (`Environment.reward`), so per state the
+pass carries the backward weight A = sum over parent edges p->c of
+A(p)/|Pa(c)| and the edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|,
+and a terminal x gets flow S(x)*A(x) + scale*B(x). The policy pass carries
+the forward mass P(c) = sum of P(p)*pi(a|p). A floor that can bind breaks the
+edge decomposition, so such an instance is walked trajectory by trajectory.
+Tree mode (no merges, rewards that are not edge sums) keeps the walk.
+
+Both raise `EnumerationCapError` with partial count cap + 1 once the instance
+provably has more than `cap` trajectories; the exact-mode pass knows that as
+soon as the paths it has counted pass the cap, without expanding the rest.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,64 +39,156 @@ ENUMERATION_CAP = 1_000_000
 
 @dataclass
 class DagSummary:
-    """Full trajectory set of one instance with the reward-proportional targets."""
+    """Partition value, reward-proportional terminal targets and trajectory count."""
 
-    trajectories: list[tuple[tuple[str, ...], str, float]]  # (actions, terminal, reward)
     Z: float
     target_terminal_dist: dict[str, float]
-    target_traj_dist: dict[tuple[str, ...], float] = field(default_factory=dict)
-
-    @property
-    def n_trajectories(self) -> int:
-        return len(self.trajectories)
+    n_trajectories: int
 
     @property
     def n_terminals(self) -> int:
         return len(self.target_terminal_dist)
 
 
-def enumerate_dag(instance, env, cap: int = ENUMERATION_CAP) -> DagSummary:
-    """Exhaustively enumerate the instance and compute the target distributions.
+def _cap_error(cap: int) -> EnumerationCapError:
+    return EnumerationCapError(f"instance exceeds the {cap}-trajectory enumeration cap", cap + 1)
+
+
+def _topological_order(env, cap: int) -> tuple[list[str], int]:
+    """States reachable from s0, each after all its parents, and the trajectory count.
+
+    A depth-first walk over `env.children` finishes a state once every path
+    below it is counted; reversed finishing order is topological. `found`
+    counts the complete trajectories through the states finished so far,
+    each once, so it never exceeds the total and the walk stops as soon as it
+    passes `cap`."""
+    paths: dict[str, int] = {}  # finished state -> trajectories from it to a terminal
+    finished: list[str] = []
+    found = 0
+    kids = env.children(env.s0)
+    if kids is None:
+        return [env.s0], 1
+    stack = [[env.s0, kids, 0, 0]]  # state, children, next child, paths found below
+    while stack:
+        frame = stack[-1]
+        state, kids, i, below = frame
+        if i == len(kids):
+            stack.pop()
+            paths[state] = below
+            finished.append(state)
+            if stack:
+                stack[-1][3] += below
+            continue
+        frame[2] = i + 1
+        child = kids[i][1]
+        n = paths.get(child)
+        if n is None:
+            grandkids = env.children(child)
+            if grandkids is not None:
+                stack.append([child, grandkids, 0, 0])
+                continue
+            n = paths[child] = 1
+            finished.append(child)
+        frame[3] = below + n
+        found += n
+        if found > cap:
+            raise _cap_error(cap)
+    finished.reverse()
+    return finished, paths[env.s0]
+
+
+def _forward_targets(env, order: list[str], n_trajectories: int) -> DagSummary | None:
+    """Targets from each terminal's flow S(x)*A(x) + scale*B(x); None if the floor can bind.
+
+    `low` is the least scaled edge sum of any path into a state, so a
+    terminal's least reward is S(x) + low(x); once that is below the floor,
+    max(reward, floor) is no longer the edge sum and the pass gives up."""
+    scale = env.edge_scale
+    back = {env.s0: 1.0}
+    edge_mass = {env.s0: 0.0}
+    low = {env.s0: 0.0}
+    flows: dict[str, float] = {}
+    for state in order:
+        a, b, lo = back.pop(state), edge_mass.pop(state), low.pop(state)
+        kids = env.children(state)
+        if kids is None:
+            success = env.success_term(state)
+            if success + lo < env.reward_floor:
+                return None
+            flows[state] = success * a + scale * b
+            continue
+        for action, child in kids:
+            edge = env.edge_term(state, action, child)
+            k = env.cached_parent_count(child)
+            back[child] = back.get(child, 0.0) + a / k
+            edge_mass[child] = edge_mass.get(child, 0.0) + (b + a * edge) / k
+            reach = lo + scale * edge
+            if reach < low.get(child, math.inf):
+                low[child] = reach
+    z = float(sum(flows.values()))
+    return DagSummary(z, {x: flow / z for x, flow in flows.items()}, n_trajectories)
+
+
+def _walk_targets(instance, env, cap: int) -> DagSummary:
+    """Targets from the flow of every trajectory, walked one trajectory at a time.
 
     Each state is expanded once per env (`env.children`), so merging paths
     share that work; a stack entry carries its path's backward product."""
     exact = env.parent_mode != "tree"
-    trajectories = []
-    flows = []
+    terminals: list[str] = []
+    flows: list[float] = []
     stack: list[tuple[list[str], list[str], float]] = [([], [env.s0], 1.0)]
     while stack:
         actions, states, back = stack.pop()
         children = env.children(states[-1])
         if children is None:
-            if len(trajectories) >= cap:
-                raise EnumerationCapError(
-                    f"instance exceeds the {cap}-trajectory enumeration cap", cap + 1
-                )
+            if len(flows) >= cap:
+                raise _cap_error(cap)
             traj = Trajectory(instance.instance_id, states, actions, [0.0] * len(actions),
                               is_complete=True)
-            reward = env.reward(traj).total
-            trajectories.append((tuple(actions), states[-1], reward))
-            flows.append(reward * back)
+            flows.append(env.reward(traj).total * back)
+            terminals.append(states[-1])
             continue
         for action, child in reversed(children):
             child_back = back / env.cached_parent_count(child) if exact else back
             stack.append((actions + [action], states + [child], child_back))
-
     z = float(sum(flows))
-    traj_dist: dict[tuple[str, ...], float] = {}
     terminal_dist: dict[str, float] = {}
-    for (actions, terminal, _), flow in zip(trajectories, flows):
-        p = flow / z
-        traj_dist[actions] = p
-        terminal_dist[terminal] = terminal_dist.get(terminal, 0.0) + p
-    return DagSummary(trajectories, z, terminal_dist, traj_dist)
+    for terminal, flow in zip(terminals, flows):
+        terminal_dist[terminal] = terminal_dist.get(terminal, 0.0) + flow / z
+    return DagSummary(z, terminal_dist, len(flows))
+
+
+def enumerate_dag(instance, env, cap: int = ENUMERATION_CAP) -> DagSummary:
+    """Z, the target terminal distribution and the trajectory count of the instance."""
+    if env.parent_mode == "exact":
+        summary = _forward_targets(env, *_topological_order(env, cap))
+        if summary is not None:
+            return summary
+    return _walk_targets(instance, env, cap)
 
 
 def policy_terminal_dist(
     params: PolicyParams, instance, env, cap: int = ENUMERATION_CAP
 ) -> dict[str, float]:
-    """Exact terminal-state mass of the policy by enumerating all trajectories."""
-    # states sharing a decision key share their action distribution
+    """Exact terminal-state mass of the policy."""
+    if env.parent_mode == "exact":
+        order, _ = _topological_order(env, cap)
+        mass = {env.s0: 1.0}
+        out: dict[str, float] = {}
+        for state in order:
+            p = mass.pop(state)
+            kids = env.children(state)
+            if kids is None:
+                out[state] = p
+                continue
+            # log_probs follow `valid_actions` order, as `children` does
+            probs = np.exp(action_logits(params, state, env).log_probs).tolist()
+            for (_, child), q in zip(kids, probs):
+                mass[child] = mass.get(child, 0.0) + p * q
+        return out
+
+    # tree mode: states sharing a decision key share their action distribution
     dist_cache: dict[str, np.ndarray] = {}
 
     def step_logprobs(state: str) -> np.ndarray:
@@ -92,7 +197,7 @@ def policy_terminal_dist(
             dist_cache[key] = action_logits(params, state, env).log_probs
         return dist_cache[key]
 
-    out: dict[str, float] = {}
+    out = {}
     count = 0
     stack: list[tuple[str, float]] = [(env.s0, 0.0)]
     while stack:
@@ -101,12 +206,9 @@ def policy_terminal_dist(
         if children is None:
             count += 1
             if count > cap:
-                raise EnumerationCapError(
-                    f"instance exceeds the {cap}-trajectory enumeration cap", count
-                )
+                raise _cap_error(cap)
             out[state] = out.get(state, 0.0) + math.exp(logp)
             continue
-        # log_probs follow `valid_actions` order, as `children` does
         for (_, child), lp in zip(children, step_logprobs(state)):
             stack.append((child, logp + float(lp)))
     return out

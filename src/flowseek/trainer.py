@@ -171,6 +171,22 @@ def build_envs(config: TrainConfig, instances: list[EnvInstance],
     return envs
 
 
+def _offline_record(line: str) -> tuple[str, list[str]] | None:
+    """(instance_id, actions) of an offline record line; None if malformed or misshapen."""
+    try:
+        rec = json.loads(line)
+    except ValueError:
+        return None
+    if not isinstance(rec, dict):
+        return None
+    instance_id, actions = rec.get("instance_id"), rec.get("actions")
+    if isinstance(instance_id, str) and isinstance(actions, list) and all(
+        isinstance(a, str) for a in actions
+    ):
+        return instance_id, actions
+    return None
+
+
 def ingest_offline(path, envs_by_instance: dict) -> tuple[list[Trajectory], int]:
     """Replay offline {instance_id, actions} records; returns (accepted, rejected)."""
     accepted: list[Trajectory] = []
@@ -180,10 +196,13 @@ def ingest_offline(path, envs_by_instance: dict) -> tuple[list[Trajectory], int]
     if not lines:
         raise FlowseekError(f"offline data file {path} is empty")
     for line in lines:
+        rec = _offline_record(line)
+        env = envs_by_instance.get(rec[0]) if rec else None
+        if env is None:
+            rejected += 1
+            continue
         try:
-            rec = json.loads(line)
-            env = envs_by_instance[rec["instance_id"]]
-            traj = replay_trajectory(env, rec["actions"])
+            traj = replay_trajectory(env, rec[1])
         except (KeyError, ValueError, FlowseekError):
             rejected += 1
             continue

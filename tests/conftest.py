@@ -1,8 +1,12 @@
+from dataclasses import dataclass
+
 import pytest
 
 from flowseek.environments import make_env
 from flowseek.environments.toydag import diamond_instance, two_terminal_instance
+from flowseek.errors import EnumerationCapError
 from flowseek.exploration import sample_trajectory_mixed
+from flowseek.flow_core import Trajectory
 from flowseek.policy import PolicyParams, init_params
 from flowseek.rngutil import substream
 
@@ -33,3 +37,68 @@ def random_params(variant, env, hidden=4, seed=0, scale=0.3):
     base = init_params(variant, env.feature_dim, hidden, seed=seed)
     noise = substream(seed, "params-noise").normal(0.0, scale, base.vector.shape)
     return PolicyParams(variant, env.feature_dim, hidden, base.vector + noise)
+
+
+# -- reference enumerator: one trajectory at a time, with the uncached env methods --
+
+
+@dataclass
+class ReferenceDag:
+    """Every trajectory of an instance with its reward and its target mass."""
+
+    trajectories: list  # (actions, terminal, reward) per trajectory
+    Z: float
+    target_terminal_dist: dict
+    target_traj_dist: dict
+
+    @property
+    def n_trajectories(self):
+        return len(self.trajectories)
+
+
+def walk_trajectories(env, cap):
+    """(actions, states) of every complete trajectory, depth first."""
+    count = 0
+    stack = [([], [env.s0])]
+    while stack:
+        actions, states = stack.pop()
+        state = states[-1]
+        if env.is_terminal(state):
+            count += 1
+            if count > cap:
+                raise EnumerationCapError(
+                    f"instance exceeds the {cap}-trajectory enumeration cap", count
+                )
+            yield actions, states
+            continue
+        for action in reversed(env.valid_actions(state)):
+            stack.append((actions + [action], states + [env.apply(state, action)]))
+
+
+def reference_enumerate_dag(instance, env, cap=10**6):
+    """Per-trajectory flows R(tau) * prod(1/|Pa(s_t)|), normalized by their sum."""
+    trajectories = []
+    flows = []
+    for actions, states in walk_trajectories(env, cap):
+        traj = Trajectory(
+            instance_id=instance.instance_id,
+            states=states,
+            actions=actions,
+            logpf_terms=[0.0] * len(actions),
+            is_complete=True,
+        )
+        reward = env.reward(traj).total
+        back = 1.0
+        if env.parent_mode != "tree":
+            for state in states[1:]:
+                back /= env.parent_count(state)
+        trajectories.append((tuple(actions), states[-1], reward))
+        flows.append(reward * back)
+    z = float(sum(flows))
+    traj_dist = {}
+    terminal_dist = {}
+    for (actions, terminal, _), flow in zip(trajectories, flows):
+        p = flow / z
+        traj_dist[actions] = p
+        terminal_dist[terminal] = terminal_dist.get(terminal, 0.0) + p
+    return ReferenceDag(trajectories, z, terminal_dist, traj_dist)

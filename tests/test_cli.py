@@ -162,6 +162,17 @@ def test_train_missing_instances_is_data_error(tmp_path):
     assert run_cli("train", path) == 3
 
 
+def test_train_misshapen_offline_records_is_data_error(tmp_path, capsys):
+    config_path, _, _ = write_toy_setup(tmp_path, iterations=2)
+    offline = tmp_path / "offline.jsonl"
+    offline.write_text('[1,2]\nnull\n"x"\n{"instance_id":"toy-2term","actions":7}\n')
+    doc = json.loads(config_path.read_text())
+    doc["offline_data_path"] = str(offline)
+    config_path.write_text(json.dumps(doc))
+    assert run_cli("train", config_path) == 3
+    assert "4 rejected" in capsys.readouterr().err
+
+
 def test_train_schema_violation_is_usage_error(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"env_id": "toydag", "instances_path": "x", "loss": "bogus"}))

