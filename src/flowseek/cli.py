@@ -43,6 +43,8 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+PROBABILITY = {"type": "number", "minimum": 0, "maximum": 1}
+
 TRAIN_CONFIG_SCHEMA = {
     "type": "object",
     "required": ["env_id", "instances_path"],
@@ -64,12 +66,12 @@ TRAIN_CONFIG_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "eps_start": {"type": "number"},
-                "eps_end": {"type": "number"},
-                "beta_start": {"type": "number"},
-                "beta_end": {"type": "number"},
-                "replay_prob_start": {"type": "number"},
-                "replay_prob_end": {"type": "number"},
+                "eps_start": PROBABILITY,
+                "eps_end": PROBABILITY,
+                "beta_start": {"type": "number", "minimum": 0},
+                "beta_end": {"type": "number", "minimum": 0},
+                "replay_prob_start": PROBABILITY,
+                "replay_prob_end": PROBABILITY,
             },
         },
         "local_search": {
@@ -78,7 +80,7 @@ TRAIN_CONFIG_SCHEMA = {
             "properties": {
                 "enabled": {"type": "boolean"},
                 "num_recon": {"type": "integer", "minimum": 1},
-                "k_mode": {"type": ["string", "integer"]},
+                "k_mode": {"anyOf": [{"enum": ["uniform"]}, {"type": "integer", "minimum": 1}]},
                 "to_training": {"type": "boolean"},
             },
         },

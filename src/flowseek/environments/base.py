@@ -292,14 +292,14 @@ class Environment:
     # -- DAG expansion, cached per state so every walker expands a state once ----
 
     def children(self, state: str) -> list[tuple[str, str]] | None:
-        """`(action, child)` per valid action in `valid_actions` order; None if terminal.
+        """`(action, child)` per action of `cached_valid_actions`, in its order; None if terminal.
 
         Keyed on the full state, not `decision_key`: child keys may embed the history."""
         try:
             return self._children_cache[state]
         except KeyError:
             kids = None if self.is_terminal(state) else [
-                (a, self.apply(state, a)) for a in self.valid_actions(state)
+                (a, self.apply(state, a)) for a in self.cached_valid_actions(state)
             ]
             self._children_cache[state] = kids
             return kids

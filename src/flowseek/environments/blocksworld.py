@@ -49,6 +49,17 @@ def _encode_goal(relations: list[tuple[str, str]]) -> str:
     return "on=" + ",".join(f"{b}:{s}" for b, s in sorted(relations))
 
 
+def _move(hand: str | None, on: dict[str, str], action: str) -> tuple[str | None, dict[str, str]]:
+    """The hand and supports after a valid `action`; `on` itself is not changed."""
+    on = dict(on)
+    verb, block, *target = action.split()
+    if verb in ("pickup", "unstack"):
+        del on[block]
+        return block, on
+    on[block] = target[0] if verb == "stack" else "table"
+    return None, on
+
+
 def _clear_blocks(hand: str | None, on: dict[str, str]) -> set[str]:
     supports = set(on.values())
     return {b for b in on if b not in supports}
@@ -116,21 +127,7 @@ class BlocksWorldEnv(Environment):
         if action not in self.cached_valid_actions(state):
             raise InvalidActionError(f"action {action!r} invalid at {state!r}")
         step, hand, on = _decode(state)
-        on = dict(on)
-        parts = action.split()
-        if parts[0] == "pickup":
-            del on[parts[1]]
-            hand = parts[1]
-        elif parts[0] == "unstack":
-            del on[parts[1]]
-            hand = parts[1]
-        elif parts[0] == "putdown":
-            on[parts[1]] = "table"
-            hand = None
-        else:  # stack x y
-            on[parts[1]] = parts[2]
-            hand = None
-        return _encode(step + 1, hand, on)
+        return _encode(step + 1, *_move(hand, on, action))
 
     def is_terminal(self, state):
         step, _, on = _decode(state)
@@ -189,8 +186,8 @@ class BlocksWorldEnv(Environment):
         return 4 + 5 + 3 + 4 + 1 + 1 + self._N_HASHED
 
     def featurize(self, state, action):
-        step, _, on_before = _decode(state)
-        _, hand_after, on_after = _decode(self.apply(state, action))
+        step, hand, on_before = _decode(state)
+        hand_after, on_after = _move(hand, on_before, action)
         sat_before = sum(1 for b, s in self.goal_relations if on_before.get(b) == s)
         sat_after = sum(1 for b, s in self.goal_relations if on_after.get(b) == s)
         moved = action.split()[1]

@@ -201,7 +201,7 @@ class Cube2x2Env(Environment):
         return 8 if config in _ONE_MOVE else 9
 
     def potential(self, state):
-        return -float(distance_to_solved(_decode(state)[1]))
+        return -float(self._distance(state))
 
     @property
     def feature_dim(self):

@@ -4,8 +4,9 @@ The whole transition graph travels inside the instance's goal field as JSON:
 {"edges": {state: {action: child}}, "rewards": {terminal: value}}. Rewards
 are a function of the terminal state and there is no intermediate term, so
 results on this environment are exactly checkable against the enumeration
-oracle. Parent counting reads the true graph, which keeps uniform-P_B
-backward flow leak-free.
+oracle. A state's parents are the graph's states that s0 reaches and that
+have an edge into it, so uniform P_B never leaks backward mass to states off
+the instance's DAG and Z is the sum of the reachable terminals' rewards.
 """
 
 from __future__ import annotations
@@ -32,14 +33,18 @@ class ToyDagEnv(Environment):
         doc = json.loads(instance.goal)
         self.edges: dict[str, dict[str, str]] = doc["edges"]
         self.rewards: dict[str, float] = doc["rewards"]
-        self._parents: dict[str, set[str]] = {}
-        pairs = []
-        for state in sorted(self.edges):
-            for action in sorted(self.edges[state]):
-                child = self.edges[state][action]
-                self._parents.setdefault(child, set()).add(state)
-                pairs.append((state, action))
+        pairs = [(s, a) for s in sorted(self.edges) for a in sorted(self.edges[s])]
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
+        # parents only among the states s0 reaches: an edge from a state off the
+        # instance's DAG carries no flow, so counting it would leak backward mass
+        self._parents: dict[str, set[str]] = {}
+        stack = [self.s0]
+        while stack:
+            state = stack.pop()
+            for child in self.edges.get(state, {}).values():
+                if child not in self._parents:
+                    stack.append(child)
+                self._parents.setdefault(child, set()).add(state)
 
     def valid_actions(self, state):
         if self.is_terminal(state):

@@ -50,6 +50,24 @@ class ExplorationSchedule:
         )
 
 
+def _rollout(env, instance_id: str, states: list[str], actions: list[str], step) -> Trajectory:
+    """Extend the prefix `states`/`actions` to a terminal state and reward the result.
+
+    `step(state)` returns the action to take and its log P_F term; prefix steps
+    get 0.0 terms."""
+    logpf = [0.0] * len(actions)
+    state = states[-1]
+    while not env.is_terminal(state):
+        action, lp = step(state)
+        state = env.apply(state, action)
+        states.append(state)
+        actions.append(action)
+        logpf.append(lp)
+    traj = Trajectory(instance_id, states, actions, logpf, is_complete=True)
+    traj.reward = env.reward(traj).total
+    return traj
+
+
 def sample_trajectory_mixed(
     params: PolicyParams,
     env,
@@ -66,31 +84,18 @@ def sample_trajectory_mixed(
         raise ValueError(f"eps must be in [0,1], got {eps}")
     if beta < 0.0:
         raise ValueError(f"beta must be non-negative, got {beta}")
-    state = env.s0
-    states = [state]
-    actions: list[str] = []
-    logpf: list[float] = []
-    while not env.is_terminal(state):
+
+    def step(state: str) -> tuple[str, float]:
         dist = action_logits(params, state, env)
         if rng.random() < eps:
-            action = dist.action_ids[int(rng.integers(len(dist.action_ids)))]
+            i = int(rng.integers(len(dist.action_ids)))
         elif beta == 0.0:
-            action = dist.action_ids[int(np.argmax(dist.logits))]
+            i = int(np.argmax(dist.logits))
         else:
-            action = sample_action(dist, beta, rng)
-        logpf.append(float(dist.log_probs[dist.action_ids.index(action)]))
-        state = env.apply(state, action)
-        states.append(state)
-        actions.append(action)
-    traj = Trajectory(
-        instance_id=env.instance.instance_id,
-        states=states,
-        actions=actions,
-        logpf_terms=logpf,
-        is_complete=True,
-    )
-    traj.reward = env.reward(traj).total
-    return traj
+            i = sample_action(dist, beta, rng)
+        return dist.action_ids[i], float(dist.log_probs[i])
+
+    return _rollout(env, env.instance.instance_id, [env.s0], [], step)
 
 
 @dataclass
@@ -183,6 +188,11 @@ def local_search(
     if n < 1:
         return []
     candidates: list[Trajectory] = []
+
+    def step(state: str) -> tuple[str, float]:
+        options = env.cached_valid_actions(state)
+        return options[int(rng.integers(len(options)))], 0.0
+
     for _ in range(num_recon):
         if k_mode == "uniform":
             if n < 2:
@@ -190,24 +200,8 @@ def local_search(
             k = int(rng.integers(1, n))  # K in [1, n-1]
         else:
             k = min(int(k_mode), n)
-        prefix_states = traj_best.states[: n - k + 1]
-        states = list(prefix_states)
-        actions = list(traj_best.actions[: n - k])
-        state = states[-1]
-        while not env.is_terminal(state):
-            options = env.cached_valid_actions(state)
-            action = options[int(rng.integers(len(options)))]
-            state = env.apply(state, action)
-            states.append(state)
-            actions.append(action)
-        cand = Trajectory(
-            instance_id=traj_best.instance_id,
-            states=states,
-            actions=actions,
-            logpf_terms=[0.0] * len(actions),
-            is_complete=True,
-        )
-        cand.reward = env.reward(cand).total
+        cand = _rollout(env, traj_best.instance_id, traj_best.states[: n - k + 1],
+                        traj_best.actions[: n - k], step)
         if cand.reward > traj_best.reward:
             candidates.append(cand)
     return candidates

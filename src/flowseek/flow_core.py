@@ -57,17 +57,6 @@ class Trajectory:
         return float(sum(self.logpf_terms))
 
 
-@dataclass
-class LogZParam:
-    """Scalar log-partition estimate used only by the baseline TB loss."""
-
-    value: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError("log Z must be finite")
-
-
 def log_pb_uniform(traj: Trajectory, env) -> float:
     """Sum of log(1/|Pa(s_t)|) over the non-initial states of `traj`.
 

@@ -7,18 +7,21 @@ backward product is 1, so Z is simply the sum of trajectory rewards; when
 trajectories merge, a terminal's reward mass is split across its incoming
 trajectories in proportion to the uniform backward flow.
 
-Exact mode (merging states) makes one forward pass over the instance's states
-in topological order instead of walking every trajectory. Its rewards are a
-success term plus scaled edge terms (`Environment.reward`), so per state the
-pass carries the backward weight A = sum over parent edges p->c of
-A(p)/|Pa(c)| and the edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|,
-and a terminal x gets flow S(x)*A(x) + scale*B(x). The policy pass carries
-the forward mass P(c) = sum of P(p)*pi(a|p). A floor that can bind breaks the
-edge decomposition, so such an instance is walked trajectory by trajectory.
-Tree mode (no merges, rewards that are not edge sums) keeps the walk.
+Both passes visit the instance's states once, in topological order. The
+policy pass does so for every environment (a tree is a DAG whose states have
+one parent each) and carries each state's log mass: log P(c) is the
+log-sum-exp over parent edges p->c of log P(p) + log pi(a|p).
+
+The target pass does so in exact mode (merging states), whose rewards are a
+success term plus scaled edge terms (`Environment.reward`): per state it
+carries the backward weight A = sum over parent edges p->c of A(p)/|Pa(c)|
+and the edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|, and a
+terminal x gets flow S(x)*A(x) + scale*B(x). Tree-mode rewards are not edge
+sums, and a floor that can bind breaks the decomposition, so those targets
+come from a walk over every trajectory.
 
 Both raise `EnumerationCapError` with partial count cap + 1 once the instance
-provably has more than `cap` trajectories; the exact-mode pass knows that as
+provably has more than `cap` trajectories; the topological pass knows that as
 soon as the paths it has counted pass the cap, without expanding the rest.
 """
 
@@ -27,8 +30,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import EnumerationCapError
 from .flow_core import Trajectory
@@ -171,46 +172,33 @@ def enumerate_dag(instance, env, cap: int = ENUMERATION_CAP) -> DagSummary:
 def policy_terminal_dist(
     params: PolicyParams, instance, env, cap: int = ENUMERATION_CAP
 ) -> dict[str, float]:
-    """Exact terminal-state mass of the policy."""
-    if env.parent_mode == "exact":
-        order, _ = _topological_order(env, cap)
-        mass = {env.s0: 1.0}
-        out: dict[str, float] = {}
-        for state in order:
-            p = mass.pop(state)
-            kids = env.children(state)
-            if kids is None:
-                out[state] = p
-                continue
-            # log_probs follow `valid_actions` order, as `children` does
-            probs = np.exp(action_logits(params, state, env).log_probs).tolist()
-            for (_, child), q in zip(kids, probs):
-                mass[child] = mass.get(child, 0.0) + p * q
-        return out
+    """Exact terminal-state mass of the policy: one forward pass in topological order.
 
-    # tree mode: states sharing a decision key share their action distribution
-    dist_cache: dict[str, np.ndarray] = {}
-
-    def step_logprobs(state: str) -> np.ndarray:
-        key = env.decision_key(state)
-        if key not in dist_cache:
-            dist_cache[key] = action_logits(params, state, env).log_probs
-        return dist_cache[key]
-
-    out = {}
-    count = 0
-    stack: list[tuple[str, float]] = [(env.s0, 0.0)]
-    while stack:
-        state, logp = stack.pop()
-        children = env.children(state)
-        if children is None:
-            count += 1
-            if count > cap:
-                raise _cap_error(cap)
-            out[state] = out.get(state, 0.0) + math.exp(logp)
+    Each state carries its log mass. A child's first parent gives it
+    log P(p) + log pi(a|p), the sum a walk along its one path would build,
+    and each later parent merges in by log-add-exp. States that share a
+    decision key share their action log-probs, which follow
+    `cached_valid_actions` order, as `children` does."""
+    order, _ = _topological_order(env, cap)
+    step_logprobs: dict[str, list[float]] = {}
+    log_mass = {env.s0: 0.0}
+    out: dict[str, float] = {}
+    for state in order:
+        logp = log_mass.pop(state)
+        kids = env.children(state)
+        if kids is None:
+            out[state] = math.exp(logp)
             continue
-        for (_, child), lp in zip(children, step_logprobs(state)):
-            stack.append((child, logp + float(lp)))
+        key = env.decision_key(state)
+        lps = step_logprobs.get(key)
+        if lps is None:
+            lps = step_logprobs[key] = action_logits(params, state, env).log_probs.tolist()
+        for (_, child), lp in zip(kids, lps):
+            a = logp + lp
+            b = log_mass.get(child)
+            if b is not None:  # log(e^a + e^b), cheaper than scalar np.logaddexp
+                a = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+            log_mass[child] = a
     return out
 
 

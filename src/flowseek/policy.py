@@ -114,15 +114,16 @@ def action_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
     return ActionDistribution(actions, logits, _log_softmax(logits))
 
 
-def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generator) -> str:
-    """Sample from softmax(logits / beta). beta > 1 flattens the distribution."""
+def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generator) -> int:
+    """Index into `dist.action_ids` drawn from softmax(logits / beta).
+
+    beta > 1 flattens the distribution."""
     if beta <= 0:
         raise ValueError(f"temperature must be positive, got {beta}")
     log_probs = _log_softmax(dist.logits / beta)
     probs = np.exp(log_probs)
     probs /= probs.sum()
-    idx = int(rng.choice(len(probs), p=probs))
-    return dist.action_ids[idx]
+    return int(rng.choice(len(probs), p=probs))
 
 
 def step_logprob_and_grad(

@@ -39,7 +39,7 @@ from .exploration import (
     local_search,
     sample_trajectory_mixed,
 )
-from .flow_core import LogZParam, Trajectory, loss_logvar, loss_tb_logz, phi
+from .flow_core import Trajectory, loss_logvar, loss_tb_logz, phi
 from .policy import (
     DEFAULT_HIDDEN_DIM,
     OptimizerState,
@@ -94,6 +94,8 @@ class TrainConfig:
             raise ValueError("the variance loss needs batch_size >= 2")
         if self.loss not in ("logvar", "tb_logz"):
             raise ValueError(f"unknown loss {self.loss!r}")
+        if not math.isfinite(self.logz_init):
+            raise ValueError(f"logz_init (config logz.init) must be finite, got {self.logz_init}")
         if self.schedules is None:
             self.schedules = ExplorationSchedule(total_iterations=self.iterations)
 
@@ -228,13 +230,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
     )
     opt = OptimizerState(kind=config.optimizer, learning_rate=config.learning_rate)
 
-    logz: dict[str, LogZParam] = {}
-
-    def z_for(instance_id: str) -> LogZParam:
-        key = "__shared__" if config.logz_shared else instance_id
-        if key not in logz:
-            logz[key] = LogZParam(value=config.logz_init)
-        return logz[key]
+    logz: dict[str, float] = {}  # the tb_logz estimate, one shared or one per instance
 
     buffer = ReplayBuffer(capacity=config.buffer_capacity, priority_mode=config.priority_mode)
     offline_pool: dict[str, list[Trajectory]] = {}
@@ -308,14 +304,15 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         if config.loss == "logvar":
             loss, grad = loss_logvar(phis, grads)
         else:
-            z = z_for(inst.instance_id)
-            loss, grad, grad_z = loss_tb_logz(phis, z.value, grads)
+            key = "__shared__" if config.logz_shared else inst.instance_id
+            z = logz.setdefault(key, config.logz_init)
+            loss, grad, grad_z = loss_tb_logz(phis, z, grads)
             z_lr = (
                 config.logz_learning_rate
                 if config.logz_learning_rate is not None
                 else config.learning_rate
             )
-            z.value -= z_lr * grad_z
+            logz[key] = z - z_lr * grad_z
 
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss {loss} at iteration {i}")

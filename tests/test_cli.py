@@ -438,6 +438,32 @@ def test_parent_mode_override_is_rejected(tmp_path, capsys):
     assert not (run_dir / "checkpoint.json").exists()
 
 
+@pytest.mark.parametrize(
+    "group, key, value, loss, field",
+    [
+        ("local_search", "k_mode", "foo", "logvar", "local_search/k_mode"),
+        ("local_search", "k_mode", 0, "logvar", "local_search/k_mode"),
+        ("schedules", "replay_prob_start", 1.7, "logvar", "schedules/replay_prob_start"),
+        ("schedules", "replay_prob_end", -0.1, "logvar", "schedules/replay_prob_end"),
+        ("schedules", "eps_start", 1.2, "logvar", "schedules/eps_start"),
+        ("schedules", "eps_end", -0.5, "logvar", "schedules/eps_end"),
+        ("schedules", "beta_end", -1.0, "logvar", "schedules/beta_end"),
+        ("logz", "init", float("nan"), "logvar", "logz_init"),
+        ("logz", "init", float("nan"), "tb_logz", "logz_init"),
+        ("logz", "init", float("inf"), "tb_logz", "logz_init"),
+    ],
+)
+def test_bad_config_value_is_usage_error_before_any_write(tmp_path, capsys, group, key,
+                                                           value, loss, field):
+    config_path, _, run_dir = write_toy_setup(tmp_path, iterations=20, loss=loss)
+    doc = json.loads(config_path.read_text())
+    doc[group] = {key: value}
+    config_path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
+    assert run_cli("train", config_path) == 2
+    assert field in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_checkpoint_with_parent_mode_override_entry_still_loads(tmp_path):
     config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=50)
     write_instances(inst_path, toydag_instances(3, 1))

@@ -216,6 +216,30 @@ def test_cap_stops_a_full_budget_cube_early():
     assert len(expanded) < cap
 
 
+@pytest.mark.parametrize("case", ["game24", "tabular-game24"])
+def test_policy_pass_scores_each_decision_key_once(case, monkeypatch):
+    from flowseek import oracle
+
+    inst, env = fresh_env(case)
+    params = random_params("linear", env, seed=3)
+    scored = []
+    real = oracle.action_logits
+
+    def counting(params, state, env):
+        scored.append(env.decision_key(state))
+        return real(params, state, env)
+
+    monkeypatch.setattr(oracle, "action_logits", counting)
+    policy_terminal_dist(params, inst, env)
+    _, plain = fresh_env(case)
+    inner = [s for s in reachable_states(plain) if not plain.is_terminal(s)]
+    keys = {plain.decision_key(s) for s in inner}
+    assert len(scored) == len(set(scored)) == len(keys)
+    assert set(scored) == keys
+    # game24 states that differ only in history share one decision key; the table's do not
+    assert (len(keys) < len(inner)) == (case == "game24")
+
+
 def old_reward_total(env, traj):
     """The per-env reward loops that `Environment.reward` replaced."""
     if env.env_id == "cube2x2":

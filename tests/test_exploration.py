@@ -265,3 +265,125 @@ def test_local_search_full_reroll_boundary(toy_env):
     for cand in found:
         assert cand.states[0] == base.states[0]  # prefix at K = n is just s0
         assert cand.reward > base.reward
+
+
+# -- the two rollout loops that `_rollout` replaced, kept as references ----------
+
+
+def reference_sample_action(dist, beta, rng):
+    shifted = dist.logits / beta
+    shifted = shifted - shifted.max()
+    probs = np.exp(shifted - math.log(np.exp(shifted).sum()))
+    probs /= probs.sum()
+    return dist.action_ids[int(rng.choice(len(probs), p=probs))]
+
+
+def reference_sample_trajectory_mixed(params, env, eps, beta, rng):
+    from flowseek.policy import action_logits
+
+    state = env.s0
+    states = [state]
+    actions = []
+    logpf = []
+    while not env.is_terminal(state):
+        dist = action_logits(params, state, env)
+        if rng.random() < eps:
+            action = dist.action_ids[int(rng.integers(len(dist.action_ids)))]
+        elif beta == 0.0:
+            action = dist.action_ids[int(np.argmax(dist.logits))]
+        else:
+            action = reference_sample_action(dist, beta, rng)
+        logpf.append(float(dist.log_probs[dist.action_ids.index(action)]))
+        state = env.apply(state, action)
+        states.append(state)
+        actions.append(action)
+    traj = Trajectory(env.instance.instance_id, states, actions, logpf, is_complete=True)
+    traj.reward = env.reward(traj).total
+    return traj
+
+
+def reference_local_search(traj_best, env, num_recon, k_mode, rng):
+    n = traj_best.n_steps
+    if n < 1:
+        return []
+    candidates = []
+    for _ in range(num_recon):
+        if k_mode == "uniform":
+            if n < 2:
+                return []
+            k = int(rng.integers(1, n))
+        else:
+            k = min(int(k_mode), n)
+        states = list(traj_best.states[: n - k + 1])
+        actions = list(traj_best.actions[: n - k])
+        state = states[-1]
+        while not env.is_terminal(state):
+            options = env.cached_valid_actions(state)
+            action = options[int(rng.integers(len(options)))]
+            state = env.apply(state, action)
+            states.append(state)
+            actions.append(action)
+        cand = Trajectory(traj_best.instance_id, states, actions, [0.0] * len(actions),
+                          is_complete=True)
+        cand.reward = env.reward(cand).total
+        if cand.reward > traj_best.reward:
+            candidates.append(cand)
+    return candidates
+
+
+ROLLOUT_INSTANCES = {
+    "cube2x2": ("cube2x2", "2"),
+    "blocksworld": ("blocksworld", "4"),
+    "game24": ("game24", None),
+}
+
+
+def paired_envs(name):
+    """Four instances, each with one env per implementation."""
+    from flowseek.environments import generate_instances, make_env
+
+    env_id, difficulty = ROLLOUT_INSTANCES[name]
+    instances = generate_instances(env_id, 4, seed=3, difficulty=difficulty)
+    return [(make_env(inst), make_env(inst)) for inst in instances]
+
+
+def same_trajectory(got, want):
+    return (got.instance_id, got.states, got.actions, got.logpf_terms, got.reward,
+            got.is_complete) == (want.instance_id, want.states, want.actions,
+                                 want.logpf_terms, want.reward, want.is_complete)
+
+
+@pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))
+def test_sample_trajectory_mixed_matches_reference_loop(name):
+    from conftest import random_params
+
+    envs = paired_envs(name)
+    params = [random_params("mlp", env, hidden=4, seed=j) for j, (env, _) in enumerate(envs)]
+    for k in range(200):
+        j = k % len(envs)
+        eps, beta = (0.0, 0.3, 1.0)[k % 3], (0.0, 0.5, 1.0, 2.0)[k % 4]
+        rng, ref_rng = substream(k, "mixed", name), substream(k, "mixed", name)
+        got = sample_trajectory_mixed(params[j], envs[j][0], eps, beta, rng)
+        want = reference_sample_trajectory_mixed(params[j], envs[j][1], eps, beta, ref_rng)
+        assert same_trajectory(got, want), k
+        assert rng.random() == ref_rng.random()  # both drew the same numbers
+
+
+@pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))
+def test_local_search_matches_reference_loop(name):
+    from conftest import rollout
+
+    envs = paired_envs(name)
+    accepted = 0
+    for k in range(200):
+        env, ref_env = envs[k % len(envs)]
+        base = rollout(env, seed=k, tag=f"ls-base-{name}")
+        k_mode = ("uniform", 1, 2, base.n_steps + 1)[k % 4]
+        rng, ref_rng = substream(k, "ls", name), substream(k, "ls", name)
+        got = local_search(base, env, num_recon=4, k_mode=k_mode, rng=rng)
+        want = reference_local_search(base, ref_env, 4, k_mode, ref_rng)
+        assert len(got) == len(want), k
+        assert all(same_trajectory(g, w) for g, w in zip(got, want)), k
+        assert rng.random() == ref_rng.random()
+        accepted += len(got)
+    assert accepted > 0

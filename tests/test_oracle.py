@@ -50,6 +50,39 @@ def test_diamond_merging_splits_by_backward_flow(diamond_env):
     assert ref.target_traj_dist[("b", "c", "e")] == pytest.approx(0.375)
 
 
+# 100 generated instances; seeds whose graphs hold states s0 cannot reach included
+GENERATED_TOYDAGS = [inst for seed in range(20) for inst in generate_instances(5, seed)]
+
+
+def in_dag_parents(env):
+    """Distinct parents of every state reachable from s0, from a `children` walk."""
+    parents = {}
+    seen = {env.s0}
+    stack = [env.s0]
+    while stack:
+        state = stack.pop()
+        for _, child in env.children(state) or ():
+            parents.setdefault(child, set()).add(state)
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return parents
+
+
+def test_toydag_parent_counts_are_in_dag_parents():
+    for inst in GENERATED_TOYDAGS:
+        env = make_env(inst)
+        for state, parents in in_dag_parents(env).items():
+            assert env.cached_parent_count(state) == len(parents), (inst.instance_id, state)
+
+
+def test_toydag_partition_value_is_the_sum_of_terminal_rewards():
+    # uniform P_B over in-DAG parents sends each terminal's whole reward back to s0
+    for inst in GENERATED_TOYDAGS:
+        env = make_env(inst)
+        assert enumerate_dag(inst, env).Z == pytest.approx(sum(env.rewards.values()), rel=1e-12)
+
+
 def second_enumerator(env):
     """Independent recursive implementation with a different data layout."""
     results = {"paths": 0, "terminals": {}}

@@ -78,9 +78,9 @@ def test_normalization_property(seed):
 def test_sampling_deterministic_under_fixed_seed(toy_env):
     params = random_params("linear", toy_env, seed=8)
     dist = action_logits(params, toy_env.s0, toy_env)
-    picks = {sample_action(dist, 1.0, substream(4, "s")) for _ in range(5)}
+    picks = {dist.action_ids[sample_action(dist, 1.0, substream(4, "s"))] for _ in range(5)}
     # rebuilding the same substream must reproduce the same first draw
-    again = {sample_action(dist, 1.0, substream(4, "s")) for _ in range(5)}
+    again = {dist.action_ids[sample_action(dist, 1.0, substream(4, "s"))] for _ in range(5)}
     first = sample_action(dist, 1.0, substream(4, "s"))
     assert first == sample_action(dist, 1.0, substream(4, "s"))
     assert picks == again
@@ -91,7 +91,7 @@ def test_beta_zero_limit_is_argmax(toy_env):
     dist = action_logits(params, toy_env.s0, toy_env)
     best = dist.action_ids[int(np.argmax(dist.logits))]
     for k in range(10):
-        assert sample_action(dist, 1e-9, substream(k, "b")) == best
+        assert dist.action_ids[sample_action(dist, 1e-9, substream(k, "b"))] == best
 
 
 def test_beta_nonpositive_rejected(toy_env):
@@ -112,7 +112,7 @@ def test_uniform_sampling_frequency_chi_square(toy_env):
     counts = {a: 0 for a in dist.action_ids}
     n = 10_000
     for _ in range(n):
-        counts[sample_action(dist, 1.0, rng)] += 1
+        counts[dist.action_ids[sample_action(dist, 1.0, rng)]] += 1
     observed = [counts[a] for a in dist.action_ids]
     _, p_value = stats.chisquare(observed)
     assert p_value > 0.01
