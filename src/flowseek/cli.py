@@ -195,14 +195,9 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict, Path, Path]:
         raise ConfigError(f"{args.config}: field {field}: {exc.message}")
 
     # flags override config fields; the resolved merge is what gets recorded
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.iterations is not None:
-        doc["iterations"] = args.iterations
-    if args.out_dir is not None:
-        doc["out_dir"] = args.out_dir
-    if args.loss is not None:
-        doc["loss"] = args.loss
+    for key in ("seed", "iterations", "out_dir", "loss"):
+        if getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
     doc.setdefault("seed", _default_seed(None))
     doc.setdefault("out_dir", "runs/latest")
 

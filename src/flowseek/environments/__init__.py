@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
 from ..errors import EnumerationCapError, GenerationError
@@ -111,37 +113,28 @@ class TabularEnv:
     feature_matrix = Environment.feature_matrix
 
 
+def _env_class(env_id: str) -> type[Environment]:
+    try:
+        return ENV_CLASSES[env_id]
+    except KeyError:
+        raise GenerationError(f"unknown environment id {env_id!r}") from None
+
+
 def make_env(
     instance: EnvInstance, scorer: str | ActionScorer | None = None, **settings
 ) -> Environment:
     """The instance's environment; `settings` are `Environment` reward keywords."""
-    try:
-        cls = ENV_CLASSES[instance.env_id]
-    except KeyError:
-        raise GenerationError(f"unknown environment id {instance.env_id!r}") from None
     if isinstance(scorer, str):
         scorer = make_scorer(scorer)
-    return cls(instance, scorer=scorer, **settings)
+    return _env_class(instance.env_id)(instance, scorer=scorer, **settings)
 
 
 def generate_instances(
     env_id: str, count: int, seed: int, difficulty: str | None = None
 ) -> list[EnvInstance]:
-    from . import arc1d, blocksworld, cube2x2, game24, logicchain, toydag
-
-    generators = {
-        "game24": game24.generate_instances,
-        "cube2x2": cube2x2.generate_instances,
-        "blocksworld": blocksworld.generate_instances,
-        "arc1d": arc1d.generate_instances,
-        "logicchain": logicchain.generate_instances,
-        "toydag": toydag.generate_instances,
-    }
-    try:
-        gen = generators[env_id]
-    except KeyError:
-        raise GenerationError(f"unknown environment id {env_id!r}") from None
-    return gen(count, seed, difficulty)
+    """`count` instances from the generator in the env class's module."""
+    module = sys.modules[_env_class(env_id).__module__]
+    return module.generate_instances(count, seed, difficulty)
 
 
 def replay_trajectory(env: Environment, actions: list[str]) -> Trajectory:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ScorerContractError
+from ..errors import FlowseekError, ScorerContractError
 
 REWARD_FLOOR = 1e-8
 DEFAULT_SUCCESS_WEIGHT = 100.0
@@ -68,6 +68,9 @@ class EnvInstance:
         )
 
 
+STRING_FIELDS = ("env_id", "instance_id", "s0", "goal")
+
+
 def write_instances(path, instances: list[EnvInstance]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for inst in instances:
@@ -76,12 +79,21 @@ def write_instances(path, instances: list[EnvInstance]) -> None:
 
 
 def read_instances(path) -> list[EnvInstance]:
+    """The instances of a JSONL file; a line that is no instance record raises FlowseekError."""
     out = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(EnvInstance.from_record(json.loads(line)))
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                if not all(isinstance(rec[k], str) for k in STRING_FIELDS):
+                    raise TypeError(f"{', '.join(STRING_FIELDS)} must be strings")
+                out.append(EnvInstance.from_record(rec))
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FlowseekError(
+                    f"{path}: line {lineno}: not an instance record ({exc!r})"
+                ) from None
     return out
 
 

@@ -103,6 +103,10 @@ class BlocksWorldEnv(Environment):
 
     def __init__(self, instance: EnvInstance, **kwargs):
         super().__init__(instance, **kwargs)
+        try:
+            check_physics(instance.s0)
+        except ValueError:
+            raise StructuralError(f"malformed blocksworld state {instance.s0!r}") from None
         self.goal_relations = _parse_goal(instance.goal)
 
     def valid_actions(self, state):

@@ -2,23 +2,31 @@
 
 Rollouts mix epsilon-uniform steps with tempered policy sampling, but the
 recorded log P_F terms always come from the online (temperature-1) policy,
-which is what the losses score. The replay buffer stores complete
-trajectories with priority equal to the reward (or log1p reward) and samples
-proportionally. Local search truncates the last K steps of a high-reward
-trajectory, re-rolls them with uniform-random valid actions, and keeps only
-strict reward improvements.
+which is what the losses score. The replay buffer keeps one pool of complete
+trajectories per instance, with priority equal to the reward (or log1p
+reward), and samples an instance's pool proportionally. Local search
+truncates the last K steps of a high-reward trajectory, re-rolls them with
+uniform-random valid actions, and keeps only strict reward improvements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .errors import EmptyBufferError
 from .flow_core import Trajectory
 from .policy import PolicyParams, action_logits, sample_action
+
+
+def check_finite_floats(obj) -> None:
+    """Raise ValueError naming the first float field of dataclass `obj` that is NaN or infinite."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type.startswith("float") and value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -32,6 +40,9 @@ class ExplorationSchedule:
     replay_prob_start: float = 0.3
     replay_prob_end: float = 0.5
     total_iterations: int = 1
+
+    def __post_init__(self) -> None:
+        check_finite_floats(self)
 
     def at(self, iteration: int) -> tuple[float, float, float]:
         frac = min(max(iteration / max(self.total_iterations, 1), 0.0), 1.0)
@@ -100,17 +111,16 @@ def sample_trajectory_mixed(
 
 @dataclass
 class ReplayBuffer:
-    """Complete trajectories and their priorities, side by side in insertion order.
+    """Complete trajectories and their priorities, one pool per instance.
 
-    `_pools` holds the same entries per instance, in the same relative order,
-    so an instance's draws read its pool without scanning the whole buffer."""
+    `pools[instance_id]` holds that instance's trajectories and priorities side
+    by side in insertion order, at most `capacity` of them, so one instance's
+    inserts never evict another instance's entries."""
 
     capacity: int
     priority_mode: str = "reward"  # or "log_reward"
-    trajs: list[Trajectory] = field(default_factory=list)
-    priorities: list[float] = field(default_factory=list)
+    pools: dict[str, tuple[list[Trajectory], list[float]]] = field(default_factory=dict)
     _keys: set = field(default_factory=set)
-    _pools: dict[str, tuple[list[Trajectory], list[float]]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.capacity < 1:
@@ -119,57 +129,37 @@ class ReplayBuffer:
             raise ValueError(f"unknown priority mode {self.priority_mode!r}")
 
     def __len__(self) -> int:
-        return len(self.trajs)
-
-    def priority_of(self, traj: Trajectory) -> float:
-        if self.priority_mode == "log_reward":
-            return math.log1p(traj.reward)
-        return traj.reward
+        return sum(len(trajs) for trajs, _ in self.pools.values())
 
 
 def buffer_insert(buffer: ReplayBuffer, traj: Trajectory) -> ReplayBuffer:
     """Insert a complete trajectory; duplicates keep the existing entry.
 
-    Past capacity the first entry of lowest priority is evicted."""
+    Past capacity the first entry of lowest priority in the trajectory's pool
+    is evicted."""
     key = (traj.instance_id, tuple(traj.actions))
     if key in buffer._keys:
         return buffer
-    priority = buffer.priority_of(traj)
-    buffer.trajs.append(traj)
-    buffer.priorities.append(priority)
+    trajs, priorities = buffer.pools.setdefault(traj.instance_id, ([], []))
+    trajs.append(traj)
+    log = buffer.priority_mode == "log_reward"
+    priorities.append(math.log1p(traj.reward) if log else traj.reward)
     buffer._keys.add(key)
-    pool_trajs, pool_priorities = buffer._pools.setdefault(traj.instance_id, ([], []))
-    pool_trajs.append(traj)
-    pool_priorities.append(priority)
-    if len(buffer.trajs) > buffer.capacity:
-        lowest = buffer.priorities.index(min(buffer.priorities))
-        del buffer.priorities[lowest]
-        evicted = buffer.trajs.pop(lowest)
+    if len(trajs) > buffer.capacity:
+        lowest = priorities.index(min(priorities))
+        del priorities[lowest]
+        evicted = trajs.pop(lowest)
         buffer._keys.discard((evicted.instance_id, tuple(evicted.actions)))
-        pool_trajs, pool_priorities = buffer._pools[evicted.instance_id]
-        at = next(i for i, t in enumerate(pool_trajs) if t is evicted)
-        del pool_trajs[at], pool_priorities[at]
     return buffer
 
 
 def buffer_sample(
-    buffer: ReplayBuffer,
-    count: int,
-    rng: np.random.Generator,
-    instance_id: str | None = None,
+    buffer: ReplayBuffer, count: int, rng: np.random.Generator, instance_id: str
 ) -> list[Trajectory]:
-    """Draw `count` trajectories with replacement, proportional to priority.
-
-    With `instance_id`, sampling is restricted to that instance's entries.
-    """
-    if instance_id is None:
-        trajs, priorities = buffer.trajs, buffer.priorities
-    else:
-        trajs, priorities = buffer._pools.get(instance_id, ((), ()))
+    """Draw `count` of `instance_id`'s trajectories with replacement, proportional to priority."""
+    trajs, priorities = buffer.pools.get(instance_id, ((), ()))
     if not trajs:
-        raise EmptyBufferError(
-            "replay buffer empty" + (f" for instance {instance_id}" if instance_id else "")
-        )
+        raise EmptyBufferError(f"replay buffer empty for instance {instance_id}")
     weights = np.array(priorities, dtype=np.float64)
     idx = rng.choice(len(trajs), size=count, replace=True, p=weights / weights.sum())
     return [trajs[int(i)] for i in idx]

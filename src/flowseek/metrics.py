@@ -84,7 +84,7 @@ def creativity(runs: list[EvalRun], target_method: str) -> float:
 def load_run(path, method_id: str) -> EvalRun:
     """Build an EvalRun from a sample JSONL file written by `flowseek sample`."""
     per_problem_counts: dict[str, int] = {}
-    problems: dict[str, set[str]] = {}
+    run = EvalRun(method_id=method_id, n_samples=0)
     with open(path, encoding="utf-8") as f:
         for line in f:
             line = line.strip()
@@ -93,18 +93,15 @@ def load_run(path, method_id: str) -> EvalRun:
             rec = json.loads(line)
             iid = rec["instance_id"]
             per_problem_counts[iid] = per_problem_counts.get(iid, 0) + 1
-            problems.setdefault(iid, set())
-            if rec.get("success") and rec.get("solution_key") is not None:
-                problems[iid].add(rec["solution_key"])
-    if not problems:
+            run.add(iid, rec.get("solution_key") if rec.get("success") else None)
+    if not run.problems:
         raise ValueError(f"no records in {path}")
     counts = sorted(set(per_problem_counts.values()))
     if len(counts) != 1:
         raise AlignmentError(
             f"{path}: sample counts differ across problems ({counts[0]}..{counts[-1]})"
         )
-    run = EvalRun(method_id=method_id, n_samples=counts[0])
-    run.problems = problems
+    run.n_samples = counts[0]
     return run
 
 

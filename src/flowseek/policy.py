@@ -41,9 +41,6 @@ class PolicyParams:
         if not np.all(np.isfinite(self.vector)):
             raise ValueError("parameter vector contains non-finite entries")
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams(self.variant, self.feature_dim, self.hidden_dim, self.vector.copy())
-
     def _views(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(W1[h,d], b1[h], w2[h]) views for the mlp variant."""
         d, h = self.feature_dim, self.hidden_dim

@@ -8,9 +8,10 @@ instance has offline data). Every trajectory entering a loss gets its log P_F
 terms recomputed under the current parameters, then one optimizer step is
 applied.
 
-Exploitation draws are restricted to the current instance's entries: phi
-targets the per-instance log partition value, so mixing instances inside one
-variance batch would conflate their partition values.
+Exploitation draws are restricted to the current instance's entries (the
+replay buffer keeps one pool per instance): phi targets the per-instance log
+partition value, so mixing instances inside one variance batch would conflate
+their partition values.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .exploration import (
     ReplayBuffer,
     buffer_insert,
     buffer_sample,
+    check_finite_floats,
     local_search,
     sample_trajectory_mixed,
 )
@@ -94,8 +96,7 @@ class TrainConfig:
             raise ValueError("the variance loss needs batch_size >= 2")
         if self.loss not in ("logvar", "tb_logz"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if not math.isfinite(self.logz_init):
-            raise ValueError(f"logz_init (config logz.init) must be finite, got {self.logz_init}")
+        check_finite_floats(self)
         if self.schedules is None:
             self.schedules = ExplorationSchedule(total_iterations=self.iterations)
 
@@ -252,7 +253,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         explore = u < (1.0 - replay_prob)
         phase = "explore" if explore else "exploit"
         batch_trajs: list[Trajectory] = []
-        extra_log: list[tuple[str, Trajectory]] = []
+        found: list[Trajectory] = []  # local-search finds, logged without a phi
 
         if not explore:
             pool = offline_pool.get(inst.instance_id)
@@ -288,7 +289,6 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 )
                 for traj in found:
                     buffer_insert(buffer, traj)
-                    extra_log.append(("local_search", traj))
                 if config.local_search.to_training:
                     batch_trajs = batch_trajs + found
 
@@ -326,18 +326,9 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 grad = grad * (config.max_grad_norm / norm)
         params = apply_update(params, grad, opt, lr_override=lr)
 
-        for traj, phi_val in zip(fresh, phis):
-            report.trajectory_log.append(
-                {
-                    "iteration": i,
-                    "phase": phase,
-                    "instance_id": traj.instance_id,
-                    "actions": traj.actions,
-                    "reward": traj.reward,
-                    "phi": phi_val,
-                }
-            )
-        for tag, traj in extra_log:
+        logged = [(phase, t, v) for t, v in zip(fresh, phis)]
+        logged += [("local_search", t, None) for t in found]
+        for tag, traj, phi_val in logged:
             report.trajectory_log.append(
                 {
                     "iteration": i,
@@ -345,7 +336,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                     "instance_id": traj.instance_id,
                     "actions": traj.actions,
                     "reward": traj.reward,
-                    "phi": None,
+                    "phi": phi_val,
                 }
             )
         report.records.append(

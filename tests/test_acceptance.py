@@ -208,10 +208,10 @@ def test_criterion_5_replay_proportionality():
         lo = Trajectory("i", ["a", "b"], ["lo"], [0.0], reward=1.0, is_complete=True)
         buffer_insert(buf, hi)
         buffer_insert(buf, lo)
-        assert buf.priorities == [3.0, 1.0]
+        assert buf.pools["i"][1] == [3.0, 1.0]
         n = 10_000
         counts = {"hi": 0, "lo": 0}
-        for traj in buffer_sample(buf, n, substream(17, "acc5")):
+        for traj in buffer_sample(buf, n, substream(17, "acc5"), instance_id="i"):
             counts[traj.actions[0]] += 1
         _, p_value = stats.chisquare(
             [counts["hi"], counts["lo"]], [0.75 * n, 0.25 * n]

@@ -352,6 +352,44 @@ def test_oracle_unreachable_cube_start_is_data_error(tmp_path, capsys):
     assert "unreachable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ('{"env_id": "toydag", "instance_id": "t", "s0": "s", "goal": "g"}', "max_steps"),
+        ("{not json", "line 2"),
+        ('["toydag", "t"]', "line 2"),
+        ('{"env_id": "toydag", "instance_id": 7, "s0": "s", "goal": "g", "max_steps": 3}',
+         "must be strings"),
+    ],
+)
+def test_bad_instance_line_is_data_error(tmp_path, capsys, line, message):
+    inst_path = tmp_path / "bad.jsonl"
+    good = json.dumps(two_terminal_instance().to_record())
+    inst_path.write_text(f"{good}\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert str(inst_path) in err and "line 2" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "s0, message",
+    [
+        ("t=0|hand=-|on=blue:red,red:blue,cyan:table", "support cycle"),
+        ("t=0|hand=-|on=blue:cyan,red:cyan,cyan:table", "carries 2 blocks"),
+        ("t=0|on=blue:table", "malformed"),
+    ],
+)
+def test_oracle_impossible_blocksworld_start_is_data_error(tmp_path, capsys, s0, message):
+    inst_path = tmp_path / "bw.jsonl"
+    write_instances(inst_path, [EnvInstance("blocksworld", "bad", s0, "on=blue:red", 4)])
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "flowseek.cli", "--version"], capture_output=True, text=True
@@ -451,13 +489,20 @@ def test_parent_mode_override_is_rejected(tmp_path, capsys):
         ("logz", "init", float("nan"), "logvar", "logz_init"),
         ("logz", "init", float("nan"), "tb_logz", "logz_init"),
         ("logz", "init", float("inf"), "tb_logz", "logz_init"),
+        ("schedules", "replay_prob_start", float("nan"), "logvar", "replay_prob_start"),
+        (None, "w", float("inf"), "logvar", "success_weight"),
+        (None, "max_grad_norm", float("nan"), "logvar", "max_grad_norm"),
+        (None, "learning_rate", float("nan"), "logvar", "learning_rate"),
     ],
 )
 def test_bad_config_value_is_usage_error_before_any_write(tmp_path, capsys, group, key,
                                                            value, loss, field):
     config_path, _, run_dir = write_toy_setup(tmp_path, iterations=20, loss=loss)
     doc = json.loads(config_path.read_text())
-    doc[group] = {key: value}
+    if group is None:
+        doc[key] = value
+    else:
+        doc[group] = {key: value}
     config_path.write_text(json.dumps(doc))  # NaN and Infinity as Python's json writes them
     assert run_cli("train", config_path) == 2
     assert field in capsys.readouterr().err

@@ -113,7 +113,7 @@ def test_buffer_dedup_and_eviction():
     buffer_insert(buf, make_traj("i", ["b"], 5.0))
     buffer_insert(buf, make_traj("i", ["c"], 3.0))
     assert len(buf) == 2
-    assert sorted(buf.priorities) == [3.0, 5.0]
+    assert sorted(buf.pools["i"][1]) == [3.0, 5.0]
 
 
 def test_buffer_eviction_matches_first_lowest_priority():
@@ -127,22 +127,22 @@ def test_buffer_eviction_matches_first_lowest_priority():
         expected.append(traj)
         if len(expected) > buf.capacity:
             expected.pop(min(range(len(expected)), key=lambda i: expected[i].reward))
-        assert buf.trajs == expected
+        assert buf.pools["i"][0] == expected
 
 
 def test_buffer_log_reward_priority():
     buf = ReplayBuffer(capacity=4, priority_mode="log_reward")
     buffer_insert(buf, make_traj("i", ["a"], math.e - 1.0))
-    assert buf.priorities[0] == pytest.approx(1.0)
+    assert buf.pools["i"][1][0] == pytest.approx(1.0)
 
 
 def test_buffer_sample_single_entry_and_empty():
     buf = ReplayBuffer(capacity=4)
     with pytest.raises(EmptyBufferError):
-        buffer_sample(buf, 1, substream(0))
+        buffer_sample(buf, 1, substream(0), instance_id="i")
     t = make_traj("i", ["a"], 2.0)
     buffer_insert(buf, t)
-    out = buffer_sample(buf, 3, substream(0))
+    out = buffer_sample(buf, 3, substream(0), instance_id="i")
     assert all(o is t for o in out)
     with pytest.raises(EmptyBufferError):
         buffer_sample(buf, 1, substream(0), instance_id="other")
@@ -157,7 +157,7 @@ def test_buffer_sample_proportional_chi_square():
     rng = substream(7, "prb")
     counts = {"hi": 0, "lo": 0}
     n = 10_000
-    for traj in buffer_sample(buf, n, rng):
+    for traj in buffer_sample(buf, n, rng, instance_id="i"):
         counts[traj.actions[0]] += 1
     chi2, p = stats.chisquare([counts["hi"], counts["lo"]], [0.75 * n, 0.25 * n])
     assert p > 0.01
@@ -168,13 +168,27 @@ def test_buffer_uniform_when_priorities_equal():
     buffer_insert(buf, make_traj("i", ["a"], 2.0))
     buffer_insert(buf, make_traj("i", ["b"], 2.0))
     counts = {"a": 0, "b": 0}
-    for traj in buffer_sample(buf, 2000, substream(8, "uni")):
+    for traj in buffer_sample(buf, 2000, substream(8, "uni"), instance_id="i"):
         counts[traj.actions[0]] += 1
     assert abs(counts["a"] - 1000) < 3 * math.sqrt(2000 * 0.25)
 
 
+def test_buffer_pools_evict_within_their_instance():
+    buf = ReplayBuffer(capacity=2)
+    low = [make_traj("low", [a], 0.1) for a in ("a", "b")]
+    for traj in low:
+        buffer_insert(buf, traj)
+    for n in range(50):
+        buffer_insert(buf, make_traj("high", [f"a{n}"], 10.0 + n))
+    assert buf.pools["low"] == (low, [0.1, 0.1])
+    assert buf.pools["high"][1] == [58.0, 59.0]
+    assert len(buf) == 4
+    assert all(t.instance_id == "low" for t in buffer_sample(buf, 20, substream(3), "low"))
+
+
 class EntriesBuffer:
-    """Reference: the buffer as one (traj, priority) record per entry, first-lowest eviction."""
+    """Reference: the buffer as one (traj, priority) record per entry in insertion order;
+    past capacity, the first lowest-priority entry of the inserted trajectory's instance goes."""
 
     def __init__(self, capacity, priority_mode):
         self.capacity = capacity
@@ -190,10 +204,11 @@ class EntriesBuffer:
         log = self.priority_mode == "log_reward"
         self.entries.append((traj, math.log1p(traj.reward) if log else traj.reward))
         self.keys.add(key)
-        if len(self.entries) > self.capacity:
-            priorities = [p for _, p in self.entries]
+        same = [j for j, (t, _) in enumerate(self.entries) if t.instance_id == traj.instance_id]
+        if len(same) > self.capacity:
+            priorities = [self.entries[j][1] for j in same]
             self.tied_evictions += priorities.count(min(priorities)) > 1
-            evicted, _ = self.entries.pop(priorities.index(min(priorities)))
+            evicted, _ = self.entries.pop(same[priorities.index(min(priorities))])
             self.keys.discard((evicted.instance_id, tuple(evicted.actions)))
 
     def sample(self, count, rng, instance_id):
@@ -215,11 +230,14 @@ def test_buffer_draws_match_entries_reference(mode):
         traj = make_traj(iid, [f"a{int(rng.integers(60))}"], float(rng.integers(1, 5)))
         buffer_insert(buf, traj)
         ref.insert(traj)
-        assert [id(t) for t in buf.trajs] == [id(t) for t, _ in ref.entries]
-        assert buf.priorities == [p for _, p in ref.entries]
+        assert len(buf) == len(ref.entries)
+        for iid, (trajs, priorities) in buf.pools.items():
+            pool = [(t, p) for t, p in ref.entries if t.instance_id == iid]
+            assert [id(t) for t in trajs] == [id(t) for t, _ in pool]
+            assert priorities == [p for _, p in pool]
     assert ref.tied_evictions > 0
     for iid in ids:
-        assert any(t.instance_id == iid for t in buf.trajs)
+        assert buf.pools[iid][0]
         for draw in range(200):
             got = buffer_sample(buf, 4, substream(9, "pin-draw", mode, iid, draw), instance_id=iid)
             want = ref.sample(4, substream(9, "pin-draw", mode, iid, draw), iid)

@@ -250,6 +250,25 @@ def test_buffer_grows_only_during_exploration():
     assert any(r["phase"] == "exploit" for r in report.records)
 
 
+def test_small_buffer_starves_no_instance():
+    # a pool per instance: the instance with the highest rewards cannot evict
+    # the others' entries, so each instance falls back to exploring only on its
+    # first exploit visit (with one buffer-wide pool this recipe had 41 fallbacks,
+    # 30 on one instance)
+    from flowseek.environments import generate_instances
+
+    instances = generate_instances("game24", 4, 11)
+    sched = ExplorationSchedule(replay_prob_start=0.8, replay_prob_end=0.9,
+                                total_iterations=200)
+    config = TrainConfig(env_id="game24", iterations=200, batch_size=4, policy_variant="mlp",
+                         hidden_dim=16, buffer_capacity=5, seed=3, schedules=sched)
+    _, report = train(config, instances)
+    fallbacks = [instances[r["iteration"] % len(instances)].instance_id
+                 for r in report.records if r["phase"] == "explore_fallback"]
+    assert sorted(fallbacks) == sorted(set(fallbacks))
+    assert sum(r["phase"] == "exploit" for r in report.records) > 100
+
+
 def test_offline_branch_used_for_game24(tmp_path):
     insts = [make_instance([4, 4, 6, 8], "g1")]
     off = tmp_path / "off.jsonl"
