@@ -33,7 +33,7 @@ from .errors import (
 )
 from .exploration import ExplorationSchedule
 from .metrics import evaluate, load_run, write_breakdown_jsonl, write_metrics_csv
-from .oracle import enumerate_dag, policy_terminal_dist, tv_distance
+from .oracle import ENUMERATION_CAP, enumerate_dag, policy_terminal_dist, tv_distance
 from .policy import PolicyParams, load_checkpoint, save_checkpoint
 from .rngutil import substream
 from .trainer import ENV_SETTINGS, LocalSearchConfig, TrainConfig, build_envs, train
@@ -433,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumerate instances and report Z / TV distance")
     p.add_argument("--instances", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
     return parser

@@ -9,15 +9,7 @@ import numpy as np
 from ..errors import EnumerationCapError, GenerationError
 from ..flow_core import Trajectory
 from .arc1d import Arc1dEnv
-from .base import (
-    ActionScorer,
-    EnvInstance,
-    Environment,
-    RewardBreakdown,
-    make_scorer,
-    read_instances,
-    write_instances,
-)
+from .base import EnvInstance, Environment, read_instances, write_instances
 from .blocksworld import BlocksWorldEnv
 from .cube2x2 import Cube2x2Env
 from .game24 import Game24Env
@@ -120,13 +112,9 @@ def _env_class(env_id: str) -> type[Environment]:
         raise GenerationError(f"unknown environment id {env_id!r}") from None
 
 
-def make_env(
-    instance: EnvInstance, scorer: str | ActionScorer | None = None, **settings
-) -> Environment:
-    """The instance's environment; `settings` are `Environment` reward keywords."""
-    if isinstance(scorer, str):
-        scorer = make_scorer(scorer)
-    return _env_class(instance.env_id)(instance, scorer=scorer, **settings)
+def make_env(instance: EnvInstance, **settings) -> Environment:
+    """The instance's environment; `settings` are `Environment` keywords (scorer by name)."""
+    return _env_class(instance.env_id)(instance, **settings)
 
 
 def generate_instances(
@@ -152,5 +140,5 @@ def replay_trajectory(env: Environment, actions: list[str]) -> Trajectory:
         logpf_terms=[0.0] * len(actions),
         is_complete=env.is_terminal(states[-1]),
     )
-    traj.reward = env.reward(traj).total
+    traj.reward = env.reward(traj)
     return traj

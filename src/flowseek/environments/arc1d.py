@@ -146,9 +146,11 @@ class Arc1dEnv(Environment):
 
     _N_HASHED = 32
 
-    def __init__(self, instance: EnvInstance, **kwargs):
-        super().__init__(instance, **kwargs)
-        self.targets = _parse_grids(instance.goal[len("g=") :])
+    def parse_instance(self):
+        head, _, body = self.goal.partition("=")
+        self.targets = _parse_grids(body)
+        if head != "g" or len(self.targets) != len(self._decode(self.s0)[1]):
+            raise ValueError("the goal must hold one g= target grid per start grid")
 
     def _decode(self, state: str) -> tuple[list[str], list[Grid], bool]:
         h_part, g_part, stop_part = state.split("|")
@@ -198,10 +200,6 @@ class Arc1dEnv(Environment):
             for i, target in enumerate(self.targets):
                 intermediate += float(np.exp(hamming(pg[i], target) - hamming(ng[i], target)))
         return self.floored(success, intermediate)
-
-    def potential(self, state):
-        _, grids, _ = self._decode(state)
-        return -float(sum(hamming(g, t) for g, t in zip(grids, self.targets)))
 
     @property
     def feature_dim(self):

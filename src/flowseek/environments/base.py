@@ -6,10 +6,11 @@ strings; in tree mode they embed the full action history so every state has
 exactly one parent, while exact mode embeds the step index and counts parents
 by inverse-action enumeration.
 
-The per-step action scorer stands in for the likelihood model the reward
-formulas of some environments expect. Two built-ins exist: `uniform`
-(p = 1 / |valid actions|) and `progress` (logistic in the change of an
-environment-specific potential).
+A reward is one float, floored at the env's `reward_floor`. Only the game24
+and blocksworld rewards read a per-step probability, `step_score`, standing
+in for the likelihood model their formulas expect. The env's `scorer` names
+its function in `SCORERS`: `uniform` (p = 1 / |valid actions|) or `progress`
+(logistic in the change of the env's `potential`).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FlowseekError, ScorerContractError
+from ..errors import FlowseekError, ScorerContractError, StructuralError
 
 REWARD_FLOOR = 1e-8
 DEFAULT_SUCCESS_WEIGHT = 100.0
@@ -97,67 +98,24 @@ def read_instances(path) -> list[EnvInstance]:
     return out
 
 
-@dataclass
-class RewardBreakdown:
-    """Success and intermediate reward components and their floored total.
-
-    Built by `Environment.floored`, which applies the env's configured floor
-    once, so a floor below `REWARD_FLOOR` is honoured.
-    """
-
-    success_term: float
-    intermediate_term: float
-    total: float
-
-
-class ActionScorer:
-    """Per-step probability score p(action | state) in (0, 1); the env holds the goal."""
-
-    name = "base"
-
-    def score(self, env: "Environment", state: str, action: str) -> float:
-        raise NotImplementedError
-
-    def clamped(self, env: "Environment", state: str, action: str) -> float:
-        p = self.score(env, state, action)
-        if not (0.0 < p < 1.0):
-            raise ScorerContractError(f"scorer {self.name} returned p={p} outside (0,1)")
-        return min(max(p, P_SCORE_MIN), P_SCORE_MAX)
-
-
-class UniformScorer(ActionScorer):
+def uniform_score(env: "Environment", state: str, action: str) -> float:
     """p = 1 / |valid actions at state|."""
-
-    name = "uniform"
-
-    def score(self, env, state, action):
-        n = len(env.cached_valid_actions(state))
-        # a single-action state would give p = 1; the clamp keeps log p finite
-        return 1.0 / n if n > 1 else P_SCORE_MAX
+    n = len(env.cached_valid_actions(state))
+    # a single-action state would give p = 1; the clamp keeps log p finite
+    return 1.0 / n if n > 1 else P_SCORE_MAX
 
 
-class ProgressScorer(ActionScorer):
+def progress_score(env: "Environment", state: str, action: str) -> float:
     """Logistic in the potential improvement of taking the action."""
-
-    name = "progress"
-
-    def score(self, env, state, action):
-        before = env.potential(state)
-        after = env.potential(env.apply(state, action))
-        # past +-30 the logistic is already clamped to P_SCORE_MIN/MAX; clipping
-        # keeps exp finite and p strictly inside (0, 1) for any step
-        delta = min(max(after - before, -30.0), 30.0)
-        return 1.0 / (1.0 + math.exp(-delta))
+    before = env.potential(state)
+    after = env.potential(env.apply(state, action))
+    # past +-30 the logistic is already clamped to P_SCORE_MIN/MAX; clipping
+    # keeps exp finite and p strictly inside (0, 1) for any step
+    delta = min(max(after - before, -30.0), 30.0)
+    return 1.0 / (1.0 + math.exp(-delta))
 
 
-SCORERS = {"uniform": UniformScorer, "progress": ProgressScorer}
-
-
-def make_scorer(name: str) -> ActionScorer:
-    try:
-        return SCORERS[name]()
-    except KeyError:
-        raise ValueError(f"unknown scorer {name!r}") from None
+SCORERS = {"uniform": uniform_score, "progress": progress_score}
 
 
 class Environment:
@@ -172,7 +130,9 @@ class Environment:
     steps, floored at `reward_floor`. Exact-mode subclasses implement the two
     terms and inherit `reward`, the one fold over them; the oracle's forward
     pass reads the same terms edge by edge. Tree-mode subclasses, whose
-    rewards are not edge sums, override `reward` instead.
+    rewards are not edge sums, override `reward` instead. A subclass whose
+    reward reads `step_score` sets `reads_scorer` and defines
+    `potential(state)`, the `progress` scorer's estimate (higher is better).
 
     `decision_key(state)` names the decision point a state stands for. The
     contract: two states with the same key have the same valid actions and
@@ -187,19 +147,22 @@ class Environment:
     env_id: str = "base"
     parent_mode: str = "tree"
     solution_sep: str = "|"  # joins a successful trajectory's actions into its solution key
+    reads_scorer: bool = False
 
     FEATURE_CACHE_STATES = 2048
 
     def __init__(
         self,
         instance: EnvInstance,
-        scorer: ActionScorer | None = None,
+        scorer: str = "uniform",
         success_weight: float = DEFAULT_SUCCESS_WEIGHT,
         intermediate_weight: float = DEFAULT_INTERMEDIATE_WEIGHT,
         reward_floor: float = REWARD_FLOOR,
     ):
+        if scorer not in SCORERS:
+            raise ValueError(f"unknown scorer {scorer!r}")
         self.instance = instance
-        self.scorer = scorer or UniformScorer()
+        self.scorer = scorer
         self.w = success_weight
         self.lam = intermediate_weight
         self.reward_floor = reward_floor
@@ -207,6 +170,12 @@ class Environment:
         self._featmat_cache: dict[str, np.ndarray] = {}
         self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
         self._parent_count_cache: dict[str, int] = {}
+        try:
+            self.parse_instance()
+        except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+            raise StructuralError(
+                f"instance {instance.instance_id}: malformed {self.env_id} s0 or goal ({exc!r})"
+            ) from None
 
     @property
     def s0(self) -> str:
@@ -222,6 +191,10 @@ class Environment:
 
     # -- interface -----------------------------------------------------------
 
+    def parse_instance(self) -> None:
+        """Set what `s0` and `goal` decode to, once; a lookup, type, value or
+        arithmetic error raised here marks the instance as malformed."""
+
     def valid_actions(self, state: str) -> list[str]:
         raise NotImplementedError
 
@@ -234,7 +207,7 @@ class Environment:
     def is_success(self, traj) -> bool:
         raise NotImplementedError
 
-    def reward(self, traj) -> RewardBreakdown:
+    def reward(self, traj) -> float:
         """`success_term` of the terminal plus `edge_scale` times the summed edge terms.
 
         Exact-mode envs reward through this fold; tree-mode envs override it."""
@@ -322,22 +295,18 @@ class Environment:
             count = self._parent_count_cache[state] = self.parent_count(state)
         return count
 
-    def potential(self, state: str) -> float:
-        """Scalar progress estimate used by the `progress` scorer; higher is better."""
-        return 0.0
-
     # -- shared reward helpers -------------------------------------------------
 
-    def floored(self, success_term: float, intermediate_term: float) -> RewardBreakdown:
-        total = max(success_term + intermediate_term, self.reward_floor)
-        return RewardBreakdown(success_term, intermediate_term, total)
+    def floored(self, success_term: float, intermediate_term: float) -> float:
+        return max(success_term + intermediate_term, self.reward_floor)
 
-    def score_steps(self, traj) -> list[float]:
-        """Clamped scorer probabilities for each step of `traj`."""
-        return [
-            self.scorer.clamped(self, s, a)
-            for s, a in zip(traj.states[:-1], traj.actions)
-        ]
+    def step_score(self, state: str, action: str) -> float:
+        """The scorer's p(action | state), which must lie in (0, 1), clamped to
+        [P_SCORE_MIN, P_SCORE_MAX]."""
+        p = SCORERS[self.scorer](self, state, action)
+        if not (0.0 < p < 1.0):
+            raise ScorerContractError(f"scorer {self.scorer} returned p={p} outside (0,1)")
+        return min(max(p, P_SCORE_MIN), P_SCORE_MAX)
 
 
 def hashed_features(dim: int, *tokens: object) -> np.ndarray:

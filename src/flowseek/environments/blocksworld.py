@@ -41,8 +41,12 @@ def _encode(step: int, hand: str | None, on: dict[str, str]) -> str:
 
 
 def _parse_goal(goal: str) -> list[tuple[str, str]]:
-    body = goal[len("on=") :]
-    return [tuple(item.split(":")) for item in body.split(",")] if body else []
+    """The goal's (block, support) relations; ValueError if it is no `on=` list."""
+    head, _, body = goal.partition("=")
+    relations = [tuple(item.split(":")) for item in body.split(",")] if body else []
+    if head != "on" or any(len(rel) != 2 for rel in relations):
+        raise ValueError("the goal must be on= followed by block:support pairs")
+    return relations
 
 
 def _encode_goal(relations: list[tuple[str, str]]) -> str:
@@ -98,16 +102,13 @@ def check_physics(state: str) -> None:
 class BlocksWorldEnv(Environment):
     env_id = "blocksworld"
     parent_mode = "exact"
+    reads_scorer = True
 
     _N_HASHED = 32
 
-    def __init__(self, instance: EnvInstance, **kwargs):
-        super().__init__(instance, **kwargs)
-        try:
-            check_physics(instance.s0)
-        except ValueError:
-            raise StructuralError(f"malformed blocksworld state {instance.s0!r}") from None
-        self.goal_relations = _parse_goal(instance.goal)
+    def parse_instance(self):
+        check_physics(self.s0)
+        self.goal_relations = _parse_goal(self.goal)
 
     def valid_actions(self, state):
         if self.is_terminal(state):
@@ -145,7 +146,7 @@ class BlocksWorldEnv(Environment):
         return self.w if _goal_met(_decode(terminal)[2], self.goal_relations) else 0.0
 
     def edge_term(self, state, action, child):
-        return -1.0 / math.log(self.scorer.clamped(self, state, action))
+        return -1.0 / math.log(self.step_score(state, action))
 
     @property
     def edge_scale(self):

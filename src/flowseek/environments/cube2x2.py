@@ -149,13 +149,8 @@ class Cube2x2Env(Environment):
 
     _N_HASHED = 32
 
-    def __init__(self, instance: EnvInstance, **kwargs):
-        super().__init__(instance, **kwargs)
-        try:
-            config = _decode(instance.s0)[1]
-        except ValueError:
-            raise StructuralError(f"malformed cube state {instance.s0!r}") from None
-        distance_to_solved(config)  # raises StructuralError for an unreachable start
+    def parse_instance(self):
+        distance_to_solved(_decode(self.s0)[1])  # raises StructuralError for an unreachable start
         self._distances: dict[str, int] = {}
 
     def valid_actions(self, state):
@@ -199,9 +194,6 @@ class Cube2x2Env(Environment):
         # the 9 inverse moves give 9 distinct predecessors; a solved one is terminal,
         # so no edge, and exactly one is solved when `config` is one move from solved
         return 8 if config in _ONE_MOVE else 9
-
-    def potential(self, state):
-        return -float(self._distance(state))
 
     @property
     def feature_dim(self):

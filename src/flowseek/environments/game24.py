@@ -124,13 +124,15 @@ class Game24Env(Environment):
     env_id = "game24"
     parent_mode = "tree"
     solution_sep = ";"
+    reads_scorer = True
 
     _OPS = "+-*/"
     _N_HASHED = 32
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def parse_instance(self):
         self._decoded: dict[str, _Decoded] = {}
+        if not self._context(self.s0).values or self.goal != fmt(TARGET):
+            raise ValueError("s0 must hold numbers and the goal must be 24")
 
     def decision_key(self, state):
         # the `|left=` suffix: actions and features never read the history
@@ -171,8 +173,8 @@ class Game24Env(Environment):
     def reward(self, traj):
         success = self.w if self.is_success(traj) else 0.0
         product = 1.0
-        for p in self.score_steps(traj):
-            product *= p
+        for state, action in zip(traj.states, traj.actions):
+            product *= self.step_score(state, action)
         return self.floored(success, product)
 
     def potential(self, state):

@@ -48,9 +48,8 @@ class LogicChainEnv(Environment):
 
     _N_HASHED = 32
 
-    def __init__(self, instance: EnvInstance, **kwargs):
-        super().__init__(instance, **kwargs)
-        doc = json.loads(instance.goal)
+    def parse_instance(self):
+        doc = json.loads(self.goal)
         self.conclusion: str = doc["conclusion"]
         self.facts: list[str] = doc["facts"]
         self.gold_facts: list[str] = doc["gold"]
@@ -58,6 +57,7 @@ class LogicChainEnv(Environment):
         self.gold_transitions = {
             (self.chain[i], self.chain[i + 1]) for i in range(len(self.chain) - 1)
         }
+        _claim_category(self._decode(self.s0)[1])  # raises if s0 holds no claim
 
     def _decode(self, state: str) -> tuple[list[str], str]:
         h_part, claim_part = state.split("|claim=")
@@ -113,11 +113,6 @@ class LogicChainEnv(Environment):
             1 for p, nx in zip(traj.states[:-1], traj.states[1:]) if self._is_gold(p, nx)
         )
         return self.floored(0.0, self.w * hits / n)
-
-    def potential(self, state):
-        _, claim = self._decode(state)
-        cat = _claim_category(claim)
-        return float(self.chain.index(cat)) if cat in self.chain else -1.0
 
     @property
     def feature_dim(self):

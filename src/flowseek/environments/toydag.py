@@ -28,11 +28,12 @@ class ToyDagEnv(Environment):
     env_id = "toydag"
     parent_mode = "exact"
 
-    def __init__(self, instance: EnvInstance, **kwargs):
-        super().__init__(instance, **kwargs)
-        doc = json.loads(instance.goal)
+    def parse_instance(self):
+        doc = json.loads(self.goal)
         self.edges: dict[str, dict[str, str]] = doc["edges"]
         self.rewards: dict[str, float] = doc["rewards"]
+        if self.s0 not in self.edges:
+            raise KeyError(f"s0 {self.s0!r} is no state of the graph")
         pairs = [(s, a) for s in sorted(self.edges) for a in sorted(self.edges[s])]
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
         # parents only among the states s0 reaches: an edge from a state off the

@@ -75,7 +75,7 @@ def _rollout(env, instance_id: str, states: list[str], actions: list[str], step)
         actions.append(action)
         logpf.append(lp)
     traj = Trajectory(instance_id, states, actions, logpf, is_complete=True)
-    traj.reward = env.reward(traj).total
+    traj.reward = env.reward(traj)
     return traj
 
 

@@ -147,7 +147,7 @@ def _walk_targets(instance, env, cap: int) -> DagSummary:
                 raise _cap_error(cap)
             traj = Trajectory(instance.instance_id, states, actions, [0.0] * len(actions),
                               is_complete=True)
-            flows.append(env.reward(traj).total * back)
+            flows.append(env.reward(traj) * back)
             terminals.append(states[-1])
             continue
         for action, child in reversed(children):

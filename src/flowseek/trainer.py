@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import EnvInstance, TabularEnv, TabularIndex, make_env, replay_trajectory
+from .environments import ENV_CLASSES, EnvInstance, TabularEnv, TabularIndex, make_env
+from .environments import replay_trajectory
 from .environments.base import DEFAULT_INTERMEDIATE_WEIGHT, DEFAULT_SUCCESS_WEIGHT, REWARD_FLOOR
 from .errors import (
     EmptyBufferError,
@@ -97,6 +98,9 @@ class TrainConfig:
         if self.loss not in ("logvar", "tb_logz"):
             raise ValueError(f"unknown loss {self.loss!r}")
         check_finite_floats(self)
+        env_class = ENV_CLASSES.get(self.env_id)
+        if self.scorer != "uniform" and env_class and not env_class.reads_scorer:
+            raise ValueError(f"scorer {self.scorer!r}: the {self.env_id} reward reads no scorer")
         if self.schedules is None:
             self.schedules = ExplorationSchedule(total_iterations=self.iterations)
 

@@ -87,7 +87,7 @@ def reference_enumerate_dag(instance, env, cap=10**6):
             logpf_terms=[0.0] * len(actions),
             is_complete=True,
         )
-        reward = env.reward(traj).total
+        reward = env.reward(traj)
         back = 1.0
         if env.parent_mode != "tree":
             for state in states[1:]:

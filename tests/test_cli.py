@@ -8,7 +8,7 @@ import pytest
 
 import flowseek
 from flowseek.cli import main
-from flowseek.environments import EnvInstance, read_instances, write_instances
+from flowseek.environments import ENV_IDS, EnvInstance, read_instances, write_instances
 from flowseek.environments.game24 import make_instance, solve_game24
 from flowseek.environments.toydag import generate_instances as toydag_instances
 from flowseek.environments.toydag import two_terminal_instance
@@ -390,6 +390,31 @@ def test_oracle_impossible_blocksworld_start_is_data_error(tmp_path, capsys, s0,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_oracle_malformed_instance_is_data_error(tmp_path, capsys, env_id):
+    inst_path = tmp_path / "bad.jsonl"
+    write_instances(inst_path, [EnvInstance(env_id, f"bad-{env_id}", "garbage", "garbage", 3)])
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"instance bad-{env_id}: malformed {env_id}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_scorer_is_usage_error_where_no_reward_reads_it(tmp_path, capsys, env_id):
+    config_path, _, run_dir = write_toy_setup(tmp_path, iterations=5)
+    doc = json.loads(config_path.read_text())
+    doc.update(env_id=env_id, scorer="progress")
+    if env_id in ("game24", "blocksworld"):
+        assert resolve_config(tmp_path, doc).scorer == "progress"
+        return
+    config_path.write_text(json.dumps(doc))
+    assert run_cli("train", config_path) == 2
+    assert "scorer" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "flowseek.cli", "--version"], capture_output=True, text=True
@@ -586,7 +611,8 @@ def test_every_config_key_is_honoured(tmp_path):
     from flowseek.exploration import ExplorationSchedule
     from flowseek.trainer import LocalSearchConfig, TrainConfig
 
-    doc = {"env_id": "toydag", "instances_path": "i.jsonl", "out_dir": "run",
+    # blocksworld reads every env setting, `scorer` and `lambda` included
+    doc = {"env_id": "blocksworld", "instances_path": "i.jsonl", "out_dir": "run",
            "schedules": NON_DEFAULT_SCHEDULES, "local_search": NON_DEFAULT_LOCAL_SEARCH}
     expected = {}
     for key, spec in NON_DEFAULT_CONFIG.items():
@@ -604,7 +630,7 @@ def test_every_config_key_is_honoured(tmp_path):
             assert set(value) == set(schema[key]["properties"]), key
 
     config = resolve_config(tmp_path, doc)
-    default = TrainConfig(env_id="toydag")
+    default = TrainConfig(env_id="blocksworld")
     for field, value in expected.items():
         assert getattr(config, field) == value, field
         assert getattr(default, field) != value, field

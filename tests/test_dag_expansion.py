@@ -253,7 +253,7 @@ def old_reward_total(env, traj):
         success = env.w if _goal_met(bw_decode(traj.states[-1])[2], env.goal_relations) else 0.0
         intermediate = 0.0
         for s, a in zip(traj.states[:-1], traj.actions):
-            intermediate += -1.0 / math.log(env.scorer.clamped(env, s, a))
+            intermediate += -1.0 / math.log(env.step_score(s, a))
         return max(success + env.lam * intermediate, env.reward_floor)
     return max(0.0 + float(env.rewards.get(traj.states[-1], 0.0)), env.reward_floor)
 
@@ -268,11 +268,11 @@ def test_reward_fold_matches_per_env_loop(case):
     difficulty = {"cube2x2": "2", "blocksworld": "6"}.get(env_id)
     for k, inst in enumerate(generate_instances(env_id, 3, seed=11, difficulty=difficulty)):
         for weights in ({}, {"success_weight": 40.0, "intermediate_weight": 2.5}):
-            env = make_env(inst, scorer=scorer or None, **weights)
+            env = make_env(inst, scorer=scorer or "uniform", **weights)
             trajs = [rollout(env, seed=j, tag=f"{case}-{k}") for j in range(20)]
             if inst.gold_solutions:
                 gold = inst.gold_solutions[0].split(env.solution_sep)
                 trajs.append(replay_trajectory(env, gold))
             assert any(env.is_success(t) for t in trajs)
             for traj in trajs:
-                assert env.reward(traj).total == old_reward_total(env, traj)
+                assert env.reward(traj) == old_reward_total(env, traj)

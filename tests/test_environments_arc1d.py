@@ -97,21 +97,22 @@ def test_unchanged_step_contributes_k():
     pairs = [([0, 3, 0], [0, 0, 3]), ([0, 5, 0], [0, 0, 5]), ([2, 0, 0], [0, 2, 0])]
     env = make_env(arc_instance(pairs))
     noop = replay_trajectory(env, ["identity_stop"])
-    breakdown = env.reward(noop)
-    assert breakdown.success_term == 0.0
-    assert breakdown.intermediate_term == pytest.approx(3.0)
+    # no success term: the total is the intermediate term alone
+    assert env.reward(noop) == pytest.approx(3.0)
 
 
 def test_reward_prefers_strict_distance_decrease():
     pairs = [([0, 3, 0], [0, 0, 3]), ([0, 5, 0], [0, 0, 5]), ([0, 2, 0], [0, 0, 2])]
     env = make_env(arc_instance(pairs))
     solving = replay_trajectory(env, ["shift_right_1"])
-    breakdown = env.reward(solving)
-    assert breakdown.success_term == 100.0
+    assert env.is_success(solving)
+    # with success weight 0 the total is the intermediate term alone
+    no_bonus = make_env(arc_instance(pairs), success_weight=0.0)
     # each pair had hamming 2 -> 0
-    assert breakdown.intermediate_term == pytest.approx(3 * np.exp(2.0))
+    assert no_bonus.reward(solving) == pytest.approx(3 * np.exp(2.0))
+    assert env.reward(solving) == 100.0 + no_bonus.reward(solving)
     stopped = replay_trajectory(env, ["identity_stop"])
-    assert env.reward(stopped).intermediate_term < breakdown.intermediate_term
+    assert no_bonus.reward(stopped) < no_bonus.reward(solving)
 
 
 def test_solution_key_is_function_sequence():

@@ -183,8 +183,7 @@ def test_reward_formula_blocksworld():
     env = make_env(bw_instance(on, [("red", "blue")], max_steps=2))
     traj = replay_trajectory(env, ["pickup red", "stack red blue"])
     assert env.is_success(traj)
-    breakdown = env.reward(traj)
-    assert breakdown.success_term == 100.0
+    assert env.success_term(traj.states[-1]) == 100.0
     # lambda * sum(-1/log p) with the uniform scorer
     expected = 0.0
     state = env.s0
@@ -192,7 +191,9 @@ def test_reward_formula_blocksworld():
         p = 1.0 / len(env.valid_actions(state))
         expected += -1.0 / math.log(p)
         state = env.apply(state, action)
-    assert breakdown.intermediate_term == pytest.approx(1.5 * expected, rel=1e-12)
+    # with success weight 0 the total is the intermediate term alone
+    no_bonus = make_env(bw_instance(on, [("red", "blue")], max_steps=2), success_weight=0.0)
+    assert no_bonus.reward(traj) == pytest.approx(1.5 * expected, rel=1e-12)
 
 
 def test_failure_trajectory_keeps_intermediate_term():
@@ -200,9 +201,8 @@ def test_failure_trajectory_keeps_intermediate_term():
     env = make_env(bw_instance(on, [("red", "blue")], max_steps=2))
     traj = replay_trajectory(env, ["pickup orange", "stack orange blue"])
     assert not env.is_success(traj)
-    breakdown = env.reward(traj)
-    assert breakdown.success_term == 0.0
-    assert breakdown.intermediate_term > 0.0
+    assert env.success_term(traj.states[-1]) == 0.0
+    assert env.reward(traj) > env.reward_floor
 
 
 def test_distinct_plans_distinct_keys():

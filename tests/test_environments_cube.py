@@ -111,9 +111,9 @@ def test_reward_distance_reduction_term():
     inst = scramble_instance(["U"], "one")
     env = make_env(inst)
     traj = replay_trajectory(env, ["U'"])
-    breakdown = env.reward(traj)
-    assert breakdown.success_term == 100.0
-    assert breakdown.intermediate_term == pytest.approx(np.exp(1.0))
+    assert env.success_term(traj.states[-1]) == 100.0
+    # with success weight 0 the total is the intermediate term alone
+    assert make_env(inst, success_weight=0.0).reward(traj) == pytest.approx(np.exp(1.0))
     assert env.is_success(traj)
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -83,9 +84,8 @@ def test_exact_rational_arithmetic():
 
 def test_success_term_is_success_weight(env_4468):
     traj = replay_trajectory(env_4468, ["4 + 8 = 12", "6 - 4 = 2", "2 * 12 = 24"])
-    breakdown = env_4468.reward(traj)
-    assert breakdown.success_term == 100.0
-    assert 0.0 < breakdown.intermediate_term < 1.0
+    # success weight 100 plus a product of step probabilities in (0, 1)
+    assert 100.0 < env_4468.reward(traj) < 101.0
 
 
 def test_reward_product_matches_action_count_oracle(env_4468):
@@ -97,9 +97,10 @@ def test_reward_product_matches_action_count_oracle(env_4468):
     for action in actions:
         expected /= len(env_4468.valid_actions(state))
         state = env_4468.apply(state, action)
-    breakdown = env_4468.reward(traj)
-    assert breakdown.intermediate_term == pytest.approx(expected, rel=1e-12)
-    assert breakdown.total == pytest.approx(100.0 + expected, rel=1e-12)
+    # with success weight 0 the total is the product alone
+    no_bonus = make_env(env_4468.instance, success_weight=0.0)
+    assert no_bonus.reward(traj) == pytest.approx(expected, rel=1e-12)
+    assert env_4468.reward(traj) == pytest.approx(100.0 + expected, rel=1e-12)
 
 
 def test_solution_key_commutative_normalization(env_4468):
@@ -194,10 +195,13 @@ def test_feature_audit_dimension_and_collisions():
 
 
 def test_progress_scorer_survives_extreme_potential_changes():
-    from flowseek.environments.base import P_SCORE_MAX, P_SCORE_MIN, ProgressScorer
+    from flowseek.environments.base import P_SCORE_MAX, P_SCORE_MIN, SCORERS, Environment
+    from flowseek.errors import ScorerContractError
 
     class OneStep:
         """Potential 0 at "s" and `delta` after any action."""
+
+        scorer = "progress"
 
         def __init__(self, delta):
             self.delta = delta
@@ -208,12 +212,16 @@ def test_progress_scorer_survives_extreme_potential_changes():
         def apply(self, state, action):
             return "t"
 
-    scorer = ProgressScorer()
     # game24 steps change the potential by -9,467 to +61 on the gen --seed 3 hands
     for delta, expected in ((-1e4, P_SCORE_MIN), (61.0, P_SCORE_MAX)):
         env = OneStep(delta)
-        assert 0.0 < scorer.score(env, "s", "a") < 1.0
-        assert scorer.clamped(env, "s", "a") == expected
+        assert 0.0 < SCORERS["progress"](env, "s", "a") < 1.0
+        assert Environment.step_score(env, "s", "a") == expected
+    # a NaN potential gives p = NaN, which breaks the (0, 1) contract
+    env = OneStep(float("nan"))
+    assert math.isnan(SCORERS["progress"](env, "s", "a"))
+    with pytest.raises(ScorerContractError):
+        Environment.step_score(env, "s", "a")
 
 
 def test_progress_scorer_training_run_completes():

@@ -35,7 +35,7 @@ def test_gold_path_full_reward():
     traj = replay_trajectory(env, env.gold_facts)
     assert env.is_success(traj)
     assert traj.reward == pytest.approx(100.0)  # (1/3) * 3 * 100
-    assert env.reward(traj).success_term == 0.0  # per-step formula, no terminal bonus
+    assert env.reward(traj) == env.w * 3 / 3  # per-step formula, no terminal bonus
 
 
 def test_one_off_path_step_dilutes_reward():
@@ -105,5 +105,5 @@ def test_reward_floor_below_default_is_honoured():
     # a zero-step trajectory earns nothing, so its total is the floor itself
     low = make_env(chain_instance(), reward_floor=1e-12)
     traj = replay_trajectory(low, [])
-    assert low.reward(traj).total == 1e-12
-    assert make_env(chain_instance()).reward(traj).total == 1e-8
+    assert low.reward(traj) == 1e-12
+    assert make_env(chain_instance()).reward(traj) == 1e-8

@@ -316,7 +316,7 @@ def reference_sample_trajectory_mixed(params, env, eps, beta, rng):
         states.append(state)
         actions.append(action)
     traj = Trajectory(env.instance.instance_id, states, actions, logpf, is_complete=True)
-    traj.reward = env.reward(traj).total
+    traj.reward = env.reward(traj)
     return traj
 
 
@@ -343,7 +343,7 @@ def reference_local_search(traj_best, env, num_recon, k_mode, rng):
             actions.append(action)
         cand = Trajectory(traj_best.instance_id, states, actions, [0.0] * len(actions),
                           is_complete=True)
-        cand.reward = env.reward(cand).total
+        cand.reward = env.reward(cand)
         if cand.reward > traj_best.reward:
             candidates.append(cand)
     return candidates
