@@ -148,6 +148,7 @@ class Environment:
     parent_mode: str = "tree"
     solution_sep: str = "|"  # joins a successful trajectory's actions into its solution key
     reads_scorer: bool = False
+    reads_lambda: bool = False  # whether `edge_scale` is the `intermediate_weight` setting
 
     FEATURE_CACHE_STATES = 2048
 
@@ -172,6 +173,8 @@ class Environment:
         self._parent_count_cache: dict[str, int] = {}
         try:
             self.parse_instance()
+        except StructuralError as exc:  # a well-formed but impossible start
+            raise StructuralError(f"instance {instance.instance_id}: {exc}") from None
         except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
             raise StructuralError(
                 f"instance {instance.instance_id}: malformed {self.env_id} s0 or goal ({exc!r})"

@@ -103,6 +103,7 @@ class BlocksWorldEnv(Environment):
     env_id = "blocksworld"
     parent_mode = "exact"
     reads_scorer = True
+    reads_lambda = True
 
     _N_HASHED = 32
 

@@ -120,7 +120,8 @@ def distance_to_solved(config: bytes) -> int:
         index = _PERM_INDEX[config[:8]] + _TWIST_INDEX[config[8:]]
     except KeyError:
         if _PERM_INDEX:
-            raise StructuralError(f"cube configuration {config!r} is unreachable") from None
+            text = "|".join("".join(map(str, part)) for part in (config[:8], config[8:]))
+            raise StructuralError(f"cube configuration {text} is unreachable") from None
         _build_tables()
         return distance_to_solved(config)
     d = _DIST_BYTES[index]
@@ -150,8 +151,16 @@ class Cube2x2Env(Environment):
     _N_HASHED = 32
 
     def parse_instance(self):
-        distance_to_solved(_decode(self.s0)[1])  # raises StructuralError for an unreachable start
+        self._decoded: dict[str, tuple[int, bytes]] = {}
         self._distances: dict[str, int] = {}
+        self._distance(self.s0)  # raises StructuralError for an unreachable start
+
+    def _step_config(self, state):
+        """(step, config) of `state`, decoded once per state."""
+        pair = self._decoded.get(state)
+        if pair is None:
+            pair = self._decoded[state] = _decode(state)
+        return pair
 
     def valid_actions(self, state):
         if self.is_terminal(state):
@@ -161,24 +170,24 @@ class Cube2x2Env(Environment):
     def apply(self, state, action):
         if action not in _MOVE:
             raise InvalidActionError(f"unknown cube move {action!r}")
-        step, config = _decode(state)
+        step, config = self._step_config(state)
         if self.is_terminal(state):
             raise InvalidActionError("cannot move from a terminal state")
         return _encode(step + 1, apply_move(config, action))
 
     def is_terminal(self, state):
-        step, config = _decode(state)
+        step, config = self._step_config(state)
         return is_solved(config) or step >= self.max_steps
 
     def is_success(self, traj):
-        _, config = _decode(traj.states[-1])
+        _, config = self._step_config(traj.states[-1])
         return is_solved(config)
 
     def _distance(self, state):
-        """Distance to solved of `state`, decoded once per state."""
+        """Distance to solved of `state`, looked up once per state."""
         d = self._distances.get(state)
         if d is None:
-            d = self._distances[state] = distance_to_solved(_decode(state)[1])
+            d = self._distances[state] = distance_to_solved(self._step_config(state)[1])
         return d
 
     def success_term(self, terminal):
@@ -188,7 +197,7 @@ class Cube2x2Env(Environment):
         return float(np.exp(self._distance(state) - self._distance(child)))
 
     def parent_count(self, state):
-        step, config = _decode(state)
+        step, config = self._step_config(state)
         if step == 0:
             raise StructuralError("parent count undefined for the initial state")
         # the 9 inverse moves give 9 distinct predecessors; a solved one is terminal,
@@ -202,7 +211,7 @@ class Cube2x2Env(Environment):
         return 9 + 1 + 27 + 1 + 1 + self._N_HASHED
 
     def featurize(self, state, action):
-        step, config = _decode(state)
+        step, config = self._step_config(state)
         nxt = apply_move(config, action)
         placed = sum(1 for i in range(8) if nxt[i] == i)
         oriented = sum(1 for i in range(8) if nxt[8 + i] == 0)

@@ -2,7 +2,9 @@
 
 Rollouts mix epsilon-uniform steps with tempered policy sampling, but the
 recorded log P_F terms always come from the online (temperature-1) policy,
-which is what the losses score. The replay buffer keeps one pool of complete
+which is what the losses score. A rollout can also sum those terms' gradient
+from its own forward passes, so the trainer rescores only replayed, offline
+and local-search trajectories. The replay buffer keeps one pool of complete
 trajectories per instance, with priority equal to the reward (or log1p
 reward), and samples an instance's pool proportionally. Local search
 truncates the last K steps of a high-reward trajectory, re-rolls them with
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyBufferError
 from .flow_core import Trajectory
-from .policy import PolicyParams, action_logits, sample_action
+from .policy import PolicyParams, action_logits, sample_action, step_grad
 
 
 def check_finite_floats(obj) -> None:
@@ -85,11 +87,14 @@ def sample_trajectory_mixed(
     eps: float,
     beta: float,
     rng: np.random.Generator,
+    grad: np.ndarray | None = None,
 ) -> Trajectory:
     """Roll out one complete trajectory under the eps/beta behavior policy.
 
     beta == 0 is the greedy limit of tempered sampling: the highest logit,
-    ties to the first action.
+    ties to the first action. With `grad`, each step's gradient of its log P_F
+    term is added into it in step order, from the step's own forward pass: on
+    zeros that is `trajectory_logpf_and_grad`'s gradient at `params`, bit for bit.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0,1], got {eps}")
@@ -104,6 +109,8 @@ def sample_trajectory_mixed(
             i = int(np.argmax(dist.logits))
         else:
             i = sample_action(dist, beta, rng)
+        if grad is not None:
+            np.add(grad, step_grad(params, dist, i), out=grad)
         return dist.action_ids[i], float(dist.log_probs[i])
 
     return _rollout(env, env.instance.instance_id, [env.s0], [], step)

@@ -52,11 +52,14 @@ class PolicyParams:
 
 @dataclass
 class ActionDistribution:
-    """Softmax distribution over the valid actions at one state (temperature 1)."""
+    """Softmax distribution over the valid actions at one state (temperature 1),
+    with the feature rows and the mlp hidden layer (None for linear) behind it."""
 
     action_ids: list[str]
     logits: np.ndarray
     log_probs: np.ndarray
+    feats: np.ndarray | None = None
+    hidden: np.ndarray | None = None
 
 
 def param_count(variant: str, feature_dim: int, hidden_dim: int) -> int:
@@ -90,66 +93,67 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - math.log(np.exp(shifted).sum())
 
 
-def _action_logits_and_features(
-    params: PolicyParams, state: str, env
-) -> tuple[list[str], np.ndarray, np.ndarray | None, np.ndarray]:
-    """(actions, feature rows, mlp hidden layer or None for linear, logits)."""
+def action_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
+    """Distribution over the environment's valid actions at `state`: the one forward pass."""
     actions = env.cached_valid_actions(state)
     if not actions:
         raise DeadEndError(f"no valid actions at non-terminal state {state!r}")
     feats = env.feature_matrix(state)  # (A, d)
+    hidden = None
     if params.variant == "linear":
-        return actions, feats, None, feats @ params.vector
-    w1, b1, w2 = params._views()
-    hidden = np.tanh(feats @ w1.T + b1)  # (A, h)
-    return actions, feats, hidden, hidden @ w2
-
-
-def action_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
-    """Distribution over the environment's valid actions at `state`."""
-    actions, _, _, logits = _action_logits_and_features(params, state, env)
-    return ActionDistribution(actions, logits, _log_softmax(logits))
+        logits = feats @ params.vector
+    else:
+        w1, b1, w2 = params._views()
+        hidden = np.tanh(feats @ w1.T + b1)  # (A, h)
+        logits = hidden @ w2
+    return ActionDistribution(actions, logits, _log_softmax(logits), feats, hidden)
 
 
 def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generator) -> int:
     """Index into `dist.action_ids` drawn from softmax(logits / beta).
 
-    beta > 1 flattens the distribution."""
+    beta > 1 flattens the distribution. The draw is `Generator.choice`'s: one
+    `random()` searched in the normalized cdf, so it takes the same numbers."""
     if beta <= 0:
         raise ValueError(f"temperature must be positive, got {beta}")
-    log_probs = _log_softmax(dist.logits / beta)
+    log_probs = dist.log_probs if beta == 1.0 else _log_softmax(dist.logits / beta)
     probs = np.exp(log_probs)
-    probs /= probs.sum()
-    return int(rng.choice(len(probs), p=probs))
+    cdf = np.cumsum(probs / probs.sum())
+    if math.isnan(cdf[-1]):
+        raise ValueError("probabilities contain NaN")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def step_grad(params: PolicyParams, dist: ActionDistribution, idx: int) -> np.ndarray:
+    """Gradient of log P_F(dist.action_ids[idx]) w.r.t. the flat parameter vector."""
+    probs = np.exp(dist.log_probs)
+    feats, hidden = dist.feats, dist.hidden
+    if params.variant == "linear":
+        # grad log p(a) = phi_a - E_p[phi]
+        return feats[idx] - probs @ feats
+    w2 = params._views()[2]
+    dtanh = 1.0 - hidden**2
+    # per-action logit gradients, combined as g_a - E_p[g]
+    coeff = -probs
+    coeff[idx] += 1.0  # (A,)
+    grad_w2 = coeff @ hidden  # (h,)
+    back = (coeff[:, None] * dtanh) * w2  # (A, h)
+    grad_b1 = back.sum(axis=0)
+    grad_w1 = back.T @ feats  # (h, d)
+    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2])
 
 
 def step_logprob_and_grad(
     params: PolicyParams, state: str, action: str, env
 ) -> tuple[float, np.ndarray]:
     """log P_F(action | state) and its gradient w.r.t. the flat parameter vector."""
-    actions, feats, hidden, logits = _action_logits_and_features(params, state, env)
+    dist = action_logits(params, state, env)
     try:
-        idx = actions.index(action)
+        idx = dist.action_ids.index(action)
     except ValueError:
         raise InvalidActionError(f"action {action!r} not valid at state {state!r}") from None
-    log_probs = _log_softmax(logits)
-    probs = np.exp(log_probs)
-
-    if params.variant == "linear":
-        # grad log p(a) = phi_a - E_p[phi]
-        grad = feats[idx] - probs @ feats
-    else:
-        w2 = params._views()[2]
-        dtanh = 1.0 - hidden**2
-        # per-action logit gradients, combined as g_a - E_p[g]
-        coeff = -probs.copy()
-        coeff[idx] += 1.0  # (A,)
-        grad_w2 = coeff @ hidden  # (h,)
-        back = (coeff[:, None] * dtanh) * w2  # (A, h)
-        grad_b1 = back.sum(axis=0)
-        grad_w1 = back.T @ feats  # (h, d)
-        grad = np.concatenate([grad_w1.ravel(), grad_b1, grad_w2])
-    return float(log_probs[idx]), grad
+    return float(dist.log_probs[idx]), step_grad(params, dist, idx)
 
 
 def trajectory_logpf_and_grad(params: PolicyParams, traj, env) -> tuple[list[float], np.ndarray]:

@@ -4,9 +4,10 @@ Each iteration visits one training instance (round-robin); a seeded draw then
 chooses between exploring (sample a batch of mixed rollouts, run local search
 on the batch's best trajectory, push everything into the replay buffer) and
 exploiting (redraw a batch from the buffer, or from the offline pool when the
-instance has offline data). Every trajectory entering a loss gets its log P_F
-terms recomputed under the current parameters, then one optimizer step is
-applied.
+instance has offline data), then applies one optimizer step. Every trajectory
+entering a loss is scored at the current parameters: an explore rollout sums
+its log P_F gradient as it runs, and exploit draws and local-search finds get
+their log P_F terms and gradient recomputed (buffer entries keep no gradient).
 
 Exploitation draws are restricted to the current instance's entries (the
 replay buffer keeps one pool per instance): phi targets the per-instance log
@@ -101,6 +102,9 @@ class TrainConfig:
         env_class = ENV_CLASSES.get(self.env_id)
         if self.scorer != "uniform" and env_class and not env_class.reads_scorer:
             raise ValueError(f"scorer {self.scorer!r}: the {self.env_id} reward reads no scorer")
+        lam = self.intermediate_weight
+        if lam != DEFAULT_INTERMEDIATE_WEIGHT and env_class and not env_class.reads_lambda:
+            raise ValueError(f"lambda {lam!r}: the {self.env_id} reward reads no lambda")
         if self.schedules is None:
             self.schedules = ExplorationSchedule(total_iterations=self.iterations)
 
@@ -257,6 +261,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         explore = u < (1.0 - replay_prob)
         phase = "explore" if explore else "exploit"
         batch_trajs: list[Trajectory] = []
+        grads: list[np.ndarray] = []  # Σ ∇log P_F of batch_trajs' explore rollouts
         found: list[Trajectory] = []  # local-search finds, logged without a phi
 
         if not explore:
@@ -274,11 +279,12 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                     phase = "explore_fallback"
 
         if explore:
+            grads = [np.zeros_like(params.vector) for _ in range(m)]
             batch_trajs = [
                 sample_trajectory_mixed(
-                    params, env, eps, beta, substream(config.seed, "rollout", i, slot)
+                    params, env, eps, beta, substream(config.seed, "rollout", i, slot), grad
                 )
-                for slot in range(m)
+                for slot, grad in enumerate(grads)
             ]
             best = max(range(m), key=lambda j: batch_trajs[j].reward)
             for traj in batch_trajs:
@@ -296,10 +302,9 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 if config.local_search.to_training:
                     batch_trajs = batch_trajs + found
 
-        # score every batch trajectory at the current parameters
-        fresh: list[Trajectory] = []
-        grads: list[np.ndarray] = []
-        for traj in batch_trajs:
+        # score the batch trajectories no rollout scored at the current parameters
+        fresh = batch_trajs[: len(grads)]
+        for traj in batch_trajs[len(grads):]:
             terms, grad = trajectory_logpf_and_grad(params, traj, env)
             fresh.append(dataclasses.replace(traj, logpf_terms=terms))
             grads.append(grad)

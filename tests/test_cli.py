@@ -386,7 +386,19 @@ def test_oracle_impossible_blocksworld_start_is_data_error(tmp_path, capsys, s0,
     write_instances(inst_path, [EnvInstance("blocksworld", "bad", s0, "on=blue:red", 4)])
     out = tmp_path / "o.csv"
     assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and "instance bad:" in err
+    assert not out.exists()
+
+
+def test_oracle_unreachable_cube_start_is_data_error(tmp_path, capsys):
+    inst_path = tmp_path / "cube.jsonl"
+    s0 = "t=0|01234567|10000000"  # twists sum to 1 mod 3
+    write_instances(inst_path, [EnvInstance("cube2x2", "bad-cube", s0, "solved", 3)])
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "instance bad-cube: cube configuration 01234567|10000000 is unreachable" in err
     assert not out.exists()
 
 
@@ -412,6 +424,20 @@ def test_scorer_is_usage_error_where_no_reward_reads_it(tmp_path, capsys, env_id
     config_path.write_text(json.dumps(doc))
     assert run_cli("train", config_path) == 2
     assert "scorer" in capsys.readouterr().err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize("env_id", ENV_IDS)
+def test_lambda_is_usage_error_where_no_reward_reads_it(tmp_path, capsys, env_id):
+    config_path, _, run_dir = write_toy_setup(tmp_path, iterations=5)
+    doc = json.loads(config_path.read_text())
+    doc.update({"env_id": env_id, "lambda": 2.5})
+    if env_id == "blocksworld":
+        assert resolve_config(tmp_path, doc).intermediate_weight == 2.5
+        return
+    config_path.write_text(json.dumps(doc))
+    assert run_cli("train", config_path) == 2
+    assert "lambda" in capsys.readouterr().err
     assert not run_dir.exists()
 
 

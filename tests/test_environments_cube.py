@@ -305,3 +305,20 @@ def test_unreachable_start_is_structural_error(fresh_table, s0):
     with pytest.raises(StructuralError):
         make_env(EnvInstance("cube2x2", "bad", s0, "solved", DIST_CAP))
     assert cube2x2._depth == 0
+
+
+def test_decode_memo_matches_fresh_decode_after_training():
+    import dataclasses
+
+    from flowseek.environments.cube2x2 import _decode
+    from flowseek.trainer import TrainConfig, build_envs, train
+
+    instances = [dataclasses.replace(inst, max_steps=3)
+                 for inst in generate_instances(3, seed=5, difficulty="2")]
+    config = TrainConfig(env_id="cube2x2", iterations=30, batch_size=4, loss="tb_logz")
+    envs = build_envs(config, instances)
+    train(config, instances, envs=envs)
+    for env in envs.values():
+        assert len(env._decoded) > 1
+        for state, decoded in env._decoded.items():
+            assert decoded == _decode(state), state

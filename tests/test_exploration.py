@@ -387,6 +387,29 @@ def test_sample_trajectory_mixed_matches_reference_loop(name):
         assert rng.random() == ref_rng.random()  # both drew the same numbers
 
 
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+@pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))
+def test_rollout_gradient_equals_rescoring(name, variant):
+    from conftest import random_params
+
+    from flowseek.policy import trajectory_logpf_and_grad
+
+    grid = [(eps, beta) for eps in (0.0, 0.3, 1.0) for beta in (0.0, 0.5, 1.0, 2.0)]
+    for j, (env, ref_env) in enumerate(paired_envs(name)):
+        params = random_params(variant, env, hidden=4, seed=j)
+        for k, (eps, beta) in enumerate(grid * 2):
+            grad = np.zeros_like(params.vector)
+            rng, ref_rng = substream(k, "grad", name, j), substream(k, "grad", name, j)
+            traj = sample_trajectory_mixed(params, env, eps, beta, rng, grad)
+            # summing the gradient changes neither the rollout nor its draws
+            plain = sample_trajectory_mixed(params, ref_env, eps, beta, ref_rng)
+            assert same_trajectory(traj, plain)
+            assert rng.random() == ref_rng.random()
+            terms, want = trajectory_logpf_and_grad(params, traj, ref_env)
+            assert traj.logpf_terms == terms
+            assert np.array_equal(grad, want)  # equal floats, no tolerance
+
+
 @pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))
 def test_local_search_matches_reference_loop(name):
     from conftest import rollout

@@ -11,6 +11,7 @@ from flowseek.policy import (
     ActionDistribution,
     OptimizerState,
     PolicyParams,
+    _log_softmax,
     action_logits,
     apply_update,
     init_params,
@@ -101,6 +102,37 @@ def test_beta_nonpositive_rejected(toy_env):
         sample_action(dist, 0.0, substream(0))
     with pytest.raises(ValueError):
         sample_action(dist, -1.0, substream(0))
+
+
+def reference_choice_index(logits, beta, rng):
+    probs = np.exp(_log_softmax(logits / beta))
+    probs /= probs.sum()
+    return int(rng.choice(len(probs), p=probs))
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+def test_sample_action_draws_as_generator_choice(beta):
+    gen = substream(0, "logits", beta)
+    for k in range(300):
+        n = 2 + k % 9
+        logits = gen.normal(0.0, 3.0, n)
+        if k % 3:  # near one-hot: the other probabilities are tiny or underflow to 0
+            logits[int(gen.integers(n))] += (40.0, 800.0)[k % 3 - 1]
+        dist = ActionDistribution([str(a) for a in range(n)], logits, _log_softmax(logits))
+        rng, ref = substream(k, "draw"), substream(k, "draw")
+        assert sample_action(dist, beta, rng) == reference_choice_index(logits, beta, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_sample_action_nan_logit_is_value_error():
+    logits = np.array([0.3, np.nan, -1.0])
+    dist = ActionDistribution(["a", "b", "c"], logits, _log_softmax(logits))
+    rng, ref = substream(0, "nan"), substream(0, "nan")
+    with pytest.raises(ValueError):
+        reference_choice_index(logits, 1.0, ref)
+    with pytest.raises(ValueError):
+        sample_action(dist, 1.0, rng)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def test_uniform_sampling_frequency_chi_square(toy_env):

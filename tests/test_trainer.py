@@ -318,6 +318,36 @@ def test_local_search_to_training_flag():
     assert len(report.records) == 40
 
 
+@pytest.mark.parametrize("variant", ["linear", "mlp"])
+def test_every_logged_phi_is_scored_at_the_iteration_params(variant):
+    from flowseek.environments import generate_instances, replay_trajectory
+    from flowseek.flow_core import phi
+
+    instances = generate_instances("blocksworld", 2, seed=4, difficulty="4")
+    config = TrainConfig(env_id="blocksworld", iterations=40, batch_size=4, seed=3,
+                         learning_rate=0.05, policy_variant=variant, hidden_dim=4,
+                         local_search=LocalSearchConfig(num_recon=4, to_training=True),
+                         checkpoint_interval=1)
+    envs = build_envs(config, instances)
+    dim = envs[instances[0].instance_id].feature_dim
+    snapshots = [init_params(variant, dim, 4, seed=3)]  # the params iteration i scores with
+    _, report = train(config, instances, envs=envs,
+                      checkpoint_writer=lambda i, params, opt: snapshots.append(params))
+    found, scored = {}, {}
+    for rec in report.trajectory_log:
+        i, env = rec["iteration"], envs[rec["instance_id"]]
+        if rec["phase"] == "local_search":
+            found.setdefault(i, []).append(rec["actions"])
+            continue
+        scored.setdefault(i, []).append(rec["actions"])
+        traj = replay_trajectory(env, rec["actions"])
+        terms, _ = trajectory_logpf_and_grad(snapshots[i], traj, env)
+        assert rec["phi"] == phi(dataclasses.replace(traj, logpf_terms=terms), env), i
+    assert found and set(scored) == set(range(40))
+    for i, actions in found.items():  # each find enters the loss after the batch
+        assert scored[i][config.batch_size:] == actions
+
+
 def test_report_csv_roundtrip(tmp_path):
     config = toy_config(iterations=5)
     _, report = train(config, [two_terminal_instance()])
