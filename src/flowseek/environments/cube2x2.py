@@ -6,9 +6,16 @@ States embed the move count, which layers the graph into a DAG. The 9
 inverse moves give 9 distinct predecessors (the group acts freely); parent
 counting drops the solved one, which is terminal, so it counts 8 or 9.
 
+A state key stays the digit string `t=<step>|<8 permutation digits>|<8 twist
+digits>`, so instance files, feature hashes and checkpoints read as before.
+Inside, an env reads each key once into (step, permutation rank, twist rank)
+on a dense index of every reachable configuration, built once per process.
+Moves, terminal tests, distances and the placed/oriented counts are then
+reads of per-rank tables, and a child's key joins its ranks' digit strings.
+
 Distance-to-solved is breadth-first search from the solved configuration over
-a dense table of every reachable configuration, filled lazily one vectorised
-layer at a time and kept for the whole process; the diameter is 11 moves.
+the dense index, filled lazily one vectorised layer at a time and kept for
+the whole process; the diameter is 11 moves.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ def _build_move_table() -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
 
 
 _MOVE = _build_move_table()
+_MOVE_INDEX = {move: m for m, move in enumerate(MOVES)}
 SOLVED = bytes(range(8)) + bytes(8)
 
 
@@ -69,78 +77,99 @@ def is_solved(config: bytes) -> bool:
     return config == SOLVED
 
 
-_ONE_MOVE = frozenset(apply_move(SOLVED, m) for m in MOVES)
+def _digits(config: bytes) -> str:
+    """`<8 permutation digits>|<8 twist digits>`, the configuration part of a state key."""
+    return "|".join("".join(map(str, part)) for part in (config[:8], config[8:]))
 
 
 # The 3,674,160 configurations reachable from SOLVED keep DBL in slot 6 untwisted
 # and their twists sum to 0 mod 3. Dense index: 729 * rank of the permutation of
-# the other 7 corners + base-3 rank of the twists of slots 0-5.
-_PERM_INDEX: dict[bytes, int] = {}  # config[:8] -> 729 * permutation rank
-_TWIST_INDEX: dict[bytes, int] = {}  # config[8:] -> twist rank
-_DIST_BYTES = b""  # bytes copy of _dist for cheap lookups, refreshed per layer
+# the other 7 corners + base-3 rank of the twists of slots 0-5; SOLVED is rank 0, 0.
+_PERM_RANK: dict[str, int] = {}  # 8 permutation digits -> permutation rank
+_TWIST_RANK: dict[str, int] = {}  # 8 twist digits -> twist rank
+_PERM_DIGITS: list[str] = []  # permutation rank -> its 8 digits
+_TWIST_DIGITS: list[str] = []  # twist rank -> its 8 digits
+# per move index, rank -> rank after the move: list copies, as scalar numpy reads are slow
+_PERM_NEXT: list[list[int]] = []
+_TWIST_NEXT: list[list[int]] = []
+_PLACED: list[int] = []  # permutation rank -> bitmask of the corners in their home slot
+_ORIENTED: list[int] = []  # twist rank -> bitmask of the untwisted corners
+_ONE_MOVE: frozenset[int] = frozenset()  # dense indices one move from SOLVED
 _dist = _perm_moves = _twist_moves = None
+_DIST_VIEW = None  # memoryview of _dist: its scalar reads are cheaper than numpy's
 _depth = 0
 
 
+def _digit_rows(rows: np.ndarray) -> list[str]:
+    """Each row of single digits as one string."""
+    text = (rows + ord("0")).tobytes().decode()
+    width = rows.shape[1]
+    return [text[i:i + width] for i in range(0, len(text), width)]
+
+
 def _build_tables() -> None:
-    global _dist, _perm_moves, _twist_moves, _DIST_BYTES
+    global _dist, _perm_moves, _twist_moves, _DIST_VIEW, _PERM_RANK, _TWIST_RANK
+    global _PERM_DIGITS, _TWIST_DIGITS, _PERM_NEXT, _TWIST_NEXT, _PLACED, _ORIENTED, _ONE_MOVE
     others = itertools.permutations((0, 1, 2, 3, 4, 5, 7))
     perms = np.array([p[:6] + (6,) + p[6:] for p in others], np.uint8)
     slots = itertools.product(range(3), repeat=6)
     twists = np.array([t + (0, -sum(t) % 3) for t in slots], np.uint8)  # sum 0 mod 3
     weights = 8 ** np.arange(7, -1, -1)  # base-8 codes sort like lexicographic permutations
     moves = [_MOVE[m] for m in MOVES]
-    _perm_moves = np.array([729 * np.searchsorted(perms @ weights, perms[:, p] @ weights)
-                            for p, _ in moves], np.int32)
+    perm_next = np.array([np.searchsorted(perms @ weights, perms[:, p] @ weights)
+                          for p, _ in moves], np.int32)
+    _perm_moves = 729 * perm_next
     _twist_moves = np.array([(twists[:, p[:6]] + d[:6]) % 3 @ 3 ** np.arange(5, -1, -1)
                              for p, d in moves], np.int32)
-    _PERM_INDEX.update({bytes(p): 729 * r for r, p in enumerate(perms)})
-    _TWIST_INDEX.update({bytes(t): r for r, t in enumerate(twists)})
+    ranks = list(range(5040))  # one int object per rank, shared by every table below
+    _PERM_NEXT = [list(map(ranks.__getitem__, row)) for row in perm_next.tolist()]
+    _TWIST_NEXT = [list(map(ranks.__getitem__, row)) for row in _twist_moves.tolist()]
+    bits = 1 << np.arange(8)
+    _PLACED = ((perms == np.arange(8)) @ bits).tolist()
+    _ORIENTED = ((twists == 0) @ bits).tolist()
+    _PERM_DIGITS, _TWIST_DIGITS = _digit_rows(perms), _digit_rows(twists)
+    _PERM_RANK = dict(zip(_PERM_DIGITS, ranks))
+    _TWIST_RANK = dict(zip(_TWIST_DIGITS, ranks))
+    _ONE_MOVE = frozenset(729 * p[0] + t[0] for p, t in zip(_PERM_NEXT, _TWIST_NEXT))
     _dist = np.full(5040 * 729, 255, np.uint8)  # 255: not reached yet
     _dist[0] = 0  # SOLVED: identity permutation, zero twist
-    _DIST_BYTES = _dist.tobytes()
+    _DIST_VIEW = memoryview(_dist)
 
 
 def _grow() -> None:
     """Mark the next BFS layer: every unseen one-move neighbour of the current one."""
-    global _depth, _DIST_BYTES
+    global _depth
     perm, twist = np.divmod(np.flatnonzero(_dist == _depth), 729)
     _depth += 1
     for perm_move, twist_move in zip(_perm_moves, _twist_moves):  # per move: bounds peak memory
         nbrs = perm_move[perm] + twist_move[twist]
         _dist[nbrs[_dist[nbrs] == 255]] = _depth
-    _DIST_BYTES = _dist.tobytes()
+
+
+def _distance_at(index: int) -> int:
+    """Distance to solved of the configuration at dense `index`."""
+    d = _DIST_VIEW[index]
+    while d == 255:  # not reached yet; ends by depth DIST_CAP, the diameter
+        _grow()
+        d = _DIST_VIEW[index]
+    return d
 
 
 def distance_to_solved(config: bytes) -> int:
     """Minimum URF-move count to solve `config`; at most DIST_CAP, the diameter.
 
     Raises StructuralError for a configuration no move sequence reaches."""
-    try:
-        index = _PERM_INDEX[config[:8]] + _TWIST_INDEX[config[8:]]
-    except KeyError:
-        if _PERM_INDEX:
-            text = "|".join("".join(map(str, part)) for part in (config[:8], config[8:]))
-            raise StructuralError(f"cube configuration {text} is unreachable") from None
+    if not _PERM_RANK:
         _build_tables()
-        return distance_to_solved(config)
-    d = _DIST_BYTES[index]
-    while d == 255:  # not reached yet; ends by depth DIST_CAP, the diameter
-        _grow()
-        d = _DIST_BYTES[index]
-    return d
+    text = _digits(config)
+    cp, co = text.split("|")
+    if cp not in _PERM_RANK or co not in _TWIST_RANK:
+        raise StructuralError(f"cube configuration {text} is unreachable")
+    return _distance_at(729 * _PERM_RANK[cp] + _TWIST_RANK[co])
 
 
-def _encode(step: int, config: bytes) -> str:
-    cp = "".join(str(c) for c in config[:8])
-    co = "".join(str(c) for c in config[8:])
-    return f"t={step}|{cp}|{co}"
-
-
-def _decode(state: str) -> tuple[int, bytes]:
-    t_part, cp, co = state.split("|")
-    config = bytes(int(c) for c in cp) + bytes(int(c) for c in co)
-    return int(t_part[2:]), config
+# exp of every distance drop a reward can hold, as np.exp gives it
+_EXP_DROP = {k: float(np.exp(k)) for k in range(-DIST_CAP, DIST_CAP + 1)}
 
 
 class Cube2x2Env(Environment):
@@ -151,16 +180,19 @@ class Cube2x2Env(Environment):
     _N_HASHED = 32
 
     def parse_instance(self):
-        self._decoded: dict[str, tuple[int, bytes]] = {}
-        self._distances: dict[str, int] = {}
-        self._distance(self.s0)  # raises StructuralError for an unreachable start
+        self._ranks: dict[str, tuple[int, int, int]] = {}
+        _, cp, co = self.s0.split("|")
+        # raises StructuralError for an unreachable start
+        distance_to_solved(bytes(int(c) for c in cp + co))
+        self._ranks_of(self.s0)
 
-    def _step_config(self, state):
-        """(step, config) of `state`, decoded once per state."""
-        pair = self._decoded.get(state)
-        if pair is None:
-            pair = self._decoded[state] = _decode(state)
-        return pair
+    def _ranks_of(self, state):
+        """(step, permutation rank, twist rank) of `state`, parsed once per state."""
+        ranks = self._ranks.get(state)
+        if ranks is None:
+            t_part, cp, co = state.split("|")
+            ranks = self._ranks[state] = (int(t_part[2:]), _PERM_RANK[cp], _TWIST_RANK[co])
+        return ranks
 
     def valid_actions(self, state):
         if self.is_terminal(state):
@@ -168,41 +200,43 @@ class Cube2x2Env(Environment):
         return list(MOVES)
 
     def apply(self, state, action):
-        if action not in _MOVE:
+        m = _MOVE_INDEX.get(action)
+        if m is None:
             raise InvalidActionError(f"unknown cube move {action!r}")
-        step, config = self._step_config(state)
+        step, p, t = self._ranks_of(state)
         if self.is_terminal(state):
             raise InvalidActionError("cannot move from a terminal state")
-        return _encode(step + 1, apply_move(config, action))
+        p, t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
+        child = f"t={step + 1}|{_PERM_DIGITS[p]}|{_TWIST_DIGITS[t]}"
+        self._ranks[child] = (step + 1, p, t)
+        return child
 
     def is_terminal(self, state):
-        step, config = self._step_config(state)
-        return is_solved(config) or step >= self.max_steps
+        step, p, t = self._ranks_of(state)
+        return not (p or t) or step >= self.max_steps
 
     def is_success(self, traj):
-        _, config = self._step_config(traj.states[-1])
-        return is_solved(config)
+        _, p, t = self._ranks_of(traj.states[-1])
+        return not (p or t)
 
     def _distance(self, state):
-        """Distance to solved of `state`, looked up once per state."""
-        d = self._distances.get(state)
-        if d is None:
-            d = self._distances[state] = distance_to_solved(self._step_config(state)[1])
-        return d
+        _, p, t = self._ranks_of(state)
+        return _distance_at(729 * p + t)
 
     def success_term(self, terminal):
-        return self.w if self._distance(terminal) == 0 else 0.0
+        _, p, t = self._ranks_of(terminal)
+        return 0.0 if p or t else self.w
 
     def edge_term(self, state, action, child):
-        return float(np.exp(self._distance(state) - self._distance(child)))
+        return _EXP_DROP[self._distance(state) - self._distance(child)]
 
     def parent_count(self, state):
-        step, config = self._step_config(state)
+        step, p, t = self._ranks_of(state)
         if step == 0:
             raise StructuralError("parent count undefined for the initial state")
         # the 9 inverse moves give 9 distinct predecessors; a solved one is terminal,
-        # so no edge, and exactly one is solved when `config` is one move from solved
-        return 8 if config in _ONE_MOVE else 9
+        # so no edge, and exactly one is solved when `state` is one move from solved
+        return 8 if 729 * p + t in _ONE_MOVE else 9
 
     @property
     def feature_dim(self):
@@ -211,20 +245,19 @@ class Cube2x2Env(Environment):
         return 9 + 1 + 27 + 1 + 1 + self._N_HASHED
 
     def featurize(self, state, action):
-        step, config = self._step_config(state)
-        nxt = apply_move(config, action)
-        placed = sum(1 for i in range(8) if nxt[i] == i)
-        oriented = sum(1 for i in range(8) if nxt[8 + i] == 0)
-        correct = sum(1 for i in range(8) if nxt[i] == i and nxt[8 + i] == 0)
+        step, p, t = self._ranks_of(state)
+        m = _MOVE_INDEX[action]
+        p, t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
+        placed, oriented = _PLACED[p], _ORIENTED[t]
         vec = np.zeros(self.feature_dim)
-        vec[MOVES.index(action)] = 1.0
+        vec[m] = 1.0
         off = 9
-        if is_solved(nxt):
+        if not (p or t):
             vec[off] = 1.0
         off += 1
-        vec[off + min(placed, 8)] = 1.0
-        vec[off + 9 + min(oriented, 8)] = 1.0
-        vec[off + 18 + min(correct, 8)] = 1.0
+        vec[off + placed.bit_count()] = 1.0
+        vec[off + 9 + oriented.bit_count()] = 1.0
+        vec[off + 18 + (placed & oriented).bit_count()] = 1.0
         off += 27
         vec[off] = (step + 1) / max(self.max_steps, 1)
         vec[off + 1] = 1.0
@@ -244,7 +277,7 @@ def scramble_instance(moves: list[str], instance_id: str, max_steps: int = DIST_
     return EnvInstance(
         env_id="cube2x2",
         instance_id=instance_id,
-        s0=_encode(0, config),
+        s0=f"t=0|{_digits(config)}",
         goal="solved",
         max_steps=max_steps,
         gold_solutions=[" ".join(inverse_seq)],

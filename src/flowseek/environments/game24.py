@@ -232,7 +232,7 @@ class Game24Env(Environment):
         off += 16
         vec[off + len(nxt) - 1] = 1.0
         off += 3
-        for slot, v in enumerate(sorted(nxt)[:3]):
+        for slot, v in enumerate(nxt[:3]):  # successors are sorted multisets
             vec[off + slot * self._N_BUCKETS + self._bucket(v)] = 1.0
         off += 3 * self._N_BUCKETS
         if TARGET in nxt:

@@ -344,7 +344,7 @@ def test_oracle_cap_exceeded_rows(tmp_path):
     assert "cap-exceeded" in out.read_text()
 
 
-def test_oracle_unreachable_cube_start_is_data_error(tmp_path, capsys):
+def test_oracle_dbl_moved_cube_start_is_data_error(tmp_path, capsys):
     inst_path = tmp_path / "cube.jsonl"
     write_instances(inst_path, [EnvInstance("cube2x2", "dbl-moved", "t=0|01234576|00000000",
                                             "solved", 11)])

@@ -21,7 +21,6 @@ from flowseek.environments import TabularEnv, TabularIndex, generate_instances, 
 from flowseek.environments.base import EnvInstance
 from flowseek.environments.blocksworld import _decode as bw_decode
 from flowseek.environments.blocksworld import _goal_met
-from flowseek.environments.cube2x2 import _decode as cube_decode
 from flowseek.environments.cube2x2 import distance_to_solved
 from flowseek.environments.game24 import make_instance
 from flowseek.environments.toydag import diamond_instance, make_graph_goal
@@ -240,11 +239,17 @@ def test_policy_pass_scores_each_decision_key_once(case, monkeypatch):
     assert (len(keys) < len(inner)) == (case == "game24")
 
 
+def cube_config(state):
+    """The configuration bytes a `t=<step>|<8 digits>|<8 digits>` cube key spells."""
+    _, cp, co = state.split("|")
+    return bytes(int(c) for c in cp + co)
+
+
 def old_reward_total(env, traj):
     """The per-env reward loops that `Environment.reward` replaced."""
     if env.env_id == "cube2x2":
         success = env.w if env.is_success(traj) else 0.0
-        dists = [distance_to_solved(cube_decode(s)[1]) for s in traj.states]
+        dists = [distance_to_solved(cube_config(s)) for s in traj.states]
         intermediate = 0.0
         for r_prev, r_next in zip(dists[:-1], dists[1:]):
             intermediate += float(np.exp(r_prev - r_next))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,14 @@ from flowseek.environments.cube2x2 import (
     scramble_instance,
 )
 from flowseek.errors import StructuralError
+from flowseek.flow_core import Trajectory
 from flowseek.rngutil import substream
+
+
+def config_of(state):
+    """The configuration bytes a `t=<step>|<8 digits>|<8 digits>` key spells."""
+    _, cp, co = state.split("|")
+    return bytes(int(c) for c in cp + co)
 
 
 def random_config(rng, depth=12):
@@ -138,9 +147,7 @@ def test_reward_monotonicity_hook():
 
 
 def distance_to_solved_from_state(env, state):
-    from flowseek.environments.cube2x2 import _decode
-
-    return distance_to_solved(_decode(state)[1])
+    return distance_to_solved(config_of(state))
 
 
 def test_gold_solution_replays(toy_env=None):
@@ -188,9 +195,11 @@ LAYER_SIZES = [1, 9, 54, 321, 1847, 9992, 50136, 227536, 870072, 1887748, 623800
 
 def reset_table(mp):
     """Point the module's table state at fresh, empty values (restored by `mp`)."""
-    for name, value in (("_PERM_INDEX", {}), ("_TWIST_INDEX", {}), ("_DIST_BYTES", b""),
-                        ("_dist", None), ("_perm_moves", None), ("_twist_moves", None),
-                        ("_depth", 0)):
+    for name, value in (("_PERM_RANK", {}), ("_TWIST_RANK", {}), ("_PERM_DIGITS", []),
+                        ("_TWIST_DIGITS", []), ("_PERM_NEXT", []), ("_TWIST_NEXT", []),
+                        ("_PLACED", []), ("_ORIENTED", []), ("_ONE_MOVE", frozenset()),
+                        ("_DIST_VIEW", None), ("_dist", None), ("_perm_moves", None),
+                        ("_twist_moves", None), ("_depth", 0)):
         mp.setattr(cube2x2, name, value)
 
 
@@ -271,7 +280,9 @@ def test_every_configuration_one_move_from_previous_layer(full_table):
     assert (nbr_min[~solved] == full_table[~solved] - 1).all()
     # the index move tables agree with apply_move on random configurations
     rng = substream(3, "cube-table-moves")
-    index = lambda c: cube2x2._PERM_INDEX[c[:8]] + cube2x2._TWIST_INDEX[c[8:]]
+    def index(config):
+        cp, co = ("".join(map(str, part)) for part in (config[:8], config[8:]))
+        return 729 * cube2x2._PERM_RANK[cp] + cube2x2._TWIST_RANK[co]
     for _ in range(200):
         config = random_config(rng)
         p, t = divmod(index(config), 729)
@@ -310,7 +321,6 @@ def test_unreachable_start_is_structural_error(fresh_table, s0):
 def test_decode_memo_matches_fresh_decode_after_training():
     import dataclasses
 
-    from flowseek.environments.cube2x2 import _decode
     from flowseek.trainer import TrainConfig, build_envs, train
 
     instances = [dataclasses.replace(inst, max_steps=3)
@@ -319,6 +329,50 @@ def test_decode_memo_matches_fresh_decode_after_training():
     envs = build_envs(config, instances)
     train(config, instances, envs=envs)
     for env in envs.values():
-        assert len(env._decoded) > 1
-        for state, decoded in env._decoded.items():
-            assert decoded == _decode(state), state
+        assert len(env._ranks) > 1
+        for state, (step, p, t) in env._ranks.items():
+            # the ranks spell the key back, and the dense index agrees with the bytes
+            assert state == f"t={step}|{cube2x2._PERM_DIGITS[p]}|{cube2x2._TWIST_DIGITS[t]}"
+            assert distance_to_solved(config_of(state)) == cube2x2._dist[729 * p + t]
+
+
+def test_rank_moves_match_apply_move():
+    env = make_env(scramble_instance(["R", "U'"], "ranks"))
+    rng = substream(4, "cube-rank-moves")
+    for _ in range(100):
+        config = random_config(rng)
+        if is_solved(config):
+            continue
+        state = f"t=1|{''.join(str(c) for c in config[:8])}|{''.join(str(c) for c in config[8:])}"
+        for move in MOVES:  # each key is parsed, not read from the memo apply fills
+            assert config_of(env.apply(state, move)) == apply_move(config, move)
+
+
+def test_env_outputs_match_pinned_digest():
+    # digest over every reachable state of a budget-3 and a budget-5 scramble, as
+    # the byte-decoding env produced them: children, parent counts, feature rows
+    # and the reward of each complete trajectory; the rank tables must not move a bit
+    digest = hashlib.sha256()
+    for moves, budget in ((["R", "U'", "F2"], 3), (["F", "R2", "U'", "R"], 5)):
+        env = make_env(scramble_instance(moves, "pin", max_steps=budget))
+        order, seen = [env.s0], {env.s0}
+        for state in order:  # breadth first; `order` grows as it is walked
+            if state != env.s0:
+                digest.update(env.cached_parent_count(state).to_bytes(1, "little"))
+            for action, child in env.children(state) or ():
+                digest.update(f"{state}>{action}>{child};".encode())
+                digest.update(env.featurize(state, action).astype("<f8").tobytes())
+                if child not in seen:
+                    seen.add(child)
+                    order.append(child)
+        stack = [([], [env.s0])]
+        while stack:
+            actions, states = stack.pop()
+            kids = env.children(states[-1])
+            if kids is None:
+                traj = Trajectory("pin", states, actions, [0.0] * len(actions))
+                digest.update(env.reward(traj).hex().encode())
+                continue
+            for action, child in kids:
+                stack.append((actions + [action], states + [child]))
+    assert digest.hexdigest() == "df43d9ec5b3b304fd904b33a801a013a486473766fc42ee0a0db6cf634b97182"
