@@ -3,9 +3,20 @@
 A configuration maps each placed block to its support (another block or the
 table); at most one block is held. Preconditions follow the classic rules: a
 block moves only if clear, pickup/unstack need an empty hand, stacking needs
-a clear target. Goals are conjunctions of on-relations. State keys embed the
-step index (exact parent mode); parents are enumerated through the four
-inverse actions.
+a clear target. Goals are conjunctions of on-relations.
+
+A state key is `t=<step>|hand=<block or ->|on=<block:support,...>`: the step
+index (exact parent mode) and the configuration. Every key an env builds lists
+the blocks sorted; a start read from an instance file may list them in any
+order, and its feature hash reads its text as written. Inside, an env reads
+the step from the key and the configuration from one process-wide table that
+fills lazily, one entry per configuration text. An entry holds only what no
+goal changes: the supports, the valid actions in order, the entry each action
+leads to and the parent entries that the four inverse actions reach. Goal
+facts (relations satisfied, goal met) are computed from an entry's supports
+on each call, so envs with different goals share the table. A state's parent
+count is its number of inverse-action parents that do not meet the goal:
+a terminal state has no edges.
 """
 
 from __future__ import annotations
@@ -21,9 +32,9 @@ from .base import EnvInstance, Environment, hashed_features
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 
 
-def _decode(state: str) -> tuple[int, str | None, dict[str, str]]:
-    t_part, hand_part, on_part = state.split("|")
-    step = int(t_part[2:])
+def _parse_config(text: str) -> tuple[str | None, dict[str, str]]:
+    """The hand and supports of a `hand=…|on=…` configuration text."""
+    hand_part, on_part = text.split("|")
     hand = hand_part[len("hand=") :]
     hand = None if hand == "-" else hand
     on: dict[str, str] = {}
@@ -32,12 +43,16 @@ def _decode(state: str) -> tuple[int, str | None, dict[str, str]]:
         for item in body.split(","):
             block, support = item.split(":")
             on[block] = support
-    return step, hand, on
+    return hand, on
+
+
+def _encode_config(hand: str | None, on: dict[str, str]) -> str:
+    body = ",".join(f"{b}:{on[b]}" for b in sorted(on))
+    return f"hand={hand or '-'}|on={body}"
 
 
 def _encode(step: int, hand: str | None, on: dict[str, str]) -> str:
-    body = ",".join(f"{b}:{on[b]}" for b in sorted(on))
-    return f"t={step}|hand={hand or '-'}|on={body}"
+    return f"t={step}|{_encode_config(hand, on)}"
 
 
 def _parse_goal(goal: str) -> list[tuple[str, str]]:
@@ -64,18 +79,81 @@ def _move(hand: str | None, on: dict[str, str], action: str) -> tuple[str | None
     return None, on
 
 
-def _clear_blocks(hand: str | None, on: dict[str, str]) -> set[str]:
+def _clear_blocks(on: dict[str, str]) -> set[str]:
     supports = set(on.values())
     return {b for b in on if b not in supports}
 
 
+def _satisfied(on: dict[str, str], relations: list[tuple[str, str]]) -> int:
+    return sum(1 for b, s in relations if on.get(b) == s)
+
+
 def _goal_met(on: dict[str, str], relations: list[tuple[str, str]]) -> bool:
-    return all(on.get(b) == s for b, s in relations)
+    for b, s in relations:
+        if on.get(b) != s:
+            return False
+    return True
+
+
+class _Config:
+    """One configuration's goal-independent facts, shared by every env.
+
+    `actions` is the list `valid_actions` returns; callers must not change it."""
+
+    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents")
+
+    def __init__(self, text: str):
+        hand, on = _parse_config(text)
+        self.text, self.hand, self.on = text, hand, on
+        clear = sorted(_clear_blocks(on))
+        if hand is None:
+            self.actions = [f"pickup {x}" if on[x] == "table" else f"unstack {x} {on[x]}"
+                            for x in clear]
+        else:
+            self.actions = [f"putdown {hand}", *(f"stack {hand} {y}" for y in clear)]
+        self._next: dict[str, _Config] | None = None
+        self._parents: list[_Config] | None = None
+
+    @property
+    def next(self) -> dict[str, _Config]:
+        """The entry each valid action leads to."""
+        if self._next is None:
+            self._next = {a: _entry(_encode_config(*_move(self.hand, self.on, a)))
+                          for a in self.actions}
+        return self._next
+
+    @property
+    def parents(self) -> list[_Config]:
+        """The entries from which one valid action leads here."""
+        if self._parents is None:
+            hand, on = self.hand, self.on
+            if hand is None:  # the last action put down or stacked some clear block x
+                prev = [(x, {b: s for b, s in on.items() if b != x}) for x in _clear_blocks(on)]
+            else:  # the last action lifted `hand` from the table or from a clear block
+                prev = [(None, {**on, hand: s}) for s in ("table", *_clear_blocks(on))]
+            self._parents = [_entry(_encode_config(*p)) for p in prev]
+        return self._parents
+
+
+_TABLE: dict[str, _Config] = {}  # configuration text -> its entry, for the whole process
+
+
+def _entry(text: str) -> _Config:
+    entry = _TABLE.get(text)
+    if entry is None:
+        entry = _TABLE[text] = _Config(text)
+    return entry
+
+
+def _read(state: str) -> tuple[int, _Config]:
+    """The step and the configuration entry of a state key."""
+    t_part, text = state.split("|", 1)
+    return int(t_part[2:]), _entry(text)
 
 
 def check_physics(state: str) -> None:
     """Raise StructuralError when the block relations are inconsistent."""
-    _, hand, on = _decode(state)
+    hand, on = _parse_config(state.split("|", 1)[1])
     if hand is not None and hand in on:
         raise StructuralError(f"held block {hand} also has a support")
     supports: dict[str, int] = {}
@@ -110,41 +188,38 @@ class BlocksWorldEnv(Environment):
     def parse_instance(self):
         check_physics(self.s0)
         self.goal_relations = _parse_goal(self.goal)
+        step, entry = _read(self.s0)
+        named = {b for b, _ in self.goal_relations}
+        named |= {s for _, s in self.goal_relations if s != "table"}
+        missing = named - set(entry.on) - {entry.hand}
+        if missing:
+            raise StructuralError(f"the goal names {', '.join(sorted(missing))}, "
+                                  "which the start does not hold")
+        if step != 0:
+            raise StructuralError(f"the start is at step {step}, not 0")
+        if _goal_met(entry.on, self.goal_relations):
+            raise StructuralError("the start already meets the goal")
 
     def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
-        _, hand, on = _decode(state)
-        clear = _clear_blocks(hand, on)
-        actions = []
-        if hand is None:
-            for x in sorted(clear):
-                if on[x] == "table":
-                    actions.append(f"pickup {x}")
-                else:
-                    actions.append(f"unstack {x} {on[x]}")
-        else:
-            actions.append(f"putdown {hand}")
-            for y in sorted(clear):
-                actions.append(f"stack {hand} {y}")
-        return actions
+        return _read(state)[1].actions
 
     def apply(self, state, action):
         if action not in self.cached_valid_actions(state):
             raise InvalidActionError(f"action {action!r} invalid at {state!r}")
-        step, hand, on = _decode(state)
-        return _encode(step + 1, *_move(hand, on, action))
+        step, entry = _read(state)
+        return f"t={step + 1}|{entry.next[action].text}"
 
     def is_terminal(self, state):
-        step, _, on = _decode(state)
-        return step >= self.max_steps or _goal_met(on, self.goal_relations)
+        step, entry = _read(state)
+        return step >= self.max_steps or _goal_met(entry.on, self.goal_relations)
 
     def is_success(self, traj):
-        _, _, on = _decode(traj.states[-1])
-        return _goal_met(on, self.goal_relations)
+        return _goal_met(_read(traj.states[-1])[1].on, self.goal_relations)
 
     def success_term(self, terminal):
-        return self.w if _goal_met(_decode(terminal)[2], self.goal_relations) else 0.0
+        return self.w if _goal_met(_read(terminal)[1].on, self.goal_relations) else 0.0
 
     def edge_term(self, state, action, child):
         return -1.0 / math.log(self.step_score(state, action))
@@ -154,36 +229,20 @@ class BlocksWorldEnv(Environment):
         return self.lam
 
     def parent_count(self, state):
-        step, hand, on = _decode(state)
+        step, entry = _read(state)
         if step == 0:
             raise StructuralError("parent count undefined for the initial state")
-        parents = []
-        if hand is None:
-            # last action placed some clear block x (putdown or stack)
-            for x in _clear_blocks(hand, on):
-                prev_on = dict(on)
-                del prev_on[x]
-                parents.append(prev_on)
-        else:
-            # last action lifted `hand` from the table or from a block
-            prev_on = dict(on)
-            prev_on[hand] = "table"
-            parents.append(prev_on)
-            for y in _clear_blocks(hand, on):
-                prev_on = dict(on)
-                prev_on[hand] = y
-                parents.append(prev_on)
+        # a parent that meets the goal is terminal and has no edges
         count = 0
-        for prev_on in parents:
-            if not _goal_met(prev_on, self.goal_relations):  # terminal parents have no edges
+        for parent in entry.parents:
+            if not _goal_met(parent.on, self.goal_relations):
                 count += 1
         if count == 0:
             raise StructuralError(f"state {state!r} has no legal parents")
         return count
 
     def potential(self, state):
-        _, _, on = _decode(state)
-        return float(sum(1 for b, s in self.goal_relations if on.get(b) == s))
+        return float(_satisfied(_read(state)[1].on, self.goal_relations))
 
     @property
     def feature_dim(self):
@@ -192,10 +251,10 @@ class BlocksWorldEnv(Environment):
         return 4 + 5 + 3 + 4 + 1 + 1 + self._N_HASHED
 
     def featurize(self, state, action):
-        step, hand, on_before = _decode(state)
-        hand_after, on_after = _move(hand, on_before, action)
-        sat_before = sum(1 for b, s in self.goal_relations if on_before.get(b) == s)
-        sat_after = sum(1 for b, s in self.goal_relations if on_after.get(b) == s)
+        step, entry = _read(state)
+        after = entry.next[action]
+        sat_before = _satisfied(entry.on, self.goal_relations)
+        sat_after = _satisfied(after.on, self.goal_relations)
         moved = action.split()[1]
 
         vec = np.zeros(self.feature_dim)
@@ -208,13 +267,13 @@ class BlocksWorldEnv(Environment):
         off += 3
         vec[off] = 1.0 if sat_after > sat_before else 0.0
         vec[off + 1] = 1.0 if sat_after < sat_before else 0.0
-        vec[off + 2] = 1.0 if hand_after is None else 0.0
+        vec[off + 2] = 1.0 if after.hand is None else 0.0
         vec[off + 3] = 1.0 if any(moved in rel for rel in self.goal_relations) else 0.0
         off += 4
         vec[off] = (step + 1) / max(self.max_steps, 1)
         vec[off + 1] = 1.0
         off += 2
-        vec[off:] = hashed_features(self._N_HASHED, ("bw", state.split("|", 1)[1], action))
+        vec[off:] = hashed_features(self._N_HASHED, ("bw", entry.text, action))
         return vec
 
 
@@ -248,19 +307,14 @@ def generate_instances(count: int, seed: int, difficulty: str | None = None) -> 
             raise GenerationError("blocksworld instance generation stalled")
         on = _random_config(blocks, rng)
         start = _encode(0, None, on)
-        # walk `length` random legal actions to find a reachable goal configuration;
-        # the probe goal is unsatisfiable so only the step budget terminates it
-        probe = EnvInstance("blocksworld", "probe", start, "on=none:never", length)
-        env = BlocksWorldEnv(probe)
-        state = start
+        # walk `length` random legal actions to find a reachable goal configuration
+        entry = _read(start)[1]
         actions = []
         for _ in range(length):
-            opts = env.valid_actions(state)
-            act = opts[int(rng.integers(0, len(opts)))]
+            act = entry.actions[int(rng.integers(0, len(entry.actions)))]
             actions.append(act)
-            state = env.apply(state, act)
-        _, _, end_on = _decode(state)
-        stacked = [(b, s) for b, s in end_on.items() if s != "table"]
+            entry = entry.next[act]
+        stacked = [(b, s) for b, s in entry.on.items() if s != "table"]
         unsatisfied = [(b, s) for b, s in stacked if on.get(b) != s]
         if not unsatisfied:
             continue
@@ -279,8 +333,7 @@ def generate_instances(count: int, seed: int, difficulty: str | None = None) -> 
                 break
             gold.append(act)
             s = genv.apply(s, act)
-        _, _, s_on = _decode(s)
-        if not _goal_met(s_on, genv.goal_relations):
+        if not _goal_met(_read(s)[1].on, genv.goal_relations):
             continue
         inst.gold_solutions = ["|".join(gold)]
         out.append(inst)

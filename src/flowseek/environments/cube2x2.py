@@ -184,7 +184,11 @@ class Cube2x2Env(Environment):
         _, cp, co = self.s0.split("|")
         # raises StructuralError for an unreachable start
         distance_to_solved(bytes(int(c) for c in cp + co))
-        self._ranks_of(self.s0)
+        step, p, t = self._ranks_of(self.s0)
+        if step != 0:
+            raise StructuralError(f"the start is at step {step}, not 0")
+        if not (p or t):
+            raise StructuralError("the start is already solved")
 
     def _ranks_of(self, state):
         """(step, permutation rank, twist rank) of `state`, parsed once per state."""

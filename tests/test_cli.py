@@ -391,6 +391,29 @@ def test_oracle_impossible_blocksworld_start_is_data_error(tmp_path, capsys, s0,
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "env_id, s0, goal, message",
+    [
+        ("cube2x2", "t=2|10234567|00000000", "solved", "the start is at step 2, not 0"),
+        ("cube2x2", "t=0|01234567|00000000", "solved", "the start is already solved"),
+        ("blocksworld", "t=4|hand=-|on=blue:table,cyan:table,orange:table", "on=blue:cyan",
+         "the start is at step 4, not 0"),
+        ("blocksworld", "t=0|hand=-|on=blue:cyan,cyan:table", "on=blue:cyan",
+         "the start already meets the goal"),
+        ("blocksworld", "t=0|hand=-|on=blue:table,cyan:table", "on=blue:red",
+         "the goal names red, which the start does not hold"),
+    ],
+)
+def test_oracle_bad_start_is_data_error(tmp_path, capsys, env_id, s0, goal, message):
+    inst_path = tmp_path / "bad.jsonl"
+    write_instances(inst_path, [EnvInstance(env_id, "bad-start", s0, goal, 6)])
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"instance bad-start: {message}" in err
+    assert not out.exists()
+
+
 def test_oracle_unreachable_cube_start_is_data_error(tmp_path, capsys):
     inst_path = tmp_path / "cube.jsonl"
     s0 = "t=0|01234567|10000000"  # twists sum to 1 mod 3

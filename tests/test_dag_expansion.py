@@ -19,7 +19,6 @@ import pytest
 
 from flowseek.environments import TabularEnv, TabularIndex, generate_instances, make_env
 from flowseek.environments.base import EnvInstance
-from flowseek.environments.blocksworld import _decode as bw_decode
 from flowseek.environments.blocksworld import _goal_met
 from flowseek.environments.cube2x2 import distance_to_solved
 from flowseek.environments.game24 import make_instance
@@ -245,6 +244,12 @@ def cube_config(state):
     return bytes(int(c) for c in cp + co)
 
 
+def bw_supports(state):
+    """The block -> support map a `t=<step>|hand=…|on=…` blocksworld key spells."""
+    body = state.split("|on=")[1]
+    return dict(item.split(":") for item in body.split(",")) if body else {}
+
+
 def old_reward_total(env, traj):
     """The per-env reward loops that `Environment.reward` replaced."""
     if env.env_id == "cube2x2":
@@ -255,7 +260,7 @@ def old_reward_total(env, traj):
             intermediate += float(np.exp(r_prev - r_next))
         return max(success + intermediate, env.reward_floor)
     if env.env_id == "blocksworld":
-        success = env.w if _goal_met(bw_decode(traj.states[-1])[2], env.goal_relations) else 0.0
+        success = env.w if _goal_met(bw_supports(traj.states[-1]), env.goal_relations) else 0.0
         intermediate = 0.0
         for s, a in zip(traj.states[:-1], traj.actions):
             intermediate += -1.0 / math.log(env.step_score(s, a))
