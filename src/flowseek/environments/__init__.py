@@ -76,13 +76,15 @@ class TabularEnv:
     Table rows are indexed by the full state, so two states never share rows:
     `decision_key` is the identity here, rather than the wrapped env's key
     (game24's drops the history), which `__getattr__` would otherwise expose
-    to `feature_matrix` and the oracle's policy cache.
+    to the row store and the oracle's policy cache. For the same reason the
+    wrapper binds the base row methods: the wrapped env's would read its
+    process-wide row store and write its step and goal columns.
     """
 
     def __init__(self, env: Environment, table: TabularIndex):
         self._env = env
         self.table = table
-        self._featmat_cache: dict[str, np.ndarray] = {}
+        self._row_templates: dict[str, np.ndarray] = {}
 
     def __getattr__(self, name):
         return getattr(self._env, name)
@@ -101,8 +103,10 @@ class TabularEnv:
             vec[idx] = 1.0
         return vec
 
-    # the base method, bound here so it calls this wrapper's key and featurize
+    # the base methods, bound here so they call this wrapper's key, store and featurize
     feature_matrix = Environment.feature_matrix
+    row_template = Environment.row_template
+    fill_call_columns = Environment.fill_call_columns
 
 
 def _env_class(env_id: str) -> type[Environment]:

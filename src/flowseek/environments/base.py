@@ -136,12 +136,19 @@ class Environment:
 
     `decision_key(state)` names the decision point a state stands for. The
     contract: two states with the same key have the same valid actions and
-    the same feature rows, so `cached_valid_actions`, `feature_matrix` and
-    the oracle's per-state policy cache key on it. The default is the state
+    the same feature rows, so `cached_valid_actions`, the row store and the
+    oracle's per-state policy cache key on it. The default is the state
     itself; game24 drops the equation history, because its actions and
     features depend only on the numbers left. `TabularEnv` keys on the full
     state again: its one-hot rows index the state itself, so the wrapped
     env's coarser key would merge rows that differ.
+
+    `feature_matrix` widens the row template `row_template` names (built
+    once by `featurize`, see `build_row_template`) into a fresh float matrix,
+    then lets `fill_call_columns` write the columns the template leaves out. By
+    default the template is this env's own, keyed on `decision_key`; game24,
+    cube2x2 and blocksworld keep goal- and step-free templates with their
+    process-wide tables and fill the step (and goal) columns per call.
     """
 
     env_id: str = "base"
@@ -168,7 +175,8 @@ class Environment:
         self.lam = intermediate_weight
         self.reward_floor = reward_floor
         self._valid_cache: dict[str, list[str]] = {}
-        self._featmat_cache: dict[str, np.ndarray] = {}
+        self._row_templates: dict[str, np.ndarray] = {}
+        self._uniform_scores: dict[str, float] = {}
         self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
         self._parent_count_cache: dict[str, int] = {}
         try:
@@ -262,15 +270,27 @@ class Environment:
         return actions
 
     def feature_matrix(self, state: str) -> np.ndarray:
-        """One feature row per action of `cached_valid_actions(state)`, in its order."""
-        key = self.decision_key(state)
-        mat = self._featmat_cache.get(key)
-        if mat is None:
-            mat = np.stack([self.featurize(state, a) for a in self.cached_valid_actions(state)])
-            if len(self._featmat_cache) >= self.FEATURE_CACHE_STATES:
-                self._featmat_cache.pop(next(iter(self._featmat_cache)))
-            self._featmat_cache[key] = mat
+        """One feature row per action of `cached_valid_actions(state)`, in its order.
+
+        A fresh matrix on every call: callers may keep or change it."""
+        mat = self.row_template(state).astype(np.float64)
+        self.fill_call_columns(state, mat)
         return mat
+
+    def row_template(self, state: str) -> np.ndarray:
+        """`state`'s rows as `build_row_template` keeps them, from this env's own store.
+
+        The store is keyed on `decision_key` and drops its oldest template past
+        FEATURE_CACHE_STATES entries."""
+        key = self.decision_key(state)
+        rows = self._row_templates.get(key)
+        if rows is None:
+            rows = bounded_put(self._row_templates, key, build_row_template(self, state),
+                               self.FEATURE_CACHE_STATES)
+        return rows
+
+    def fill_call_columns(self, state: str, mat: np.ndarray) -> None:
+        """Write the columns `row_template` leaves out; none when it holds whole rows."""
 
     def parent_count(self, state: str) -> int:
         if self.parent_mode == "tree":
@@ -305,11 +325,46 @@ class Environment:
 
     def step_score(self, state: str, action: str) -> float:
         """The scorer's p(action | state), which must lie in (0, 1), clamped to
-        [P_SCORE_MIN, P_SCORE_MAX]."""
+        [P_SCORE_MIN, P_SCORE_MAX].
+
+        Under `uniform`, p depends on the state alone, so it is scored once per
+        decision point."""
+        uniform = self.scorer == "uniform"
+        if uniform:
+            key = self.decision_key(state)
+            p = self._uniform_scores.get(key)
+            if p is not None:
+                return p
         p = SCORERS[self.scorer](self, state, action)
         if not (0.0 < p < 1.0):
             raise ScorerContractError(f"scorer {self.scorer} returned p={p} outside (0,1)")
-        return min(max(p, P_SCORE_MIN), P_SCORE_MAX)
+        p = min(max(p, P_SCORE_MIN), P_SCORE_MAX)
+        if uniform:
+            self._uniform_scores[key] = p
+        return p
+
+
+def build_row_template(env, state: str, clear: tuple[int, ...] = ()) -> np.ndarray:
+    """`env.featurize` of every action at `state`, stacked, with the columns
+    `clear` zeroed (they are written per call).
+
+    Kept as int8 when every entry is a small integer, as one-hot, count and
+    hashed columns are: an eighth of the bytes, and exact when widened."""
+    mat = np.stack([env.featurize(state, a) for a in env.cached_valid_actions(state)])
+    mat[:, list(clear)] = 0.0
+    if np.abs(mat).max() <= 127:  # False for a NaN, whose cast would warn
+        small = mat.astype(np.int8)
+        if (small == mat).all():
+            return small
+    return mat
+
+
+def bounded_put(store: dict, key, value, limit: int):
+    """`store[key] = value`, first dropping the oldest entry if `store` holds `limit`."""
+    if len(store) >= limit:
+        store.pop(next(iter(store)))
+    store[key] = value
+    return value
 
 
 def hashed_features(dim: int, *tokens: object) -> np.ndarray:

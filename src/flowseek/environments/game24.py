@@ -6,7 +6,8 @@ canonical equation strings like "4 + 8 = 12" with commutative operands sorted,
 which makes "8 + 4" and "4 + 8" the same action and the same solution-key
 entry. State keys embed the equation history (tree mode), but everything
 derived from a state depends only on its `|left=` suffix, the decision key:
-each env decodes a multiset once and reuses it for every history reaching it.
+one process-wide table decodes each multiset once, builds its feature rows
+once, and every env and every history reaching it reuses them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hashed_features
+from .base import EnvInstance, Environment, bounded_put, build_row_template, hashed_features
 
 TARGET = Fraction(24)
 
@@ -93,31 +94,41 @@ def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
 
 
 class _Decoded:
-    """Everything one multiset of numbers left yields, decoded once per env.
+    """Everything one multiset of numbers left yields, decoded once per process.
 
     `successors` maps each valid equation to its successor multiset (in
     `enumerate_actions` order), and `ranks` maps each operand string to its
     first index in the sorted values. `child_keys` holds the successor's
-    `|left=` key suffix for each equation applied so far. `hashed` is the
-    hashed-feature vector of the values token, which every row at this
-    decision point shares.
+    `|left=` key suffix for each equation applied so far, and `rows` the
+    feature rows once built (`build_row_template`); neither depends on an env.
     """
 
-    __slots__ = ("values", "left", "successors", "child_keys", "ranks", "hashed")
+    __slots__ = ("values", "left", "successors", "child_keys", "ranks", "rows")
 
-    def __init__(self, values: tuple[Fraction, ...], n_hashed: int):
+    def __init__(self, values: tuple[Fraction, ...]):
         self.values = values
         self.left = fmt_values(values)
         self.child_keys: dict[str, str] = {}
         self.ranks: dict[str, int] = {}
         for rank, v in enumerate(values):
             self.ranks.setdefault(fmt(v), rank)
-        if len(values) > 1:
-            self.successors = dict(enumerate_actions(values))
-            self.hashed = hashed_features(n_hashed, ("g24v", self.left))
-        else:  # terminal: no actions and no rows
-            self.successors = {}
-            self.hashed = None
+        # a terminal has no actions and no rows
+        self.successors = dict(enumerate_actions(values)) if len(values) > 1 else {}
+        self.rows = None
+
+
+# `|left=` text -> its entry, for the whole process; past TABLE_ENTRIES the
+# oldest entry goes (a later query decodes it again)
+_TABLE: dict[str, _Decoded] = {}
+TABLE_ENTRIES = 32768
+
+
+def _context(state: str) -> _Decoded:
+    left = state[state.index("|left=") + len("|left=") :]
+    ctx = _TABLE.get(left)
+    if ctx is None:
+        ctx = bounded_put(_TABLE, left, _Decoded(parse_values(left)), TABLE_ENTRIES)
+    return ctx
 
 
 class Game24Env(Environment):
@@ -130,28 +141,26 @@ class Game24Env(Environment):
     _N_HASHED = 32
 
     def parse_instance(self):
-        self._decoded: dict[str, _Decoded] = {}
-        if not self._context(self.s0).values or self.goal != fmt(TARGET):
+        if not _context(self.s0).values or self.goal != fmt(TARGET):
             raise ValueError("s0 must hold numbers and the goal must be 24")
 
     def decision_key(self, state):
         # the `|left=` suffix: actions and features never read the history
         return state[state.index("|left=") :]
 
-    def _context(self, state: str) -> _Decoded:
-        left = state[state.index("|left=") + len("|left=") :]
-        ctx = self._decoded.get(left)
-        if ctx is None:
-            ctx = self._decoded[left] = _Decoded(parse_values(left), self._N_HASHED)
-        return ctx
+    def row_template(self, state):
+        ctx = _context(state)
+        if ctx.rows is None:
+            ctx.rows = build_row_template(self, state)
+        return ctx.rows
 
     def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
-        return list(self._context(state).successors)
+        return list(_context(state).successors)
 
     def apply(self, state, action):
-        ctx = self._context(state)
+        ctx = _context(state)
         tail = ctx.child_keys.get(action)
         if tail is None:
             nxt = ctx.successors.get(action)
@@ -164,10 +173,10 @@ class Game24Env(Environment):
         return f"{head}{sep}{action}{tail}"
 
     def is_terminal(self, state):
-        return len(self._context(state).values) == 1
+        return len(_context(state).values) == 1
 
     def is_success(self, traj):
-        values = self._context(traj.states[-1]).values
+        values = _context(traj.states[-1]).values
         return len(values) == 1 and values[0] == TARGET
 
     def reward(self, traj):
@@ -178,7 +187,7 @@ class Game24Env(Environment):
         return self.floored(success, product)
 
     def potential(self, state):
-        values = self._context(state).values
+        values = _context(state).values
         closest = min(abs(float(v - TARGET)) for v in values)
         return -closest - len(values)
 
@@ -213,7 +222,7 @@ class Game24Env(Environment):
         return 4 + 16 + 3 + 3 * self._N_BUCKETS + 3 + 4 + 1 + self._N_HASHED
 
     def featurize(self, state, action):
-        ctx = self._context(state)
+        ctx = _context(state)
         nxt = ctx.successors.get(action)
         if nxt is None:
             raise InvalidActionError(f"action {action!r} invalid at {state!r}")
@@ -249,11 +258,8 @@ class Game24Env(Environment):
         off += 4
         vec[off] = 1.0
         off += 1
-        # hashed entries are small integers, so adding the shared values-token
-        # vector first gives the same floats as hashing all three tokens at once
-        vec[off:] = ctx.hashed
-        vec[off:] += hashed_features(
-            self._N_HASHED, ("g24a", action), ("g24va", ctx.left, action)
+        vec[off:] = hashed_features(
+            self._N_HASHED, ("g24v", ctx.left), ("g24a", action), ("g24va", ctx.left, action)
         )
         return vec
 

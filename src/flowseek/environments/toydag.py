@@ -90,41 +90,6 @@ class ToyDagEnv(Environment):
         return vec
 
 
-def two_terminal_instance(instance_id: str = "toy-2term", r_low: float = 1.0, r_high: float = 3.0) -> EnvInstance:
-    """Two-level tree with terminal rewards (r_low, r_high); target dist is proportional."""
-    edges = {
-        "s0": {"left": "mid_l", "right": "mid_r"},
-        "mid_l": {"go": "t_low"},
-        "mid_r": {"go": "t_high"},
-    }
-    rewards = {"t_low": r_low, "t_high": r_high}
-    return EnvInstance(
-        env_id="toydag",
-        instance_id=instance_id,
-        s0="s0",
-        goal=make_graph_goal(edges, rewards),
-        max_steps=2,
-    )
-
-
-def diamond_instance(instance_id: str = "toy-diamond") -> EnvInstance:
-    """Merging DAG: two paths into a shared state, then two terminals (R=1, R=3)."""
-    edges = {
-        "s0": {"a": "p", "b": "q"},
-        "p": {"c": "x"},
-        "q": {"c": "x"},
-        "x": {"d": "t1", "e": "t3"},
-    }
-    rewards = {"t1": 1.0, "t3": 3.0}
-    return EnvInstance(
-        env_id="toydag",
-        instance_id=instance_id,
-        s0="s0",
-        goal=make_graph_goal(edges, rewards),
-        max_steps=3,
-    )
-
-
 def generate_instances(count: int, seed: int, difficulty: str | None = None) -> list[EnvInstance]:
     """Random small layered DAGs with positive terminal rewards."""
     rng = substream(seed, "gen", "toydag")

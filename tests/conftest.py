@@ -2,13 +2,50 @@ from dataclasses import dataclass
 
 import pytest
 
-from flowseek.environments import make_env
-from flowseek.environments.toydag import diamond_instance, two_terminal_instance
+from flowseek.environments import EnvInstance, make_env
+from flowseek.environments.toydag import make_graph_goal
 from flowseek.errors import EnumerationCapError
 from flowseek.exploration import sample_trajectory_mixed
 from flowseek.flow_core import Trajectory
 from flowseek.policy import PolicyParams, init_params
 from flowseek.rngutil import substream
+
+
+def two_terminal_instance(
+    instance_id: str = "toy-2term", r_low: float = 1.0, r_high: float = 3.0
+) -> EnvInstance:
+    """Two-level tree with terminal rewards (r_low, r_high); target dist is proportional."""
+    edges = {
+        "s0": {"left": "mid_l", "right": "mid_r"},
+        "mid_l": {"go": "t_low"},
+        "mid_r": {"go": "t_high"},
+    }
+    rewards = {"t_low": r_low, "t_high": r_high}
+    return EnvInstance(
+        env_id="toydag",
+        instance_id=instance_id,
+        s0="s0",
+        goal=make_graph_goal(edges, rewards),
+        max_steps=2,
+    )
+
+
+def diamond_instance(instance_id: str = "toy-diamond") -> EnvInstance:
+    """Merging DAG: two paths into a shared state, then two terminals (R=1, R=3)."""
+    edges = {
+        "s0": {"a": "p", "b": "q"},
+        "p": {"c": "x"},
+        "q": {"c": "x"},
+        "x": {"d": "t1", "e": "t3"},
+    }
+    rewards = {"t1": 1.0, "t3": 3.0}
+    return EnvInstance(
+        env_id="toydag",
+        instance_id=instance_id,
+        s0="s0",
+        goal=make_graph_goal(edges, rewards),
+        max_steps=3,
+    )
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ import pytest
 from flowseek.cli import main
 from flowseek.environments import generate_instances, make_env, replay_trajectory
 from flowseek.environments.game24 import parse_values, solve_game24
-from flowseek.environments.toydag import two_terminal_instance
 from flowseek.environments.cube2x2 import (
     INVERSE,
     MOVES,
@@ -37,6 +36,8 @@ from flowseek.oracle import enumerate_dag, policy_terminal_dist, tv_distance, wr
 from flowseek.policy import PolicyParams, init_params, trajectory_logpf_and_grad
 from flowseek.rngutil import substream
 from flowseek.trainer import TrainConfig, build_envs, train
+
+from conftest import two_terminal_instance
 
 
 @contextmanager

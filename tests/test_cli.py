@@ -11,7 +11,8 @@ from flowseek.cli import main
 from flowseek.environments import ENV_IDS, EnvInstance, read_instances, write_instances
 from flowseek.environments.game24 import make_instance, solve_game24
 from flowseek.environments.toydag import generate_instances as toydag_instances
-from flowseek.environments.toydag import two_terminal_instance
+
+from conftest import two_terminal_instance
 
 
 def run_cli(*argv):

@@ -22,12 +22,12 @@ from flowseek.environments.base import EnvInstance
 from flowseek.environments.blocksworld import _goal_met
 from flowseek.environments.cube2x2 import distance_to_solved
 from flowseek.environments.game24 import make_instance
-from flowseek.environments.toydag import diamond_instance, make_graph_goal
+from flowseek.environments.toydag import make_graph_goal
 from flowseek.errors import EnumerationCapError
 from flowseek.oracle import enumerate_dag, policy_terminal_dist, tv_distance
 from flowseek.policy import action_logits
 
-from conftest import random_params, reference_enumerate_dag, rollout
+from conftest import diamond_instance, random_params, reference_enumerate_dag, rollout
 
 
 def skip_edge_instance():
@@ -286,3 +286,29 @@ def test_reward_fold_matches_per_env_loop(case):
             assert any(env.is_success(t) for t in trajs)
             for traj in trajs:
                 assert env.reward(traj) == old_reward_total(env, traj)
+
+
+@pytest.mark.parametrize("name", ["blocksworld-4", "game24"])
+def test_uniform_step_score_is_scored_once_per_decision_point(name, monkeypatch):
+    from flowseek.environments import base
+
+    scored = []
+    uniform = base.SCORERS["uniform"]
+
+    def counting_uniform(env, state, action):
+        scored.append(env.decision_key(state))
+        return uniform(env, state, action)
+
+    monkeypatch.setitem(base.SCORERS, "uniform", counting_uniform)
+    inst = INSTANCES[name]
+    env = make_env(inst)
+    enumerate_dag(inst, env)  # the target pass reads p on every edge
+    assert scored and len(scored) == len(set(scored))
+    stack = [env.s0]
+    while stack:
+        state = stack.pop()
+        for action, child in env.children(state) or ():
+            p = min(max(uniform(env, state, action), base.P_SCORE_MIN), base.P_SCORE_MAX)
+            assert env.step_score(state, action) == p
+            stack.append(child)
+    assert len(scored) == len(set(scored))

@@ -8,10 +8,13 @@ keys on the full state.
 
 import hashlib
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 
-from flowseek.environments import make_env
+from flowseek.environments import blocksworld, cube2x2, game24, generate_instances, make_env
+from flowseek.environments.cube2x2 import scramble_instance
 from flowseek.environments.game24 import (
     Game24Env,
     enumerate_actions,
@@ -41,25 +44,42 @@ def reachable_nonterminal(env):
     return out
 
 
-def test_shared_rows_match_fresh_featurize():
+def test_shared_rows_match_fresh_featurize(monkeypatch):
+    # the references come from `featurize` on a table of their own, which the
+    # rows under test never touch; each key's template is built exactly once,
+    # so a second env on the same table calls `featurize` not at all
+    refs = {}
     for hand in HANDS:
-        inst = make_instance(hand, "dk")
-        env = make_env(inst)
+        monkeypatch.setattr(game24, "_TABLE", {})
+        env = make_env(make_instance(hand, "dk"))
+        refs[tuple(hand)] = {
+            state: (env.valid_actions(state),
+                    np.stack([env.featurize(state, a) for a in env.valid_actions(state)]))
+            for state in reachable_nonterminal(env)
+        }
+    built = Counter()
+    featurize = Game24Env.featurize
+
+    def counting_featurize(self, state, action):
+        built[self.decision_key(state)] += 1
+        return featurize(self, state, action)
+
+    monkeypatch.setattr(Game24Env, "featurize", counting_featurize)
+    for hand in HANDS:
+        monkeypatch.setattr(game24, "_TABLE", {})
+        built.clear()
         by_key = {}
-        for state in reachable_nonterminal(env):
-            fresh = make_env(inst)  # no memo, no cache
-            actions = env.cached_valid_actions(state)
-            assert actions == fresh.valid_actions(state)
-            mat = env.feature_matrix(state)
-            ref = np.stack([fresh.featurize(state, a) for a in actions])
-            assert mat.tobytes() == ref.tobytes(), state
-            by_key.setdefault(env.decision_key(state), []).append((state, mat))
-        shared = [group for group in by_key.values() if len(group) > 1]
-        assert shared, hand
-        for group in shared:
-            states = {s for s, _ in group}
-            assert len(states) == len(group)  # different histories, one key
-            assert all(m is group[0][1] for _, m in group)
+        for env in (make_env(make_instance(hand, "dk")), make_env(make_instance(hand, "dk2"))):
+            for state, (actions, ref) in refs[tuple(hand)].items():
+                assert env.cached_valid_actions(state) == actions
+                mat = env.feature_matrix(state)
+                assert mat.tobytes() == ref.tobytes(), state
+                by_key.setdefault(env.decision_key(state), []).append((state, mat))
+        assert any(len({s for s, _ in group}) > 1 for group in by_key.values()), hand
+        for key, group in by_key.items():
+            assert all(m.tobytes() == group[0][1].tobytes() for _, m in group)
+            assert built[key] == len(group[0][1]), key  # one featurize per action, once
+        assert set(built) == set(by_key)
 
 
 def test_feature_rows_match_pinned_digest():
@@ -110,23 +130,45 @@ def reference_terminal_dist(params, env):
     return out
 
 
-def test_tabular_rows_stay_per_state():
-    inst = make_instance([4, 4, 6, 8], "tab")
-    config = TrainConfig(env_id="game24", featurizer="tabular")
-    env = build_envs(config, [inst])[inst.instance_id]
-    by_multiset = {}
-    for state in reachable_nonterminal(env):
-        assert env.decision_key(state) == state
-        mat = env.feature_matrix(state)
-        by_multiset.setdefault(state.split("|left=")[1], []).append(mat)
-    shared = [mats for mats in by_multiset.values() if len(mats) > 1]
-    assert shared
-    for mats in shared:
-        # one-hot rows index (goal, state, action), so histories never collide
-        assert not np.array_equal(mats[0], mats[1])
+def test_tabular_rows_stay_per_state(monkeypatch):
+    # the wrapper reads none of the wrapped env's process-wide row stores and
+    # writes none of its step or goal columns: its rows are the table's one-hots
+    monkeypatch.setattr(game24, "_TABLE", {})
+    monkeypatch.setattr(cube2x2, "_ROWS", {})
+    monkeypatch.setattr(blocksworld, "_TABLE", {})
+    instances = [
+        make_instance([4, 4, 6, 8], "tab"),
+        scramble_instance(["R", "U'"], "tab-cube", max_steps=3),
+        generate_instances("blocksworld", 1, 22, "4")[0],
+    ]
+    for inst in instances:
+        config = TrainConfig(env_id=inst.env_id, featurizer="tabular")
+        env = build_envs(config, [inst])[inst.instance_id]
+        by_multiset = {}
+        for state in reachable_nonterminal(env):
+            assert env.decision_key(state) == state
+            mat = env.feature_matrix(state)
+            ref = np.stack([env.featurize(state, a) for a in env.cached_valid_actions(state)])
+            assert mat.tobytes() == ref.tobytes(), state
+            assert (mat.sum(axis=1) == 1.0).all()  # one one-hot per row, nothing more
+            if inst.env_id == "game24":
+                by_multiset.setdefault(state.split("|left=")[1], []).append(mat)
+        if inst.env_id == "game24":
+            shared = [mats for mats in by_multiset.values() if len(mats) > 1]
+            assert shared
+            for mats in shared:
+                # one-hot rows index (goal, state, action), so histories never collide
+                assert not np.array_equal(mats[0], mats[1])
 
-    params = random_params("linear", env, seed=3)
-    assert policy_terminal_dist(params, inst, env) == reference_terminal_dist(params, env)
+        params = random_params("linear", env, seed=3)
+        got, want = policy_terminal_dist(params, inst, env), reference_terminal_dist(params, env)
+        if env.parent_mode == "tree":
+            assert got == want
+        else:  # merging paths add up in another order than the walk's
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert all(ctx.rows is None for ctx in game24._TABLE.values())
+    assert not cube2x2._ROWS
+    assert blocksworld._TABLE and all(e.rows is None for e in blocksworld._TABLE.values())
 
 
 def test_policy_terminal_dist_shares_default_rows():

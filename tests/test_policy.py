@@ -23,7 +23,7 @@ from flowseek.policy import (
 )
 from flowseek.rngutil import substream
 
-from conftest import random_params
+from conftest import random_params, two_terminal_instance
 
 
 def test_zero_params_give_uniform(toy_env):
@@ -68,8 +68,6 @@ def test_log_prob_invalid_action(toy_env):
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10_000))
 def test_normalization_property(seed):
-    from flowseek.environments.toydag import two_terminal_instance
-
     env = make_env(two_terminal_instance())
     params = random_params("mlp", env, hidden=4, seed=seed)
     dist = action_logits(params, env.s0, env)

@@ -8,7 +8,6 @@ import pytest
 from flowseek import trainer
 from flowseek.environments import make_env, toydag
 from flowseek.environments.game24 import make_instance
-from flowseek.environments.toydag import two_terminal_instance
 from flowseek.errors import ConfigError, FlowseekError, InvalidActionError, StructuralError
 from flowseek.exploration import ExplorationSchedule
 from flowseek.oracle import write_offline_game24
@@ -21,7 +20,7 @@ from flowseek.trainer import (
     train,
 )
 
-from conftest import random_params, rollout
+from conftest import random_params, rollout, two_terminal_instance
 
 
 def toy_config(**overrides):
