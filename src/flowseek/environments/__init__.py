@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import sys
+from collections import Counter
 
 import numpy as np
 
 from ..errors import EnumerationCapError, GenerationError
 from ..flow_core import Trajectory
 from .arc1d import Arc1dEnv
-from .base import EnvInstance, Environment, read_instances, write_instances
+from .base import EnvInstance, Environment, RowStore, read_instances, write_instances
 from .blocksworld import BlocksWorldEnv
 from .cube2x2 import Cube2x2Env
 from .game24 import Game24Env
@@ -77,14 +78,15 @@ class TabularEnv:
     `decision_key` is the identity here, rather than the wrapped env's key
     (game24's drops the history), which `__getattr__` would otherwise expose
     to the row store and the oracle's policy cache. For the same reason the
-    wrapper binds the base row methods: the wrapped env's would read its
-    process-wide row store and write its step and goal columns.
+    wrapper binds the base `feature_matrix` and keeps a row store of its own:
+    the wrapped env's would read the wrapped env's store and write its step
+    and goal columns.
     """
 
     def __init__(self, env: Environment, table: TabularIndex):
         self._env = env
         self.table = table
-        self._row_templates: dict[str, np.ndarray] = {}
+        self._rows = RowStore(1)
 
     def __getattr__(self, name):
         return getattr(self._env, name)
@@ -103,10 +105,8 @@ class TabularEnv:
             vec[idx] = 1.0
         return vec
 
-    # the base methods, bound here so they call this wrapper's key, store and featurize
+    # bound here so it reads this wrapper's key, store and featurize
     feature_matrix = Environment.feature_matrix
-    row_template = Environment.row_template
-    fill_call_columns = Environment.fill_call_columns
 
 
 def _env_class(env_id: str) -> type[Environment]:
@@ -119,6 +119,18 @@ def _env_class(env_id: str) -> type[Environment]:
 def make_env(instance: EnvInstance, **settings) -> Environment:
     """The instance's environment; `settings` are `Environment` keywords (scorer by name)."""
     return _env_class(instance.env_id)(instance, **settings)
+
+
+def make_envs(instances: list[EnvInstance], **settings) -> dict[str, Environment]:
+    """One environment per instance, by id, built together.
+
+    Envs of a class with `shared_rows` share one row store, so a decision
+    point's template is built once for all of them. The store lives as long
+    as they do."""
+    classes = [_env_class(inst.env_id) for inst in instances]
+    stores = {cls: RowStore(n) for cls, n in Counter(classes).items() if cls.shared_rows}
+    return {inst.instance_id: cls(inst, row_store=stores.get(cls), **settings)
+            for inst, cls in zip(instances, classes)}
 
 
 def generate_instances(

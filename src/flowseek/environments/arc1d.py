@@ -225,7 +225,7 @@ class Arc1dEnv(Environment):
         off += 4
         vec[off] = 1.0 if action == "identity_stop" and before == 0 else 0.0
         off += 1
-        vec[off] = (len(hist) + 1) / max(self.max_steps, 1)
+        vec[off] = self.step_fraction(len(hist))
         vec[off + 1] = 1.0
         off += 2
         grid_sig = ";".join(_grid_str(g) for g in grids)

@@ -143,12 +143,14 @@ class Environment:
     state again: its one-hot rows index the state itself, so the wrapped
     env's coarser key would merge rows that differ.
 
-    `feature_matrix` widens the row template `row_template` names (built
-    once by `featurize`, see `build_row_template`) into a fresh float matrix,
-    then lets `fill_call_columns` write the columns the template leaves out. By
-    default the template is this env's own, keyed on `decision_key`; game24,
-    cube2x2 and blocksworld keep goal- and step-free templates with their
-    process-wide tables and fill the step (and goal) columns per call.
+    `feature_matrix` widens the decision point's row template (see
+    `row_template`, built once per key by `featurize`) into a fresh float
+    matrix. By default the template is keyed on `decision_key` and holds
+    whole rows. cube2x2 and blocksworld override `feature_matrix`: they key
+    their templates on the configuration and write the step (and goal)
+    columns per call. A class whose templates read nothing of its instance
+    sets `shared_rows`, and then every env that `make_envs` builds together
+    shares one store, which lives as long as they do.
     """
 
     env_id: str = "base"
@@ -156,8 +158,7 @@ class Environment:
     solution_sep: str = "|"  # joins a successful trajectory's actions into its solution key
     reads_scorer: bool = False
     reads_lambda: bool = False  # whether `edge_scale` is the `intermediate_weight` setting
-
-    FEATURE_CACHE_STATES = 2048
+    shared_rows: bool = False  # whether envs built together may share one row store
 
     def __init__(
         self,
@@ -166,16 +167,19 @@ class Environment:
         success_weight: float = DEFAULT_SUCCESS_WEIGHT,
         intermediate_weight: float = DEFAULT_INTERMEDIATE_WEIGHT,
         reward_floor: float = REWARD_FLOOR,
+        row_store: "RowStore | None" = None,
     ):
         if scorer not in SCORERS:
             raise ValueError(f"unknown scorer {scorer!r}")
+        if row_store is not None and not self.shared_rows:
+            raise ValueError(f"{self.env_id} rows read the instance; its envs cannot share a store")
         self.instance = instance
         self.scorer = scorer
         self.w = success_weight
         self.lam = intermediate_weight
         self.reward_floor = reward_floor
         self._valid_cache: dict[str, list[str]] = {}
-        self._row_templates: dict[str, np.ndarray] = {}
+        self._rows = RowStore(1) if row_store is None else row_store
         self._uniform_scores: dict[str, float] = {}
         self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
         self._parent_count_cache: dict[str, int] = {}
@@ -255,6 +259,10 @@ class Environment:
     def feature_dim(self) -> int:
         raise NotImplementedError
 
+    def step_fraction(self, step: int) -> float:
+        """The feature column that marks how far into its budget step `step` is."""
+        return (step + 1) / max(self.max_steps, 1)
+
     # -- cached lookups (features and action sets are parameter-independent) ----
 
     def decision_key(self, state: str) -> str:
@@ -273,24 +281,7 @@ class Environment:
         """One feature row per action of `cached_valid_actions(state)`, in its order.
 
         A fresh matrix on every call: callers may keep or change it."""
-        mat = self.row_template(state).astype(np.float64)
-        self.fill_call_columns(state, mat)
-        return mat
-
-    def row_template(self, state: str) -> np.ndarray:
-        """`state`'s rows as `build_row_template` keeps them, from this env's own store.
-
-        The store is keyed on `decision_key` and drops its oldest template past
-        FEATURE_CACHE_STATES entries."""
-        key = self.decision_key(state)
-        rows = self._row_templates.get(key)
-        if rows is None:
-            rows = bounded_put(self._row_templates, key, build_row_template(self, state),
-                               self.FEATURE_CACHE_STATES)
-        return rows
-
-    def fill_call_columns(self, state: str, mat: np.ndarray) -> None:
-        """Write the columns `row_template` leaves out; none when it holds whole rows."""
+        return row_template(self, self.decision_key(state), state).astype(np.float64)
 
     def parent_count(self, state: str) -> int:
         if self.parent_mode == "tree":
@@ -344,19 +335,45 @@ class Environment:
         return p
 
 
-def build_row_template(env, state: str, clear: tuple[int, ...] = ()) -> np.ndarray:
-    """`env.featurize` of every action at `state`, stacked, with the columns
-    `clear` zeroed (they are written per call).
+# the most templates a row store keeps per env that reads it; past it the
+# oldest goes (a later query builds it again)
+FEATURE_CACHE_STATES = 2048
 
-    Kept as int8 when every entry is a small integer, as one-hot, count and
-    hashed columns are: an eighth of the bytes, and exact when widened."""
-    mat = np.stack([env.featurize(state, a) for a in env.cached_valid_actions(state)])
-    mat[:, list(clear)] = 0.0
-    if np.abs(mat).max() <= 127:  # False for a NaN, whose cast would warn
-        small = mat.astype(np.int8)
-        if (small == mat).all():
-            return small
-    return mat
+
+class RowStore(dict):
+    """Row templates by key, for `envs` envs (one, or all that `make_envs`
+    built together of a class with `shared_rows`).
+
+    It keeps at most FEATURE_CACHE_STATES templates per env, so a shared
+    store never holds more than the per-env stores it stands for would."""
+
+    def __init__(self, envs: int):
+        super().__init__()
+        self.envs = envs
+
+
+def row_template(env, key, state: str, clear=None) -> np.ndarray:
+    """The rows of `state` that `env`'s row store keeps under `key`, built on a miss.
+
+    A template is `env.featurize` of every action at `state`, stacked, with
+    the columns `clear` (an index or index array) zeroed: the caller writes
+    them per call. A store shared by several envs keeps it as int8 when every
+    entry is a small integer, as one-hot, count and hashed columns are: an
+    eighth of the bytes, and exact when widened. A store of one env holds no
+    more rows than that env's own cache did, so it keeps float64 and skips
+    the check. Callers must not change the template."""
+    rows = env._rows.get(key)
+    if rows is None:
+        rows = np.array([env.featurize(state, a) for a in env.cached_valid_actions(state)])
+        if clear is not None:
+            rows[:, clear] = 0.0
+        # the bound is False for a NaN, whose cast would warn
+        if env._rows.envs > 1 and np.abs(rows).max() <= 127:
+            small = rows.astype(np.int8)
+            if (small == rows).all():
+                rows = small
+        bounded_put(env._rows, key, rows, FEATURE_CACHE_STATES * env._rows.envs)
+    return rows
 
 
 def bounded_put(store: dict, key, value, limit: int):

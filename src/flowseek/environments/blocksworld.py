@@ -12,15 +12,15 @@ order, and its feature hash reads its text as written. Inside, an env reads
 the step from the key and the configuration from one process-wide table that
 fills lazily, one entry per configuration text. An entry holds only what no
 goal changes: the supports, the valid actions in order, the entry each action
-leads to, the parent entries that the four inverse actions reach and, once
-built, the feature rows without their goal and step columns. Goal facts
-(relations satisfied, goal met) are computed from an entry's supports on each
-call, and an env keeps its goal columns per entry in its own memo, so envs
-with different goals share the table. A state's parent count is its number
-of inverse-action parents that do not meet the goal: a terminal state has no
-edges. The table holds at most one entry per configuration of each block set
-seen: 866 for five blocks (the generator's 6-step instances), 125 for four
-and 22 for three.
+leads to and the parent entries that the four inverse actions reach. Goal
+facts (relations satisfied, goal met) are computed from an entry's supports
+on each call, so envs with different goals share the table. Feature rows
+without their goal and step columns are kept per entry, in a store that envs
+built together share, and an env keeps its goal columns per entry in its own
+memo. A state's parent count is its number of inverse-action parents that do
+not meet the goal: a terminal state has no edges. The table holds at most
+one entry per configuration of each block set seen: 866 for five blocks (the
+generator's 6-step instances), 125 for four and 22 for three.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, build_row_template, hashed_features
+from .base import EnvInstance, Environment, hashed_features, row_template
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 
@@ -102,11 +102,9 @@ def _goal_met(on: dict[str, str], relations: list[tuple[str, str]]) -> bool:
 class _Config:
     """One configuration's goal-independent facts, shared by every env.
 
-    `actions` is the list `valid_actions` returns; callers must not change it.
-    `rows` holds the feature rows without the goal and step columns once an
-    env has built them (`build_row_template`)."""
+    `actions` is the list `valid_actions` returns; callers must not change it."""
 
-    __slots__ = ("text", "hand", "on", "actions", "rows", "_next", "_parents")
+    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents")
 
     def __init__(self, text: str):
         hand, on = _parse_config(text)
@@ -117,7 +115,6 @@ class _Config:
                             for x in clear]
         else:
             self.actions = [f"putdown {hand}", *(f"stack {hand} {y}" for y in clear)]
-        self.rows = None
         self._next: dict[str, _Config] | None = None
         self._parents: list[_Config] | None = None
 
@@ -189,13 +186,14 @@ class BlocksWorldEnv(Environment):
     parent_mode = "exact"
     reads_scorer = True
     reads_lambda = True
+    shared_rows = True  # templates are keyed by entry and leave the goal and step columns out
 
     _N_HASHED = 32
 
     def parse_instance(self):
         check_physics(self.s0)
         self.goal_relations = _parse_goal(self.goal)
-        self._goal_cells: dict[_Config, np.ndarray] = {}
+        self._goal_cells: dict[_Config, tuple[dict[str, list[int]], np.ndarray]] = {}
         step, entry = _read(self.s0)
         named = {b for b, _ in self.goal_relations}
         named |= {s for _, s in self.goal_relations if s != "table"}
@@ -256,56 +254,56 @@ class BlocksWorldEnv(Environment):
     # + step fraction(1) + bias(1) + hashed; of the flags, 12 (improved),
     # 13 (worsened) and 15 (moved block named by the goal) read the goal and
     # 14 (hand empty after) does not
-    _GOAL_COLUMNS = (*range(4, 14), 15)
     _STEP_COLUMN = 16
+    _CALL_COLUMNS = np.array([*range(4, 14), 15, _STEP_COLUMN])  # written per call
 
     @property
     def feature_dim(self):
         return 4 + 5 + 3 + 4 + 1 + 1 + self._N_HASHED
 
-    def _goal_ones(self, entry: _Config, action: str) -> list[int]:
-        """The goal columns that are 1 in `action`'s row at `entry`; the rest are 0."""
-        sat_before = _satisfied(entry.on, self.goal_relations)
-        sat_after = _satisfied(entry.next[action].on, self.goal_relations)
-        delta = (sat_after > sat_before) - (sat_after < sat_before)
-        ones = [4 + min(sat_after, 4), 10 + delta]
-        if delta:
-            ones.append(12 if delta > 0 else 13)
-        moved = action.split()[1]
-        if any(moved in rel for rel in self.goal_relations):
-            ones.append(15)
-        return ones
+    def _goal_ones(self, entry: _Config) -> tuple[dict[str, list[int]], np.ndarray]:
+        """The goal columns that are 1 in each action's row at `entry` (the
+        rest are 0), by action and as flat indices into the entry's matrix.
 
-    def _step_fraction(self, step):
-        return (step + 1) / max(self.max_steps, 1)
+        Kept per entry in this env's own memo, so `featurize` and
+        `feature_matrix` compute them once."""
+        cells = self._goal_cells.get(entry)
+        if cells is None:
+            sat_before = _satisfied(entry.on, self.goal_relations)
+            by_action = {}
+            for action in entry.actions:
+                sat_after = _satisfied(entry.next[action].on, self.goal_relations)
+                delta = (sat_after > sat_before) - (sat_after < sat_before)
+                ones = by_action[action] = [4 + min(sat_after, 4), 10 + delta]
+                if delta:
+                    ones.append(12 if delta > 0 else 13)
+                moved = action.split()[1]
+                if any(moved in rel for rel in self.goal_relations):
+                    ones.append(15)
+            dim = self.feature_dim
+            flat = np.array([row * dim + col for row, ones in enumerate(by_action.values())
+                             for col in ones], np.intp)
+            cells = self._goal_cells[entry] = (by_action, flat)
+        return cells
 
     def featurize(self, state, action):
         step, entry = _read(state)
+        after = entry.next[action]
         vec = np.zeros(self.feature_dim)
         vec[["pickup", "putdown", "stack", "unstack"].index(action.split()[0])] = 1.0
-        vec[self._goal_ones(entry, action)] = 1.0
-        vec[14] = 1.0 if entry.next[action].hand is None else 0.0
-        vec[self._STEP_COLUMN] = self._step_fraction(step)
+        vec[self._goal_ones(entry)[0][action]] = 1.0
+        vec[14] = 1.0 if after.hand is None else 0.0
+        vec[self._STEP_COLUMN] = self.step_fraction(step)
         vec[17] = 1.0
         vec[18:] = hashed_features(self._N_HASHED, ("bw", entry.text, action))
         return vec
 
-    def row_template(self, state):
-        entry = _read(state)[1]
-        if entry.rows is None:
-            entry.rows = build_row_template(self, state, (*self._GOAL_COLUMNS, self._STEP_COLUMN))
-        return entry.rows
-
-    def fill_call_columns(self, state, mat):
+    def feature_matrix(self, state):
         step, entry = _read(state)
-        cells = self._goal_cells.get(entry)
-        if cells is None:  # this env's goal columns of every row at `entry`, as flat indices
-            dim = self.feature_dim
-            cells = self._goal_cells[entry] = np.array(
-                [row * dim + col for row, action in enumerate(entry.actions)
-                 for col in self._goal_ones(entry, action)], np.intp)
-        mat.ravel()[cells] = 1.0
-        mat[:, self._STEP_COLUMN] = self._step_fraction(step)
+        mat = row_template(self, entry, state, self._CALL_COLUMNS).astype(np.float64)
+        mat.put(self._goal_ones(entry)[1], 1.0)
+        mat[:, self._STEP_COLUMN] = self.step_fraction(step)
+        return mat
 
 
 def _random_config(blocks: list[str], rng) -> dict[str, str]:

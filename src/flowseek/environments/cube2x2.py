@@ -12,8 +12,8 @@ Inside, an env reads each key once into (step, permutation rank, twist rank)
 on a dense index of every reachable configuration, built once per process.
 Moves, terminal tests, distances and the placed/oriented counts are then
 reads of per-rank tables, and a child's key joins its ranks' digit strings.
-Feature rows without the step column are kept per dense index for the whole
-process, so every env reuses them; the step fraction is written per call.
+Feature rows without the step column are kept per dense index, in a store
+that envs built together share; the step fraction is written per call.
 
 Distance-to-solved is breadth-first search from the solved configuration over
 the dense index, filled lazily one vectorised layer at a time and kept for
@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, bounded_put, build_row_template, hashed_features
+from .base import EnvInstance, Environment, hashed_features, row_template
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -170,10 +170,6 @@ def distance_to_solved(config: bytes) -> int:
     return _distance_at(729 * _PERM_RANK[cp] + _TWIST_RANK[co])
 
 
-# dense index -> its feature rows without the step column (`build_row_template`),
-# for the whole process; past ROW_ENTRIES the oldest goes (a later query builds it again)
-_ROWS: dict[int, np.ndarray] = {}
-ROW_ENTRIES = 8192
 _STEP_COLUMN = 37  # the step fraction, the only column that reads more than the configuration
 
 # exp of every distance drop a reward can hold, as np.exp gives it
@@ -184,6 +180,7 @@ class Cube2x2Env(Environment):
     env_id = "cube2x2"
     parent_mode = "exact"
     solution_sep = " "
+    shared_rows = True  # templates are keyed by dense index and leave the step column out
 
     _N_HASHED = 32
 
@@ -271,26 +268,17 @@ class Cube2x2Env(Environment):
         vec[off + 9 + oriented.bit_count()] = 1.0
         vec[off + 18 + (placed & oriented).bit_count()] = 1.0
         off += 27
-        vec[off] = self._step_fraction(step)
+        vec[off] = self.step_fraction(step)
         vec[off + 1] = 1.0
         off += 2
         vec[off:] = hashed_features(self._N_HASHED, ("cube", state.split("|", 1)[1], action))
         return vec
 
-    def _step_fraction(self, step):
-        return (step + 1) / max(self.max_steps, 1)
-
-    def row_template(self, state):
-        _, p, t = self._ranks_of(state)
-        index = 729 * p + t
-        rows = _ROWS.get(index)
-        if rows is None:
-            rows = build_row_template(self, state, (_STEP_COLUMN,))
-            bounded_put(_ROWS, index, rows, ROW_ENTRIES)
-        return rows
-
-    def fill_call_columns(self, state, mat):
-        mat[:, _STEP_COLUMN] = self._step_fraction(self._ranks_of(state)[0])
+    def feature_matrix(self, state):
+        step, p, t = self._ranks_of(state)
+        mat = row_template(self, 729 * p + t, state, _STEP_COLUMN).astype(np.float64)
+        mat[:, _STEP_COLUMN] = self.step_fraction(step)
+        return mat
 
 
 def scramble_instance(moves: list[str], instance_id: str, max_steps: int = DIST_CAP,

@@ -6,8 +6,9 @@ canonical equation strings like "4 + 8 = 12" with commutative operands sorted,
 which makes "8 + 4" and "4 + 8" the same action and the same solution-key
 entry. State keys embed the equation history (tree mode), but everything
 derived from a state depends only on its `|left=` suffix, the decision key:
-one process-wide table decodes each multiset once, builds its feature rows
-once, and every env and every history reaching it reuses them.
+one process-wide table decodes each multiset once, and every env and every
+history reaching it reuses the decode. Its feature rows read nothing else
+either, so envs built together share them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, bounded_put, build_row_template, hashed_features
+from .base import EnvInstance, Environment, bounded_put, hashed_features
 
 TARGET = Fraction(24)
 
@@ -99,11 +100,11 @@ class _Decoded:
     `successors` maps each valid equation to its successor multiset (in
     `enumerate_actions` order), and `ranks` maps each operand string to its
     first index in the sorted values. `child_keys` holds the successor's
-    `|left=` key suffix for each equation applied so far, and `rows` the
-    feature rows once built (`build_row_template`); neither depends on an env.
+    `|left=` key suffix for each equation applied so far; it does not depend
+    on an env.
     """
 
-    __slots__ = ("values", "left", "successors", "child_keys", "ranks", "rows")
+    __slots__ = ("values", "left", "successors", "child_keys", "ranks")
 
     def __init__(self, values: tuple[Fraction, ...]):
         self.values = values
@@ -114,13 +115,14 @@ class _Decoded:
             self.ranks.setdefault(fmt(v), rank)
         # a terminal has no actions and no rows
         self.successors = dict(enumerate_actions(values)) if len(values) > 1 else {}
-        self.rows = None
 
 
-# `|left=` text -> its entry, for the whole process; past TABLE_ENTRIES the
-# oldest entry goes (a later query decodes it again)
+# `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
+# 40,668 multisets that `flowseek oracle` meets on `gen --count 200` (about
+# 50 MB), so such a run decodes each once; past it the oldest entry goes (a
+# later query decodes it again)
 _TABLE: dict[str, _Decoded] = {}
-TABLE_ENTRIES = 32768
+TABLE_ENTRIES = 65536
 
 
 def _context(state: str) -> _Decoded:
@@ -136,6 +138,7 @@ class Game24Env(Environment):
     parent_mode = "tree"
     solution_sep = ";"
     reads_scorer = True
+    shared_rows = True  # rows are keyed on the numbers left and read nothing else
 
     _OPS = "+-*/"
     _N_HASHED = 32
@@ -147,12 +150,6 @@ class Game24Env(Environment):
     def decision_key(self, state):
         # the `|left=` suffix: actions and features never read the history
         return state[state.index("|left=") :]
-
-    def row_template(self, state):
-        ctx = _context(state)
-        if ctx.rows is None:
-            ctx.rows = build_row_template(self, state)
-        return ctx.rows
 
     def valid_actions(self, state):
         if self.is_terminal(state):

@@ -133,7 +133,7 @@ class LogicChainEnv(Environment):
         entity = claim[:-1].split(" is a ")[0]
         vec[2] = 1.0 if _claim(entity, result_cat) == self.conclusion else 0.0
         vec[3] = 1.0 if action in hist else 0.0
-        vec[4] = (len(hist) + 1) / max(self.max_steps, 1)
+        vec[4] = self.step_fraction(len(hist))
         vec[5] = 1.0
         vec[6:] = hashed_features(self._N_HASHED, ("logic", claim, action))
         return vec

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .environments import ENV_CLASSES, EnvInstance, TabularEnv, TabularIndex, make_env
+from .environments import ENV_CLASSES, EnvInstance, TabularEnv, TabularIndex, make_envs
 from .environments import replay_trajectory
 from .environments.base import DEFAULT_INTERMEDIATE_WEIGHT, DEFAULT_SUCCESS_WEIGHT, REWARD_FLOOR
 from .errors import (
@@ -148,7 +148,7 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-# the TrainConfig fields `build_envs` forwards to `make_env`; a checkpoint stores
+# the TrainConfig fields `build_envs` forwards to `make_envs`; a checkpoint stores
 # them, with `env_id` and `featurizer`, so sampling rebuilds the envs it trained on
 ENV_SETTINGS = ("scorer", "success_weight", "intermediate_weight", "reward_floor")
 
@@ -165,7 +165,7 @@ def build_envs(config: TrainConfig, instances: list[EnvInstance],
             f"instances {mismatched[:3]} do not match env_id {config.env_id!r}"
         )
     settings = {name: getattr(config, name) for name in ENV_SETTINGS}
-    envs = {inst.instance_id: make_env(inst, **settings) for inst in instances}
+    envs = make_envs(instances, **settings)
     if config.featurizer == "tabular":
         if table is None:
             table = TabularIndex.build(list(envs.values()))

@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flowseek.environments import blocksworld, cube2x2, game24, generate_instances, make_env
+from flowseek.environments import game24, generate_instances, make_env, make_envs
 from flowseek.environments.cube2x2 import scramble_instance
 from flowseek.environments.game24 import (
     Game24Env,
@@ -45,9 +45,9 @@ def reachable_nonterminal(env):
 
 
 def test_shared_rows_match_fresh_featurize(monkeypatch):
-    # the references come from `featurize` on a table of their own, which the
-    # rows under test never touch; each key's template is built exactly once,
-    # so a second env on the same table calls `featurize` not at all
+    # the references come from `featurize` on a decode table of their own,
+    # which the rows under test never touch; two envs built together share one
+    # row store, so each key's template is built exactly once for both
     refs = {}
     for hand in HANDS:
         monkeypatch.setattr(game24, "_TABLE", {})
@@ -69,7 +69,8 @@ def test_shared_rows_match_fresh_featurize(monkeypatch):
         monkeypatch.setattr(game24, "_TABLE", {})
         built.clear()
         by_key = {}
-        for env in (make_env(make_instance(hand, "dk")), make_env(make_instance(hand, "dk2"))):
+        envs = make_envs([make_instance(hand, "dk"), make_instance(hand, "dk2")])
+        for env in envs.values():
             for state, (actions, ref) in refs[tuple(hand)].items():
                 assert env.cached_valid_actions(state) == actions
                 mat = env.feature_matrix(state)
@@ -130,12 +131,9 @@ def reference_terminal_dist(params, env):
     return out
 
 
-def test_tabular_rows_stay_per_state(monkeypatch):
-    # the wrapper reads none of the wrapped env's process-wide row stores and
-    # writes none of its step or goal columns: its rows are the table's one-hots
-    monkeypatch.setattr(game24, "_TABLE", {})
-    monkeypatch.setattr(cube2x2, "_ROWS", {})
-    monkeypatch.setattr(blocksworld, "_TABLE", {})
+def test_tabular_rows_stay_per_state():
+    # the wrapper reads none of the wrapped env's shared row store and writes
+    # none of its step or goal columns: its rows are the table's one-hots
     instances = [
         make_instance([4, 4, 6, 8], "tab"),
         scramble_instance(["R", "U'"], "tab-cube", max_steps=3),
@@ -166,9 +164,7 @@ def test_tabular_rows_stay_per_state(monkeypatch):
             assert got == want
         else:  # merging paths add up in another order than the walk's
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-    assert all(ctx.rows is None for ctx in game24._TABLE.values())
-    assert not cube2x2._ROWS
-    assert blocksworld._TABLE and all(e.rows is None for e in blocksworld._TABLE.values())
+        assert env._rows and not env._env._rows
 
 
 def test_policy_terminal_dist_shares_default_rows():

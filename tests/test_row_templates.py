@@ -1,11 +1,12 @@
-"""Feature rows from the process-wide row stores match `featurize` byte for byte.
+"""Feature rows from the shared row stores match `featurize` byte for byte.
 
-game24, cube2x2 and blocksworld keep each decision point's rows once per
-process, without the step and goal columns, which every call writes again.
-Each case fills the stores with one instance and then reads the next, which
-has another goal or budget, from them, in both orders and from cleared
-stores each time. Every reachable non-terminal state's `feature_matrix` must
-equal its stacked `featurize` rows, computed beforehand on stores of their own.
+game24, cube2x2 and blocksworld keep each decision point's rows once for all
+the envs built together, without the step and goal columns, which every call
+writes again. Each case fills a store with one instance and then reads the
+next, which has another goal or budget, from it, in both orders, with fresh
+process-wide decode tables each time. Every reachable non-terminal state's
+`feature_matrix` must equal its stacked `featurize` rows, computed beforehand
+by an env of its own.
 """
 
 import dataclasses
@@ -13,15 +14,23 @@ import dataclasses
 import numpy as np
 import pytest
 
-from flowseek.environments import blocksworld, cube2x2, game24, generate_instances, make_env
+from flowseek.environments import (
+    base,
+    blocksworld,
+    cube2x2,
+    game24,
+    generate_instances,
+    make_env,
+    make_envs,
+)
 from flowseek.environments.cube2x2 import scramble_instance
 from flowseek.environments.game24 import make_instance
+from flowseek.trainer import TrainConfig, build_envs
 
 
-def clear_stores(mp):
-    """Point every process-wide table and row store at a fresh, empty one."""
+def clear_tables(mp):
+    """Point game24's and blocksworld's process-wide decode tables at fresh, empty ones."""
     mp.setattr(game24, "_TABLE", {})
-    mp.setattr(cube2x2, "_ROWS", {})
     mp.setattr(blocksworld, "_TABLE", {})
 
 
@@ -39,7 +48,8 @@ def reachable_nonterminal(env):
 def blocksworld_instances():
     four = generate_instances("blocksworld", 2, 22, "4")  # one start, two goals
     six = generate_instances("blocksworld", 2, 22, "6")
-    return [four[0], four[1], dataclasses.replace(four[0], max_steps=6), *six]
+    longer = dataclasses.replace(four[0], instance_id=f"{four[0].instance_id}-6", max_steps=6)
+    return [four[0], four[1], longer, *six]
 
 
 CASES = {
@@ -64,18 +74,19 @@ def test_stored_rows_match_featurize_whichever_instance_fills_the_store(name, mo
     instances, store_key = CASES[name]
     refs = {}
     for inst in instances:
-        clear_stores(monkeypatch)
+        clear_tables(monkeypatch)
         env = make_env(inst)
         refs[inst.instance_id, inst.max_steps] = {
             state: np.stack([env.featurize(state, a) for a in env.valid_actions(state)])
             for state in reachable_nonterminal(env)
         }
     for order in (instances, instances[::-1]):
-        clear_stores(monkeypatch)
+        clear_tables(monkeypatch)
+        envs = make_envs(order)
         filled = set()
         shared = 0
         for inst in order:
-            env = make_env(inst)
+            env = envs[inst.instance_id]
             keys = set()
             for state, ref in refs[inst.instance_id, inst.max_steps].items():
                 mat = env.feature_matrix(state)
@@ -96,28 +107,69 @@ def test_per_env_rows_match_featurize(env_id):
     for state in states + states:  # built, then read back
         ref = np.stack([make_env(inst).featurize(state, a) for a in env.valid_actions(state)])
         assert env.feature_matrix(state).tobytes() == ref.tobytes(), state
-    assert len(env._row_templates) == len({env.decision_key(s) for s in states})
+    assert len(env._rows) == len({env.decision_key(s) for s in states})
 
 
-def test_goal_and_step_columns_stay_off_the_shared_stores(monkeypatch):
-    clear_stores(monkeypatch)
-    inst = blocksworld_instances()[0]
-    env = make_env(inst)
+def test_goal_and_step_columns_stay_off_the_shared_stores():
+    env = make_env(blocksworld_instances()[0])
     for state in reachable_nonterminal(env):
         env.feature_matrix(state)
-    stored = [e.rows for e in blocksworld._TABLE.values() if e.rows is not None]
-    assert stored
-    for rows in stored:
-        assert not rows[:, [*env._GOAL_COLUMNS, env._STEP_COLUMN]].any()
+    assert env._rows
+    for rows in env._rows.values():
+        assert not rows[:, env._CALL_COLUMNS].any()
     cube = make_env(CASES["cube2x2"][0][1])
     for state in reachable_nonterminal(cube)[:50]:
         cube.feature_matrix(state)
-    assert cube2x2._ROWS
-    assert not any(rows[:, cube2x2._STEP_COLUMN].any() for rows in cube2x2._ROWS.values())
+    assert cube._rows
+    assert not any(rows[:, cube2x2._STEP_COLUMN].any() for rows in cube._rows.values())
 
 
-def test_feature_matrix_is_a_fresh_array(monkeypatch):
-    clear_stores(monkeypatch)
+def test_envs_built_together_share_one_store_and_no_other():
+    game = [make_instance([4, 4, 6, 8], "a"), make_instance([1, 2, 3, 4], "b")]
+    arc = generate_instances("arc1d", 2, 7)
+    envs = make_envs([*game, *arc])
+    assert envs["a"]._rows is envs["b"]._rows
+    assert envs["a"]._rows.envs == 2  # so it keeps twice one env's templates
+    # arc1d rows read the instance, so each env keeps its own
+    assert envs[arc[0].instance_id]._rows is not envs[arc[1].instance_id]._rows
+    again = make_envs(game)
+    assert again["a"]._rows is not envs["a"]._rows
+    # a shared store keeps small-integer rows as int8, a store of one env float64
+    single = make_env(game[0])
+    key = single.decision_key(single.s0)
+    shared_rows, own_rows = envs["a"].feature_matrix(single.s0), single.feature_matrix(single.s0)
+    assert shared_rows.tobytes() == own_rows.tobytes()
+    assert envs["a"]._rows[key].dtype == np.int8 and single._rows[key].dtype == np.float64
+    with pytest.raises(ValueError, match="cannot share"):
+        make_env(arc[0], row_store=base.RowStore(2))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_build_does_the_same_featurize_work(name, monkeypatch):
+    # a store dies with its envs, so a second set of envs built from the same
+    # instances calls `featurize` exactly as often as the first did
+    instances = CASES[name][0]
+    cls = type(make_env(instances[0]))
+    calls = []
+    featurize = cls.featurize
+
+    def counting_featurize(self, state, action):
+        calls.append(state)
+        return featurize(self, state, action)
+
+    monkeypatch.setattr(cls, "featurize", counting_featurize)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        envs = build_envs(TrainConfig(env_id=instances[0].env_id), instances)
+        for inst in instances:
+            for state in reachable_nonterminal(envs[inst.instance_id]):
+                envs[inst.instance_id].feature_matrix(state)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_feature_matrix_is_a_fresh_array():
     env = make_env(make_instance([4, 4, 6, 8], "fresh"))
     first = env.feature_matrix(env.s0)
     expect = first.copy()
@@ -125,9 +177,8 @@ def test_feature_matrix_is_a_fresh_array(monkeypatch):
     assert env.feature_matrix(env.s0).tobytes() == expect.tobytes()
 
 
-def test_cube_row_store_evicts_the_oldest_template(monkeypatch):
-    clear_stores(monkeypatch)
-    monkeypatch.setattr(cube2x2, "ROW_ENTRIES", 5)
+def test_row_store_evicts_the_oldest_template(monkeypatch):
+    monkeypatch.setattr(base, "FEATURE_CACHE_STATES", 5)
     env = make_env(CASES["cube2x2"][0][1])
     states = reachable_nonterminal(env)[:12]
     for state in states:
@@ -139,4 +190,4 @@ def test_cube_row_store_evicts_the_oldest_template(monkeypatch):
                 del expect[next(iter(expect))]
             expect[729 * p + t] = None
     assert len(set(map(env._ranks_of, states))) > 5
-    assert list(cube2x2._ROWS) == list(expect)
+    assert list(env._rows) == list(expect)
