@@ -191,15 +191,16 @@ class Arc1dEnv(Environment):
         _, grids, _ = self._decode(traj.states[-1])
         return self._matched(grids)
 
-    def reward(self, traj):
-        success = self.w if self.is_success(traj) else 0.0
-        intermediate = 0.0
-        for prev, nxt in zip(traj.states[:-1], traj.states[1:]):
-            _, pg, _ = self._decode(prev)
-            _, ng, _ = self._decode(nxt)
-            for i, target in enumerate(self.targets):
-                intermediate += float(np.exp(hamming(pg[i], target) - hamming(ng[i], target)))
-        return self.floored(success, intermediate)
+    def success_term(self, terminal):
+        return self.w if self._matched(self._decode(terminal)[1]) else 0.0
+
+    def reward_step(self, acc, state, action, child):
+        # exp of each grid's hamming drop, added grid by grid
+        _, before, _ = self._decode(state)
+        _, after, _ = self._decode(child)
+        for b, a, target in zip(before, after, self.targets):
+            acc += float(np.exp(hamming(b, target) - hamming(a, target)))
+        return acc
 
     @property
     def feature_dim(self):

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import FlowseekError, ScorerContractError, StructuralError
+from ..errors import EnumerationCapError, FlowseekError, ScorerContractError, StructuralError
+from ..rngutil import stable_hash
 
 REWARD_FLOOR = 1e-8
 DEFAULT_SUCCESS_WEIGHT = 100.0
@@ -125,13 +126,17 @@ class Environment:
     one EnvInstance. All methods are pure; tree-mode subclasses inherit the
     trivial parent count.
 
-    An exact-mode reward is edge-decomposed: `success_term(terminal)` plus
-    `edge_scale` times the sum of `edge_term(state, action, child)` over the
-    steps, floored at `reward_floor`. Exact-mode subclasses implement the two
-    terms and inherit `reward`, the one fold over them; the oracle's forward
-    pass reads the same terms edge by edge. Tree-mode subclasses, whose
-    rewards are not edge sums, override `reward` instead. A subclass whose
-    reward reads `step_score` sets `reads_scorer` and defines
+    A reward is a fold along the trajectory: it starts at `reward_start`,
+    `reward_step(acc, state, action, child)` takes each edge in path order,
+    and `reward_finish(acc, terminal)` turns the result into the floored
+    reward. `reward` runs the fold over a trajectory, and the oracle carries
+    it state by state, so a shared prefix is folded once. The default fold
+    is edge-decomposed: `success_term(terminal)` plus `edge_scale` times the
+    sum of `edge_term(state, action, child)`. Exact-mode subclasses implement
+    the two terms, and the oracle's forward pass reads them edge by edge.
+    Tree-mode subclasses whose reward is no edge sum state their own fold
+    (game24 a product, arc1d a sum over grids, logicchain a hit count). A
+    subclass whose reward reads `step_score` sets `reads_scorer` and defines
     `potential(state)`, the `progress` scorer's estimate (higher is better).
 
     `decision_key(state)` names the decision point a state stands for. The
@@ -158,6 +163,7 @@ class Environment:
     solution_sep: str = "|"  # joins a successful trajectory's actions into its solution key
     reads_scorer: bool = False
     reads_lambda: bool = False  # whether `edge_scale` is the `intermediate_weight` setting
+    reward_start = 0.0  # the reward fold's value before the first edge
     shared_rows: bool = False  # whether envs built together may share one row store
 
     def __init__(
@@ -182,6 +188,7 @@ class Environment:
         self._rows = RowStore(1) if row_store is None else row_store
         self._uniform_scores: dict[str, float] = {}
         self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
+        self._order: tuple[list[str], int] | None = None  # see `topological_order`
         self._parent_count_cache: dict[str, int] = {}
         try:
             self.parse_instance()
@@ -223,21 +230,28 @@ class Environment:
         raise NotImplementedError
 
     def reward(self, traj) -> float:
-        """`success_term` of the terminal plus `edge_scale` times the summed edge terms.
-
-        Exact-mode envs reward through this fold; tree-mode envs override it."""
+        """The reward fold over the trajectory's edges, finished at its last state."""
         states = traj.states
-        intermediate = 0.0
+        acc = self.reward_start
         for state, action, child in zip(states, traj.actions, states[1:]):
-            intermediate += self.edge_term(state, action, child)
-        return self.floored(self.success_term(states[-1]), self.edge_scale * intermediate)
+            acc = self.reward_step(acc, state, action, child)
+        return self.reward_finish(acc, states[-1])
+
+    def reward_step(self, acc, state: str, action: str, child: str):
+        """The fold after one more edge; by default the running sum of edge terms."""
+        return acc + self.edge_term(state, action, child)
+
+    def reward_finish(self, acc, terminal: str) -> float:
+        """The floored reward from the folded edges; by default `success_term`
+        plus `edge_scale` times the edge sum."""
+        return self.floored(self.success_term(terminal), self.edge_scale * acc)
 
     def success_term(self, terminal: str) -> float:
-        """Exact mode: the reward's terminal part."""
+        """The reward's terminal part, under the default `reward_finish`."""
         raise NotImplementedError
 
     def edge_term(self, state: str, action: str, child: str) -> float:
-        """Exact mode: the step's share of the intermediate sum, before `edge_scale`."""
+        """The step's share of the default fold's edge sum, before `edge_scale`."""
         raise NotImplementedError
 
     @property
@@ -302,6 +316,60 @@ class Environment:
             ]
             self._children_cache[state] = kids
             return kids
+
+    def topological_order(self, cap: int) -> tuple[list[str], int]:
+        """States reachable from s0, each after all its parents, and the trajectory count.
+
+        Walked once per env; raises `EnumerationCapError` with partial count
+        cap + 1 once the instance provably has more than `cap` trajectories.
+        A walk that stops at its cap stores nothing, and a stored count above
+        a later, smaller `cap` raises the same way.
+
+        A depth-first walk over `children` finishes a state once every path
+        below it is counted; reversed finishing order is topological. `found`
+        counts the complete trajectories through the states finished so far,
+        each once, so it never exceeds the total and the walk stops as soon
+        as it passes `cap`, without expanding the rest."""
+        if self._order is None:
+            self._order = self._walk_order(cap)
+        if self._order[1] > cap:
+            raise _cap_error(cap)
+        return self._order
+
+    def _walk_order(self, cap: int) -> tuple[list[str], int]:
+        paths: dict[str, int] = {}  # finished state -> trajectories from it to a terminal
+        finished: list[str] = []
+        found = 0
+        kids = self.children(self.s0)
+        if kids is None:
+            return [self.s0], 1
+        stack = [[self.s0, kids, 0, 0]]  # state, children, next child, paths found below
+        while stack:
+            frame = stack[-1]
+            state, kids, i, below = frame
+            if i == len(kids):
+                stack.pop()
+                paths[state] = below
+                finished.append(state)
+                if stack:
+                    stack[-1][3] += below
+                continue
+            frame[2] = i + 1
+            child = kids[i][1]
+            n = paths.get(child)
+            if n is None:
+                grandkids = self.children(child)
+                if grandkids is not None:
+                    stack.append([child, grandkids, 0, 0])
+                    continue
+                n = paths[child] = 1
+                finished.append(child)
+            frame[3] = below + n
+            found += n
+            if found > cap:
+                raise _cap_error(cap)
+        finished.reverse()
+        return finished, paths[self.s0]
 
     def cached_parent_count(self, state: str) -> int:
         count = self._parent_count_cache.get(state)
@@ -376,6 +444,10 @@ def row_template(env, key, state: str, clear=None) -> np.ndarray:
     return rows
 
 
+def _cap_error(cap: int) -> EnumerationCapError:
+    return EnumerationCapError(f"instance exceeds the {cap}-trajectory enumeration cap", cap + 1)
+
+
 def bounded_put(store: dict, key, value, limit: int):
     """`store[key] = value`, first dropping the oldest entry if `store` holds `limit`."""
     if len(store) >= limit:
@@ -386,8 +458,6 @@ def bounded_put(store: dict, key, value, limit: int):
 
 def hashed_features(dim: int, *tokens: object) -> np.ndarray:
     """Signed feature hashing of `tokens` into `dim` buckets (deterministic)."""
-    from ..rngutil import stable_hash
-
     vec = np.zeros(dim)
     for tok in tokens:
         h = stable_hash(tok)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -94,6 +95,10 @@ def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
     return count
 
 
+# what a terminal entry holds for `successors`, `child_keys` and `ranks`
+_NOTHING = MappingProxyType({})
+
+
 class _Decoded:
     """Everything one multiset of numbers left yields, decoded once per process.
 
@@ -101,7 +106,8 @@ class _Decoded:
     `enumerate_actions` order), and `ranks` maps each operand string to its
     first index in the sorted values. `child_keys` holds the successor's
     `|left=` key suffix for each equation applied so far; it does not depend
-    on an env.
+    on an env. A terminal (one number) has no actions and no rows, so all
+    three are the shared empty `_NOTHING`.
     """
 
     __slots__ = ("values", "left", "successors", "child_keys", "ranks")
@@ -109,12 +115,14 @@ class _Decoded:
     def __init__(self, values: tuple[Fraction, ...]):
         self.values = values
         self.left = fmt_values(values)
+        if len(values) == 1:
+            self.successors = self.child_keys = self.ranks = _NOTHING
+            return
+        self.successors = dict(enumerate_actions(values))
         self.child_keys: dict[str, str] = {}
         self.ranks: dict[str, int] = {}
         for rank, v in enumerate(values):
             self.ranks.setdefault(fmt(v), rank)
-        # a terminal has no actions and no rows
-        self.successors = dict(enumerate_actions(values)) if len(values) > 1 else {}
 
 
 # `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
@@ -138,6 +146,7 @@ class Game24Env(Environment):
     parent_mode = "tree"
     solution_sep = ";"
     reads_scorer = True
+    reward_start = 1.0  # the reward is success term + the product of step scores
     shared_rows = True  # rows are keyed on the numbers left and read nothing else
 
     _OPS = "+-*/"
@@ -173,15 +182,13 @@ class Game24Env(Environment):
         return len(_context(state).values) == 1
 
     def is_success(self, traj):
-        values = _context(traj.states[-1]).values
-        return len(values) == 1 and values[0] == TARGET
+        return _context(traj.states[-1]).values == (TARGET,)
 
-    def reward(self, traj):
-        success = self.w if self.is_success(traj) else 0.0
-        product = 1.0
-        for state, action in zip(traj.states, traj.actions):
-            product *= self.step_score(state, action)
-        return self.floored(success, product)
+    def success_term(self, terminal):
+        return self.w if _context(terminal).values == (TARGET,) else 0.0
+
+    def reward_step(self, acc, state, action, child):
+        return acc * self.step_score(state, action)
 
     def potential(self, state):
         values = _context(state).values

@@ -45,6 +45,7 @@ class LogicChainEnv(Environment):
     env_id = "logicchain"
     parent_mode = "tree"
     solution_sep = "~"
+    reward_start = (0, 0)  # (gold transitions, steps): the reward is w * hits / steps
 
     _N_HASHED = 32
 
@@ -105,14 +106,13 @@ class LogicChainEnv(Environment):
         pair = (_claim_category(prev_claim), _claim_category(next_claim))
         return pair in self.gold_transitions
 
-    def reward(self, traj):
-        n = traj.n_steps
-        if n == 0:
-            return self.floored(0.0, 0.0)
-        hits = sum(
-            1 for p, nx in zip(traj.states[:-1], traj.states[1:]) if self._is_gold(p, nx)
-        )
-        return self.floored(0.0, self.w * hits / n)
+    def reward_step(self, acc, state, action, child):
+        hits, n = acc
+        return hits + self._is_gold(state, child), n + 1
+
+    def reward_finish(self, acc, terminal):
+        hits, n = acc
+        return self.floored(0.0, self.w * hits / n if n else 0.0)
 
     @property
     def feature_dim(self):

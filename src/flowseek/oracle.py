@@ -7,21 +7,24 @@ backward product is 1, so Z is simply the sum of trajectory rewards; when
 trajectories merge, a terminal's reward mass is split across its incoming
 trajectories in proportion to the uniform backward flow.
 
-Both passes visit the instance's states once, in topological order. The
+Both passes visit the instance's states once, in the topological order
+that the env walks once and keeps (`Environment.topological_order`). The
 policy pass does so for every environment (a tree is a DAG whose states have
 one parent each) and carries each state's log mass: log P(c) is the
 log-sum-exp over parent edges p->c of log P(p) + log pi(a|p).
 
-The target pass does so in exact mode (merging states), whose rewards are a
-success term plus scaled edge terms (`Environment.reward`): per state it
-carries the backward weight A = sum over parent edges p->c of A(p)/|Pa(c)|
-and the edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|, and a
-terminal x gets flow S(x)*A(x) + scale*B(x). Tree-mode rewards are not edge
-sums, and a floor that can bind breaks the decomposition, so those targets
-come from a walk over every trajectory.
+The target pass in tree mode carries each state's reward fold
+(`Environment.reward_step`) and finishes it at each terminal, so a shared
+prefix is scored once. In exact mode (merging states) the reward is a
+success term plus scaled edge terms: per state the pass carries the
+backward weight A = sum over parent edges p->c of A(p)/|Pa(c)| and the
+edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|, and a terminal x
+gets flow S(x)*A(x) + scale*B(x). A floor that can bind breaks that
+decomposition, so those exact-mode targets come from a walk over every
+trajectory, which carries the fold along each path.
 
 Both raise `EnumerationCapError` with partial count cap + 1 once the instance
-provably has more than `cap` trajectories; the topological pass knows that as
+provably has more than `cap` trajectories; the topological walk knows that as
 soon as the paths it has counted pass the cap, without expanding the rest.
 """
 
@@ -31,8 +34,6 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import EnumerationCapError
-from .flow_core import Trajectory
 from .policy import PolicyParams, action_logits
 
 ENUMERATION_CAP = 1_000_000
@@ -49,53 +50,6 @@ class DagSummary:
     @property
     def n_terminals(self) -> int:
         return len(self.target_terminal_dist)
-
-
-def _cap_error(cap: int) -> EnumerationCapError:
-    return EnumerationCapError(f"instance exceeds the {cap}-trajectory enumeration cap", cap + 1)
-
-
-def _topological_order(env, cap: int) -> tuple[list[str], int]:
-    """States reachable from s0, each after all its parents, and the trajectory count.
-
-    A depth-first walk over `env.children` finishes a state once every path
-    below it is counted; reversed finishing order is topological. `found`
-    counts the complete trajectories through the states finished so far,
-    each once, so it never exceeds the total and the walk stops as soon as it
-    passes `cap`."""
-    paths: dict[str, int] = {}  # finished state -> trajectories from it to a terminal
-    finished: list[str] = []
-    found = 0
-    kids = env.children(env.s0)
-    if kids is None:
-        return [env.s0], 1
-    stack = [[env.s0, kids, 0, 0]]  # state, children, next child, paths found below
-    while stack:
-        frame = stack[-1]
-        state, kids, i, below = frame
-        if i == len(kids):
-            stack.pop()
-            paths[state] = below
-            finished.append(state)
-            if stack:
-                stack[-1][3] += below
-            continue
-        frame[2] = i + 1
-        child = kids[i][1]
-        n = paths.get(child)
-        if n is None:
-            grandkids = env.children(child)
-            if grandkids is not None:
-                stack.append([child, grandkids, 0, 0])
-                continue
-            n = paths[child] = 1
-            finished.append(child)
-        frame[3] = below + n
-        found += n
-        if found > cap:
-            raise _cap_error(cap)
-    finished.reverse()
-    return finished, paths[env.s0]
 
 
 def _forward_targets(env, order: list[str], n_trajectories: int) -> DagSummary | None:
@@ -130,43 +84,60 @@ def _forward_targets(env, order: list[str], n_trajectories: int) -> DagSummary |
     return DagSummary(z, {x: flow / z for x, flow in flows.items()}, n_trajectories)
 
 
-def _walk_targets(instance, env, cap: int) -> DagSummary:
-    """Targets from the flow of every trajectory, walked one trajectory at a time.
+def _tree_targets(env, order: list[str], n_trajectories: int) -> DagSummary:
+    """Targets of a tree: each state carries the reward fold of its one path.
 
-    Each state is expanded once per env (`env.children`), so merging paths
-    share that work; a stack entry carries its path's backward product."""
-    exact = env.parent_mode != "tree"
+    The pass meets terminals in the reverse of depth-first walk order, so Z
+    is summed, and the target filled, over the reversed list: the float sums
+    of a walk over every trajectory, bit for bit."""
+    folds = {env.s0: env.reward_start}
+    flows: list[tuple[str, float]] = []
+    for state in order:
+        acc = folds.pop(state)
+        kids = env.children(state)
+        if kids is None:
+            flows.append((state, env.reward_finish(acc, state)))
+            continue
+        for action, child in kids:
+            folds[child] = env.reward_step(acc, state, action, child)
+    flows.reverse()
+    z = float(sum(flow for _, flow in flows))
+    return DagSummary(z, {x: flow / z for x, flow in flows}, n_trajectories)
+
+
+def _walk_targets(env, n_trajectories: int) -> DagSummary:
+    """Exact-mode targets from the flow of every trajectory, walked one at a time.
+
+    For the instances whose floor can bind. A stack entry carries its path's
+    reward fold and backward product; the states are expanded already, and
+    the topological pass has counted the trajectories against the cap."""
     terminals: list[str] = []
     flows: list[float] = []
-    stack: list[tuple[list[str], list[str], float]] = [([], [env.s0], 1.0)]
+    stack: list[tuple[str, object, float]] = [(env.s0, env.reward_start, 1.0)]
     while stack:
-        actions, states, back = stack.pop()
-        children = env.children(states[-1])
+        state, acc, back = stack.pop()
+        children = env.children(state)
         if children is None:
-            if len(flows) >= cap:
-                raise _cap_error(cap)
-            traj = Trajectory(instance.instance_id, states, actions, [0.0] * len(actions),
-                              is_complete=True)
-            flows.append(env.reward(traj) * back)
-            terminals.append(states[-1])
+            flows.append(env.reward_finish(acc, state) * back)
+            terminals.append(state)
             continue
         for action, child in reversed(children):
-            child_back = back / env.cached_parent_count(child) if exact else back
-            stack.append((actions + [action], states + [child], child_back))
+            stack.append((child, env.reward_step(acc, state, action, child),
+                          back / env.cached_parent_count(child)))
     z = float(sum(flows))
     terminal_dist: dict[str, float] = {}
     for terminal, flow in zip(terminals, flows):
         terminal_dist[terminal] = terminal_dist.get(terminal, 0.0) + flow / z
-    return DagSummary(z, terminal_dist, len(flows))
+    return DagSummary(z, terminal_dist, n_trajectories)
 
 
 def enumerate_dag(instance, env, cap: int = ENUMERATION_CAP) -> DagSummary:
     """Z, the target terminal distribution and the trajectory count of the instance."""
-    if env.parent_mode == "exact":
-        summary = _forward_targets(env, *_topological_order(env, cap))
-        if summary is not None:
-            return summary
-    return _walk_targets(instance, env, cap)
+    order, n_trajectories = env.topological_order(cap)
+    if env.parent_mode == "tree":
+        return _tree_targets(env, order, n_trajectories)
+    summary = _forward_targets(env, order, n_trajectories)
+    return summary if summary is not None else _walk_targets(env, n_trajectories)
 
 
 def policy_terminal_dist(
@@ -179,7 +150,7 @@ def policy_terminal_dist(
     and each later parent merges in by log-add-exp. States that share a
     decision key share their action log-probs, which follow
     `cached_valid_actions` order, as `children` does."""
-    order, _ = _topological_order(env, cap)
+    order, _ = env.topological_order(cap)
     step_logprobs: dict[str, list[float]] = {}
     log_mass = {env.s0: 0.0}
     out: dict[str, float] = {}

@@ -57,7 +57,9 @@ INSTANCES = {
 }
 # with no intermediate weight every failed trajectory gets the floor reward
 INSTANCES["blocksworld-4-floor"] = INSTANCES["blocksworld-4"]
-SETTINGS = {"blocksworld-4-floor": {"intermediate_weight": 0.0}}
+INSTANCES["game24-progress"] = INSTANCES["game24"]
+SETTINGS = {"blocksworld-4-floor": {"intermediate_weight": 0.0},
+            "game24-progress": {"scorer": "progress"}}
 CASES = sorted(INSTANCES) + ["tabular-blocksworld-2"]
 
 
@@ -173,6 +175,8 @@ def test_oracle_is_bit_identical_to_per_trajectory_walk(case):
         policy = policy_terminal_dist(params, inst, env, cap=n)
         assert summary.n_trajectories == ref.n_trajectories
         assert summary.target_terminal_dist.keys() == ref.target_terminal_dist.keys()
+        if tree:  # the target is filled in walk order too
+            assert list(summary.target_terminal_dist) == list(ref.target_terminal_dist)
         assert policy.keys() == ref_policy.keys()
         assert same(summary.Z, ref.Z)
         for x, mass in ref.target_terminal_dist.items():
@@ -236,6 +240,49 @@ def test_policy_pass_scores_each_decision_key_once(case, monkeypatch):
     assert set(scored) == keys
     # game24 states that differ only in history share one decision key; the table's do not
     assert (len(keys) < len(inner)) == (case == "game24")
+
+
+def count_calls(env, name, calls):
+    """Make `env.<name>` append its first argument to `calls` before it runs."""
+    method = getattr(env, name)
+    setattr(env, name, lambda first, *rest: calls.append(first) or method(first, *rest))
+
+
+@pytest.mark.parametrize("case", ["game24", "arc1d-3", "logicchain", "blocksworld-4"])
+def test_policy_pass_reuses_the_order_the_target_pass_walked(case):
+    inst, env = fresh_env(case)
+    params = random_params("linear", env, seed=3)
+    summary = enumerate_dag(inst, env)
+    walks, visits, expansions = [], [], []
+    count_calls(env, "_walk_order", walks)
+    count_calls(env, "children", visits)
+    count_calls(env, "is_terminal", expansions)
+    count_calls(env, "apply", expansions)
+    policy = policy_terminal_dist(params, inst, env)
+    order, n = env.topological_order(summary.n_trajectories)
+    assert walks == [] and expansions == []
+    assert visits == order  # the pass itself reads each state's children once
+    assert n == summary.n_trajectories
+    assert policy.keys() == summary.target_terminal_dist.keys()
+
+
+def test_order_cache_keeps_the_cap_semantics():
+    inst, env = fresh_env("game24")
+    n = enumerate_dag(*fresh_env("game24")).n_trajectories
+    params = random_params("linear", env, seed=3)
+    walks = []
+    count_calls(env, "_walk_order", walks)
+    # a walk stopped by its cap stores nothing, so a larger cap walks again
+    assert _partial_count(lambda: enumerate_dag(inst, env, n - 1)) == n
+    assert _partial_count(lambda: policy_terminal_dist(params, inst, env, n - 1)) == n
+    assert enumerate_dag(inst, env, n).n_trajectories == n
+    assert len(walks) == 3
+    # a stored count over a smaller cap raises with partial count cap + 1, unwalked
+    for cap in (n - 1, n // 2, 1):
+        assert _partial_count(lambda: enumerate_dag(inst, env, cap)) == cap + 1
+        assert _partial_count(lambda: policy_terminal_dist(params, inst, env, cap)) == cap + 1
+    assert len(policy_terminal_dist(params, inst, env, n)) == n
+    assert len(walks) == 3
 
 
 def cube_config(state):

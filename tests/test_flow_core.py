@@ -161,6 +161,28 @@ def test_logvar_shift_invariance_under_reward_scaling(k):
     assert scaled_loss == pytest.approx(base_loss, abs=1e-9)
 
 
+def test_a_gradient_the_whole_batch_shares_cancels_under_logvar_only():
+    # the logvar weights (phi_j - mean phi) sum to zero, so a direction every
+    # trajectory's grad holds moves nothing; TB's weights are the residuals
+    rng = np.random.default_rng(5)
+    m, p = 6, 9
+    phis = rng.normal(0.0, 2.0, m)
+    grads = rng.normal(0.0, 1.0, (m, p))
+    shared = rng.normal(0.0, 3.0, p)
+    shifted = [g + shared for g in grads]
+
+    _, base = loss_logvar(phis, list(grads))
+    _, moved = loss_logvar(phis, shifted)
+    np.testing.assert_allclose(moved, base, rtol=0.0, atol=1e-12)
+
+    z = 0.7
+    _, base, _ = loss_tb_logz(phis, z, list(grads))
+    _, moved, _ = loss_tb_logz(phis, z, shifted)
+    residuals = z - phis
+    np.testing.assert_allclose(moved - base, (2.0 / m) * residuals.sum() * shared,
+                               rtol=0.0, atol=1e-12)
+
+
 def test_complete_trajectory_stepwise_probability_bounds(toy_env):
     params = random_params("linear", toy_env, seed=2)
     traj = rollout(toy_env, seed=9, eps=0.0)
