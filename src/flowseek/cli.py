@@ -364,14 +364,12 @@ def cmd_oracle(args) -> int:
     else:
         # enumeration reads no features, so instances of any dims may mix
         envs = {i.instance_id: make_env(i) for i in instances}
-    # an env holds its DAG's states, so each is popped, and freed once its
-    # last row is written
-    envs = [envs[i.instance_id] for i in reversed(instances)]
     n_failed = 0
     with open(out, "w", encoding="utf-8") as f:
         f.write("instance_id,Z,n_trajectories,n_terminals,tv_vs_policy,error\n")
         for inst in instances:
-            env = envs.pop()
+            # an env holds its DAG's states, so it is freed once its row is written
+            env = envs.pop(inst.instance_id)
             try:
                 summary = enumerate_dag(inst, env, cap=args.cap)
                 tv = ""

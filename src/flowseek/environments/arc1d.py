@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hashed_features
+from .base import EnvInstance, Environment, add_hashed
 
 Grid = list[int]
 
@@ -230,7 +230,7 @@ class Arc1dEnv(Environment):
         vec[off + 1] = 1.0
         off += 2
         grid_sig = ";".join(_grid_str(g) for g in grids)
-        vec[off:] = hashed_features(self._N_HASHED, ("arc", grid_sig, action))
+        add_hashed(vec[off:], ("arc", grid_sig, action))
         return vec
 
 

@@ -81,8 +81,11 @@ def write_instances(path, instances: list[EnvInstance]) -> None:
 
 
 def read_instances(path) -> list[EnvInstance]:
-    """The instances of a JSONL file; a line that is no instance record raises FlowseekError."""
+    """The instances of a JSONL file; a line that is no instance record, or
+    repeats an earlier line's `instance_id`, raises FlowseekError (envs are
+    keyed by id)."""
     out = []
+    lines: dict[str, int] = {}  # instance_id -> the line it was read from
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
             if not line.strip():
@@ -91,11 +94,18 @@ def read_instances(path) -> list[EnvInstance]:
                 rec = json.loads(line)
                 if not all(isinstance(rec[k], str) for k in STRING_FIELDS):
                     raise TypeError(f"{', '.join(STRING_FIELDS)} must be strings")
-                out.append(EnvInstance.from_record(rec))
+                inst = EnvInstance.from_record(rec)
             except (KeyError, TypeError, ValueError) as exc:
                 raise FlowseekError(
                     f"{path}: line {lineno}: not an instance record ({exc!r})"
                 ) from None
+            first = lines.setdefault(inst.instance_id, lineno)
+            if first != lineno:
+                raise FlowseekError(
+                    f"{path}: line {lineno}: instance_id {inst.instance_id!r} "
+                    f"is already on line {first}"
+                )
+            out.append(inst)
     return out
 
 
@@ -456,12 +466,15 @@ def bounded_put(store: dict, key, value, limit: int):
     return value
 
 
-def hashed_features(dim: int, *tokens: object) -> np.ndarray:
-    """Signed feature hashing of `tokens` into `dim` buckets (deterministic)."""
-    vec = np.zeros(dim)
+def hash_slot(dim: int, token: object) -> tuple[int, float]:
+    """The bucket in `dim` and the sign that feature hashing gives `token` (deterministic)."""
+    h = stable_hash(token)
+    return h % dim, 1.0 if (h >> 32) & 1 else -1.0
+
+
+def add_hashed(row: np.ndarray, *tokens: object) -> None:
+    """Add each token's signed feature hash into `row`, the hashed slice of a feature row."""
+    dim = len(row)
     for tok in tokens:
-        h = stable_hash(tok)
-        idx = h % dim
-        sign = 1.0 if (h >> 32) & 1 else -1.0
-        vec[idx] += sign
-    return vec
+        idx, sign = hash_slot(dim, tok)
+        row[idx] += sign

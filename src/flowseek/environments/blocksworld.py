@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hashed_features, row_template
+from .base import EnvInstance, Environment, add_hashed, row_template
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 
@@ -295,7 +295,7 @@ class BlocksWorldEnv(Environment):
         vec[14] = 1.0 if after.hand is None else 0.0
         vec[self._STEP_COLUMN] = self.step_fraction(step)
         vec[17] = 1.0
-        vec[18:] = hashed_features(self._N_HASHED, ("bw", entry.text, action))
+        add_hashed(vec[18:], ("bw", entry.text, action))
         return vec
 
     def feature_matrix(self, state):

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hashed_features, row_template
+from .base import EnvInstance, Environment, add_hashed, row_template
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -271,7 +271,7 @@ class Cube2x2Env(Environment):
         vec[off] = self.step_fraction(step)
         vec[off + 1] = 1.0
         off += 2
-        vec[off:] = hashed_features(self._N_HASHED, ("cube", state.split("|", 1)[1], action))
+        add_hashed(vec[off:], ("cube", state.split("|", 1)[1], action))
         return vec
 
     def feature_matrix(self, state):

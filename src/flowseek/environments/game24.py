@@ -8,7 +8,9 @@ entry. State keys embed the equation history (tree mode), but everything
 derived from a state depends only on its `|left=` suffix, the decision key:
 one process-wide table decodes each multiset once, and every env and every
 history reaching it reuses the decode. Its feature rows read nothing else
-either, so envs built together share them.
+either, so envs built together share them. An entry also keeps what a row
+reads of the multiset as its action's successor (column indices and a hash
+slot), so building a row does no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, bounded_put, hashed_features
+from .base import EnvInstance, Environment, add_hashed, bounded_put, hash_slot
 
 TARGET = Fraction(24)
 
@@ -95,6 +97,57 @@ def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
     return count
 
 
+# feature columns. Per action: the operator (4) and the operand-rank pair (16).
+# Then the successor multiset's own columns, the same for every action that
+# leads to it: result count (3), the buckets of its first three values
+# (3 x 20), {contains 24, solved next, one left not 24} (3), the
+# combinable-pair count (3), two left and combinable (1) and the bias (1).
+# The signed hashes come last.
+_OPS = "+-*/"
+_N_BUCKETS = 20
+_N_HASHED = 32
+_SUCCESSOR = 4 + 16
+_FLAGS = _SUCCESSOR + 3 + 3 * _N_BUCKETS
+_HASHED = _FLAGS + 3 + 4 + 1
+FEATURE_DIM = _HASHED + _N_HASHED
+
+
+def _bucket(v: Fraction) -> int:
+    if v < 0:
+        return 0
+    if v == 0:
+        return 1
+    if v.denominator != 1:
+        return 2
+    n = v.numerator
+    if 1 <= n <= 13:
+        return 2 + n
+    if n <= 23:
+        return 16
+    if n == 24:
+        return 17
+    if n <= 48:
+        return 18
+    return 19
+
+
+def _successor_columns(values: tuple[Fraction, ...]) -> tuple[int, ...]:
+    """The columns a row sets to 1 when its action leaves `values` (sorted)."""
+    cols = [_SUCCESSOR + len(values) - 1]
+    for slot, v in enumerate(values[:3]):
+        cols.append(_SUCCESSOR + 3 + slot * _N_BUCKETS + _bucket(v))
+    if TARGET in values:
+        cols.append(_FLAGS)
+    if len(values) == 1:
+        cols.append(_FLAGS + 1 if values[0] == TARGET else _FLAGS + 2)
+    pairs24 = _pairs_reaching_target(values)
+    cols.append(_FLAGS + 3 + min(pairs24, 2))
+    if len(values) == 2 and pairs24 > 0:
+        cols.append(_FLAGS + 6)
+    cols.append(_FLAGS + 7)  # bias
+    return tuple(cols)
+
+
 # what a terminal entry holds for `successors`, `child_keys` and `ranks`
 _NOTHING = MappingProxyType({})
 
@@ -102,43 +155,83 @@ _NOTHING = MappingProxyType({})
 class _Decoded:
     """Everything one multiset of numbers left yields, decoded once per process.
 
-    `successors` maps each valid equation to its successor multiset (in
-    `enumerate_actions` order), and `ranks` maps each operand string to its
-    first index in the sorted values. `child_keys` holds the successor's
-    `|left=` key suffix for each equation applied so far; it does not depend
-    on an env. A terminal (one number) has no actions and no rows, so all
-    three are the shared empty `_NOTHING`.
+    `terminal` (one number left) and `solved` (that number is 24) are set when
+    the entry is made, since every state is asked whether it is terminal. The
+    rest is filled on first read (`__getattr__`), because many entries are only
+    ever met as the successor of some row:
+      - `successors` maps each valid equation to its successor multiset (in
+        `enumerate_actions` order), `child_keys` maps each equation applied or
+        featurized so far to its successor's `|left=` text, and `ranks` maps
+        each operand string to its first index in the sorted values. They do
+        not depend on an env. A terminal has no actions, so all three are the
+        shared empty `_NOTHING`.
+      - `columns`: the feature columns that every row whose action leads to
+        this multiset sets to 1 (see `_successor_columns`).
+      - `value_slot`: the hash bucket and sign of `("g24v", left)`, which
+        every row of a state with these numbers adds.
+    No assembled row and nothing per action is kept beyond `child_keys`.
     """
 
-    __slots__ = ("values", "left", "successors", "child_keys", "ranks")
+    __slots__ = ("values", "left", "terminal", "solved",
+                 "successors", "child_keys", "ranks", "columns", "value_slot")
 
-    def __init__(self, values: tuple[Fraction, ...]):
+    def __init__(self, values: tuple[Fraction, ...], left: str | None = None):
         self.values = values
-        self.left = fmt_values(values)
-        if len(values) == 1:
-            self.successors = self.child_keys = self.ranks = _NOTHING
-            return
-        self.successors = dict(enumerate_actions(values))
-        self.child_keys: dict[str, str] = {}
-        self.ranks: dict[str, int] = {}
-        for rank, v in enumerate(values):
-            self.ranks.setdefault(fmt(v), rank)
+        self.left = fmt_values(values) if left is None else left
+        self.terminal = len(values) == 1
+        self.solved = self.terminal and values[0] == TARGET
+
+    def __getattr__(self, name):
+        # runs only while the slot `name` is unset: fill it, then read it
+        if name in ("successors", "child_keys", "ranks"):
+            if self.terminal:
+                self.successors = self.child_keys = self.ranks = _NOTHING
+            else:
+                self.successors = dict(enumerate_actions(self.values))
+                self.child_keys = {}
+                self.ranks = {}
+                for rank, v in enumerate(self.values):
+                    self.ranks.setdefault(fmt(v), rank)
+        elif name == "columns":
+            self.columns = _successor_columns(self.values)
+        elif name == "value_slot":
+            self.value_slot = hash_slot(_N_HASHED, ("g24v", self.left))
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
 
 # `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
 # 40,668 multisets that `flowseek oracle` meets on `gen --count 200` (about
-# 50 MB), so such a run decodes each once; past it the oldest entry goes (a
+# 44 MB), so such a run decodes each once; past it the oldest entry goes (a
 # later query decodes it again)
 _TABLE: dict[str, _Decoded] = {}
 TABLE_ENTRIES = 65536
 
 
+def _entry(left: str, values: tuple[Fraction, ...] | None = None) -> _Decoded:
+    """The entry of the `|left=` text `left`; on a miss it is decoded from
+    `values` when the caller holds them (then `left` must be their canonical text)."""
+    entry = _TABLE.get(left)
+    if entry is None:
+        entry = _Decoded(parse_values(left)) if values is None else _Decoded(values, left)
+        bounded_put(_TABLE, left, entry, TABLE_ENTRIES)
+    return entry
+
+
 def _context(state: str) -> _Decoded:
-    left = state[state.index("|left=") + len("|left=") :]
-    ctx = _TABLE.get(left)
-    if ctx is None:
-        ctx = bounded_put(_TABLE, left, _Decoded(parse_values(left)), TABLE_ENTRIES)
-    return ctx
+    return _entry(state[state.index("|left=") + len("|left=") :])
+
+
+def _child_left(ctx: _Decoded, state: str, action: str) -> str:
+    """The `|left=` text that `action` leaves at `state`, whose entry is `ctx`."""
+    left = ctx.child_keys.get(action)
+    if left is None:
+        nxt = ctx.successors.get(action)
+        if nxt is None:
+            raise InvalidActionError(f"action {action!r} invalid at {state!r}")
+        left = ctx.child_keys[action] = fmt_values(nxt)
+    return left
 
 
 class Game24Env(Environment):
@@ -148,9 +241,6 @@ class Game24Env(Environment):
     reads_scorer = True
     reward_start = 1.0  # the reward is success term + the product of step scores
     shared_rows = True  # rows are keyed on the numbers left and read nothing else
-
-    _OPS = "+-*/"
-    _N_HASHED = 32
 
     def parse_instance(self):
         if not _context(self.s0).values or self.goal != fmt(TARGET):
@@ -166,26 +256,20 @@ class Game24Env(Environment):
         return list(_context(state).successors)
 
     def apply(self, state, action):
-        ctx = _context(state)
-        tail = ctx.child_keys.get(action)
-        if tail is None:
-            nxt = ctx.successors.get(action)
-            if nxt is None:
-                raise InvalidActionError(f"action {action!r} invalid at {state!r}")
-            tail = ctx.child_keys[action] = f"|left={fmt_values(nxt)}"
-        # same string as "h=" + ";".join(history + [action]) + tail
+        left = _child_left(_context(state), state, action)
+        # same string as "h=" + ";".join(history + [action]) + "|left=" + left
         head = state[: state.index("|left=")]
         sep = "" if head == "h=" else ";"
-        return f"{head}{sep}{action}{tail}"
+        return f"{head}{sep}{action}|left={left}"
 
     def is_terminal(self, state):
-        return len(_context(state).values) == 1
+        return _context(state).terminal
 
     def is_success(self, traj):
-        return _context(traj.states[-1]).values == (TARGET,)
+        return _context(traj.states[-1]).solved
 
     def success_term(self, terminal):
-        return self.w if _context(terminal).values == (TARGET,) else 0.0
+        return self.w if _context(terminal).solved else 0.0
 
     def reward_step(self, acc, state, action, child):
         return acc * self.step_score(state, action)
@@ -197,74 +281,27 @@ class Game24Env(Environment):
 
     # -- features ---------------------------------------------------------------
 
-    _N_BUCKETS = 20
-
-    @staticmethod
-    def _bucket(v: Fraction) -> int:
-        if v < 0:
-            return 0
-        if v == 0:
-            return 1
-        if v.denominator != 1:
-            return 2
-        n = v.numerator
-        if 1 <= n <= 13:
-            return 2 + n
-        if n <= 23:
-            return 16
-        if n == 24:
-            return 17
-        if n <= 48:
-            return 18
-        return 19
-
     @property
     def feature_dim(self):
-        # op(4) + rank pair(16) + result count(3) + slot buckets(3*20)
-        # + {contains 24, solved next, one-left-not-24}(3)
-        # + combinable-pair count(3) + two-left-combinable(1) + bias(1) + hashed
-        return 4 + 16 + 3 + 3 * self._N_BUCKETS + 3 + 4 + 1 + self._N_HASHED
+        return FEATURE_DIM
 
     def featurize(self, state, action):
         ctx = _context(state)
-        nxt = ctx.successors.get(action)
-        if nxt is None:
-            raise InvalidActionError(f"action {action!r} invalid at {state!r}")
-
-        lhs = action.split(" = ")[0]
-        x_str, op, y_str = lhs.split(" ")
+        child = _entry(_child_left(ctx, state, action), ctx.successors[action])
+        x, op, y, _ = action.split(" ", 3)
         # operand strings are canonical, so equal strings mean equal values
-        rank_x = ctx.ranks[x_str]
-        rank_y = rank_x + 1 if y_str == x_str else ctx.ranks[y_str]
+        rank_x = ctx.ranks[x]
+        rank_y = rank_x + 1 if y == x else ctx.ranks[y]
 
-        vec = np.zeros(self.feature_dim)
-        off = 0
-        vec[off + self._OPS.index(op)] = 1.0
-        off += 4
-        vec[off + min(rank_x, 3) * 4 + min(rank_y, 3)] = 1.0
-        off += 16
-        vec[off + len(nxt) - 1] = 1.0
-        off += 3
-        for slot, v in enumerate(nxt[:3]):  # successors are sorted multisets
-            vec[off + slot * self._N_BUCKETS + self._bucket(v)] = 1.0
-        off += 3 * self._N_BUCKETS
-        if TARGET in nxt:
-            vec[off] = 1.0
-        if len(nxt) == 1 and nxt[0] == TARGET:
-            vec[off + 1] = 1.0
-        if len(nxt) == 1 and nxt[0] != TARGET:
-            vec[off + 2] = 1.0
-        off += 3
-        pairs24 = _pairs_reaching_target(nxt)
-        vec[off + min(pairs24, 2)] = 1.0
-        if len(nxt) == 2 and pairs24 > 0:
-            vec[off + 3] = 1.0
-        off += 4
-        vec[off] = 1.0
-        off += 1
-        vec[off:] = hashed_features(
-            self._N_HASHED, ("g24v", ctx.left), ("g24a", action), ("g24va", ctx.left, action)
-        )
+        vec = np.zeros(FEATURE_DIM)
+        vec[_OPS.index(op)] = 1.0
+        vec[4 + min(rank_x, 3) * 4 + min(rank_y, 3)] = 1.0
+        for col in child.columns:
+            vec[col] = 1.0
+        hashed = vec[_HASHED:]
+        col, sign = ctx.value_slot
+        hashed[col] += sign
+        add_hashed(hashed, ("g24a", action), ("g24va", ctx.left, action))
         return vec
 
 

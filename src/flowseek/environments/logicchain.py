@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hashed_features
+from .base import EnvInstance, Environment, add_hashed
 
 FINISH = "Finish."
 ENTITIES = ["Alex", "Fae", "Max", "Polly", "Rex", "Sam", "Stella", "Wren"]
@@ -135,7 +135,7 @@ class LogicChainEnv(Environment):
         vec[3] = 1.0 if action in hist else 0.0
         vec[4] = self.step_fraction(len(hist))
         vec[5] = 1.0
-        vec[6:] = hashed_features(self._N_HASHED, ("logic", claim, action))
+        add_hashed(vec[6:], ("logic", claim, action))
         return vec
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import flowseek
 from flowseek.cli import main
 from flowseek.environments import ENV_IDS, EnvInstance, read_instances, write_instances
+from flowseek.environments.game24 import generate_instances as game24_instances
 from flowseek.environments.game24 import make_instance, solve_game24
 from flowseek.environments.toydag import generate_instances as toydag_instances
 
@@ -508,6 +510,53 @@ def test_oracle_output_independent_of_hash_seed(tmp_path):
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def write_repeated_id_game24(tmp_path):
+    """Two different game24 hands under one id, and a checkpoint trained on the first.
+
+    The hands are game24-1-0 and game24-1-1 of `gen --count 200 --seed 1`
+    (a generator yields its first draws whatever the count), the second
+    renamed to the first's id. When envs were keyed by id without a check,
+    both rows were scored on the second hand's env."""
+    first, second = game24_instances(2, seed=1)
+    assert (first.instance_id, second.instance_id) == ("game24-1-0", "game24-1-1")
+    assert first.s0 != second.s0
+    dup_path, one_path = tmp_path / "dup.jsonl", tmp_path / "one.jsonl"
+    write_instances(dup_path, [first, dataclasses.replace(second, instance_id=first.instance_id)])
+    write_instances(one_path, [first])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "env_id": "game24", "instances_path": str(one_path), "iterations": 2,
+        "seed": 1, "out_dir": str(tmp_path / "run"),
+    }))
+    assert run_cli("train", config_path) == 0
+    return dup_path, tmp_path / "run" / "checkpoint.json"
+
+
+@pytest.mark.parametrize("with_checkpoint", [False, True])
+def test_oracle_repeated_instance_id_is_data_error(tmp_path, capsys, with_checkpoint):
+    dup_path, checkpoint = write_repeated_id_game24(tmp_path)
+    capsys.readouterr()
+    extra = ("--checkpoint", checkpoint) if with_checkpoint else ()
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", dup_path, *extra, "--out", out) == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "line 2: instance_id 'game24-1-0' is already on line 1" in err
+
+
+def test_train_and_sample_reject_a_repeated_instance_id(tmp_path, capsys):
+    dup_path, checkpoint = write_repeated_id_game24(tmp_path)
+    config_path = tmp_path / "dup-config.json"
+    config_path.write_text(json.dumps({
+        "env_id": "game24", "instances_path": str(dup_path), "iterations": 2,
+        "out_dir": str(tmp_path / "dup-run"),
+    }))
+    assert run_cli("train", config_path) == 3
+    code, out = sample_to(tmp_path, checkpoint.parent, dup_path, "s.jsonl")
+    assert code == 3 and not out.exists()
+    assert capsys.readouterr().err.count("is already on line 1") == 2
 
 
 def train_default_featurizer_toy(tmp_path):
