@@ -7,7 +7,7 @@ from collections import Counter
 
 import numpy as np
 
-from ..errors import EnumerationCapError, GenerationError
+from ..errors import EnumerationCapError, FlowseekError, GenerationError
 from ..flow_core import Trajectory
 from .arc1d import Arc1dEnv
 from .base import EnvInstance, Environment, RowStore, read_instances, write_instances
@@ -126,7 +126,12 @@ def make_envs(instances: list[EnvInstance], **settings) -> dict[str, Environment
 
     Envs of a class with `shared_rows` share one row store, so a decision
     point's template is built once for all of them. The store lives as long
-    as they do."""
+    as they do. A repeated `instance_id` raises FlowseekError, since the
+    second env would replace the first."""
+    ids = Counter(inst.instance_id for inst in instances)
+    repeated = [i for i, n in ids.items() if n > 1]
+    if repeated:
+        raise FlowseekError(f"instance_id {repeated[0]!r} is repeated; envs are keyed by id")
     classes = [_env_class(inst.env_id) for inst in instances]
     stores = {cls: RowStore(n) for cls, n in Counter(classes).items() if cls.shared_rows}
     return {inst.instance_id: cls(inst, row_store=stores.get(cls), **settings)

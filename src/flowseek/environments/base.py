@@ -472,6 +472,32 @@ def hash_slot(dim: int, token: object) -> tuple[int, float]:
     return h % dim, 1.0 if (h >> 32) & 1 else -1.0
 
 
+# the bits of one `slot_code`: a bucket below 32 and a sign
+SLOT_BITS = 6
+
+
+def slot_code(dim: int, token: object) -> int:
+    """`hash_slot(dim, token)` as one int below 2**SLOT_BITS (`dim` at most 32):
+    twice the bucket, plus 1 when the sign is +. `pack_codes` keeps several
+    in one int, which costs less memory than a tuple or an array of them."""
+    idx, sign = hash_slot(dim, token)
+    return 2 * idx + (sign > 0)
+
+
+def pack_codes(codes) -> int:
+    """Ints below 2**SLOT_BITS side by side in one int, the i-th from bit SLOT_BITS·i."""
+    packed = 0
+    for i, code in enumerate(codes):
+        packed |= code << SLOT_BITS * i
+    return packed
+
+
+def add_slot(row: np.ndarray, code: int) -> None:
+    """Add the signed hash whose `slot_code` is the low SLOT_BITS bits of `code` into `row`."""
+    code &= (1 << SLOT_BITS) - 1
+    row[code >> 1] += 1.0 if code & 1 else -1.0
+
+
 def add_hashed(row: np.ndarray, *tokens: object) -> None:
     """Add each token's signed feature hash into `row`, the hashed slice of a feature row."""
     dim = len(row)

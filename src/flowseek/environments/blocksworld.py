@@ -12,13 +12,14 @@ order, and its feature hash reads its text as written. Inside, an env reads
 the step from the key and the configuration from one process-wide table that
 fills lazily, one entry per configuration text. An entry holds only what no
 goal changes: the supports, the valid actions in order, the entry each action
-leads to and the parent entries that the four inverse actions reach. Goal
-facts (relations satisfied, goal met) are computed from an entry's supports
-on each call, so envs with different goals share the table. Feature rows
-without their goal and step columns are kept per entry, in a store that envs
-built together share, and an env keeps its goal columns per entry in its own
-memo. A state's parent count is its number of inverse-action parents that do
-not meet the goal: a terminal state has no edges. The table holds at most
+leads to, the parent entries that the four inverse actions reach and each
+action's feature hash slot, so a row hashes nothing once its entry has them.
+Goal facts (relations satisfied, goal met) are computed from an entry's
+supports on each call, so envs with different goals share the table. Feature
+rows without their goal and step columns are kept per entry, in a store that
+envs built together share, and an env keeps its goal columns per entry in its
+own memo. A state's parent count is its number of inverse-action parents that
+do not meet the goal: a terminal state has no edges. The table holds at most
 one entry per configuration of each block set seen: 866 for five blocks (the
 generator's 6-step instances), 125 for four and 22 for three.
 """
@@ -31,9 +32,10 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_hashed, row_template
+from .base import EnvInstance, Environment, add_slot, row_template, slot_code
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
+_N_HASHED = 32  # the width of a feature row's hashed slice
 
 
 def _parse_config(text: str) -> tuple[str | None, dict[str, str]]:
@@ -104,7 +106,7 @@ class _Config:
 
     `actions` is the list `valid_actions` returns; callers must not change it."""
 
-    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents")
+    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents", "_codes")
 
     def __init__(self, text: str):
         hand, on = _parse_config(text)
@@ -117,6 +119,7 @@ class _Config:
             self.actions = [f"putdown {hand}", *(f"stack {hand} {y}" for y in clear)]
         self._next: dict[str, _Config] | None = None
         self._parents: list[_Config] | None = None
+        self._codes: dict[str, int] | None = None
 
     @property
     def next(self) -> dict[str, _Config]:
@@ -125,6 +128,13 @@ class _Config:
             self._next = {a: _entry(_encode_config(*_move(self.hand, self.on, a)))
                           for a in self.actions}
         return self._next
+
+    @property
+    def codes(self) -> dict[str, int]:
+        """The `slot_code` of each valid action's hashed token `("bw", text, action)`."""
+        if self._codes is None:
+            self._codes = {a: slot_code(_N_HASHED, ("bw", self.text, a)) for a in self.actions}
+        return self._codes
 
     @property
     def parents(self) -> list[_Config]:
@@ -187,8 +197,6 @@ class BlocksWorldEnv(Environment):
     reads_scorer = True
     reads_lambda = True
     shared_rows = True  # templates are keyed by entry and leave the goal and step columns out
-
-    _N_HASHED = 32
 
     def parse_instance(self):
         check_physics(self.s0)
@@ -259,7 +267,7 @@ class BlocksWorldEnv(Environment):
 
     @property
     def feature_dim(self):
-        return 4 + 5 + 3 + 4 + 1 + 1 + self._N_HASHED
+        return 4 + 5 + 3 + 4 + 1 + 1 + _N_HASHED
 
     def _goal_ones(self, entry: _Config) -> tuple[dict[str, list[int]], np.ndarray]:
         """The goal columns that are 1 in each action's row at `entry` (the
@@ -295,7 +303,7 @@ class BlocksWorldEnv(Environment):
         vec[14] = 1.0 if after.hand is None else 0.0
         vec[self._STEP_COLUMN] = self.step_fraction(step)
         vec[17] = 1.0
-        add_hashed(vec[18:], ("bw", entry.text, action))
+        add_slot(vec[18:], entry.codes[action])
         return vec
 
     def feature_matrix(self, state):

@@ -13,7 +13,9 @@ on a dense index of every reachable configuration, built once per process.
 Moves, terminal tests, distances and the placed/oriented counts are then
 reads of per-rank tables, and a child's key joins its ranks' digit strings.
 Feature rows without the step column are kept per dense index, in a store
-that envs built together share; the step fraction is written per call.
+that envs built together share; the step fraction is written per call. The
+hash slots of a configuration's 9 rows are kept per dense index for the whole
+process, so a row hashes nothing once its configuration has them.
 
 Distance-to-solved is breadth-first search from the solved configuration over
 the dense index, filled lazily one vectorised layer at a time and kept for
@@ -28,7 +30,10 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_hashed, row_template
+from .base import (
+    SLOT_BITS, EnvInstance, Environment, add_slot, bounded_put, pack_codes, row_template,
+    slot_code,
+)
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -171,6 +176,24 @@ def distance_to_solved(config: bytes) -> int:
 
 
 _STEP_COLUMN = 37  # the step fraction, the only column that reads more than the configuration
+_N_HASHED = 32  # the width of a feature row's hashed slice
+
+# dense index -> the `slot_code`s of ("cube", configuration text, move) for
+# the 9 moves, packed in MOVES order, for the whole process. Past CODE_ENTRIES
+# the oldest goes (a later row hashes it again)
+_CODES: dict[int, int] = {}
+CODE_ENTRIES = 65536
+
+
+def _move_codes(index: int) -> int:
+    """The packed hash slots of the 9 moves' feature rows at dense `index`."""
+    codes = _CODES.get(index)
+    if codes is None:
+        text = f"{_PERM_DIGITS[index // 729]}|{_TWIST_DIGITS[index % 729]}"
+        codes = pack_codes(slot_code(_N_HASHED, ("cube", text, move)) for move in MOVES)
+        bounded_put(_CODES, index, codes, CODE_ENTRIES)
+    return codes
+
 
 # exp of every distance drop a reward can hold, as np.exp gives it
 _EXP_DROP = {k: float(np.exp(k)) for k in range(-DIST_CAP, DIST_CAP + 1)}
@@ -181,8 +204,6 @@ class Cube2x2Env(Environment):
     parent_mode = "exact"
     solution_sep = " "
     shared_rows = True  # templates are keyed by dense index and leave the step column out
-
-    _N_HASHED = 32
 
     def parse_instance(self):
         self._ranks: dict[str, tuple[int, int, int]] = {}
@@ -251,11 +272,12 @@ class Cube2x2Env(Environment):
     def feature_dim(self):
         # action(9) + solved-after(1) + placed/oriented/fully-correct counts(27)
         # + step fraction(1) + bias(1) + hashed
-        return 9 + 1 + 27 + 1 + 1 + self._N_HASHED
+        return 9 + 1 + 27 + 1 + 1 + _N_HASHED
 
     def featurize(self, state, action):
         step, p, t = self._ranks_of(state)
         m = _MOVE_INDEX[action]
+        codes = _move_codes(729 * p + t)
         p, t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
         placed, oriented = _PLACED[p], _ORIENTED[t]
         vec = np.zeros(self.feature_dim)
@@ -271,7 +293,7 @@ class Cube2x2Env(Environment):
         vec[off] = self.step_fraction(step)
         vec[off + 1] = 1.0
         off += 2
-        add_hashed(vec[off:], ("cube", state.split("|", 1)[1], action))
+        add_slot(vec[off:], codes >> SLOT_BITS * m)
         return vec
 
     def feature_matrix(self, state):

@@ -9,8 +9,9 @@ derived from a state depends only on its `|left=` suffix, the decision key:
 one process-wide table decodes each multiset once, and every env and every
 history reaching it reuses the decode. Its feature rows read nothing else
 either, so envs built together share them. An entry also keeps what a row
-reads of the multiset as its action's successor (column indices and a hash
-slot), so building a row does no Fraction arithmetic.
+reads of the multiset as its action's successor (column indices) and, per
+action, the row's operator and rank cell and its hash slots, so building a
+row does no Fraction arithmetic and, once the entry has them, no hashing.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_hashed, bounded_put, hash_slot
+from .base import (
+    SLOT_BITS, EnvInstance, Environment, add_slot, bounded_put, pack_codes, slot_code,
+)
 
 TARGET = Fraction(24)
 
@@ -148,8 +151,32 @@ def _successor_columns(values: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-# what a terminal entry holds for `successors`, `child_keys` and `ranks`
+# what a terminal entry holds for `successors` and `child_keys`
 _NOTHING = MappingProxyType({})
+
+
+def _action_codes(values: tuple[Fraction, ...], left: str, actions) -> dict[str, int]:
+    """Per action at the multiset `values` (canonical text `left`), one int
+    packing the `slot_code`s of `("g24v", left)`, `("g24a", action)` and
+    `("g24va", left, action)`, then the row's operator and rank-pair cell
+    (4 x 16, so below 2**SLOT_BITS too)."""
+    ranks: dict[str, int] = {}  # operand string -> its first index in the sorted values
+    for rank, v in enumerate(values):
+        ranks.setdefault(fmt(v), rank)
+    value = slot_code(_N_HASHED, ("g24v", left))
+    codes = {}
+    for action in actions:
+        x, op, y, _ = action.split(" ", 3)
+        # operand strings are canonical, so equal strings mean equal values
+        rank_x = ranks[x]
+        rank_y = rank_x + 1 if y == x else ranks[y]
+        codes[action] = pack_codes((
+            value,
+            slot_code(_N_HASHED, ("g24a", action)),
+            slot_code(_N_HASHED, ("g24va", left, action)),
+            _OPS.index(op) * 16 + min(rank_x, 3) * 4 + min(rank_y, 3),
+        ))
+    return codes
 
 
 class _Decoded:
@@ -160,20 +187,21 @@ class _Decoded:
     rest is filled on first read (`__getattr__`), because many entries are only
     ever met as the successor of some row:
       - `successors` maps each valid equation to its successor multiset (in
-        `enumerate_actions` order), `child_keys` maps each equation applied or
-        featurized so far to its successor's `|left=` text, and `ranks` maps
-        each operand string to its first index in the sorted values. They do
-        not depend on an env. A terminal has no actions, so all three are the
-        shared empty `_NOTHING`.
+        `enumerate_actions` order), and `child_keys` maps each equation applied
+        or featurized so far to its successor's `|left=` text. They do not
+        depend on an env. A terminal has no actions, so both are the shared
+        empty `_NOTHING`.
       - `columns`: the feature columns that every row whose action leads to
         this multiset sets to 1 (see `_successor_columns`).
-      - `value_slot`: the hash bucket and sign of `("g24v", left)`, which
-        every row of a state with these numbers adds.
-    No assembled row and nothing per action is kept beyond `child_keys`.
+      - `codes`: per valid equation, the one int of `_action_codes` (the
+        row's operator and rank-pair cell and its three hash slots).
+      - `potential`: the `progress` scorer's estimate, minus the distance
+        from 24 of the closest number and minus the count of numbers.
+    No assembled row is kept.
     """
 
     __slots__ = ("values", "left", "terminal", "solved",
-                 "successors", "child_keys", "ranks", "columns", "value_slot")
+                 "successors", "child_keys", "columns", "codes", "potential")
 
     def __init__(self, values: tuple[Fraction, ...], left: str | None = None):
         self.values = values
@@ -183,19 +211,19 @@ class _Decoded:
 
     def __getattr__(self, name):
         # runs only while the slot `name` is unset: fill it, then read it
-        if name in ("successors", "child_keys", "ranks"):
+        if name in ("successors", "child_keys"):
             if self.terminal:
-                self.successors = self.child_keys = self.ranks = _NOTHING
+                self.successors = self.child_keys = _NOTHING
             else:
                 self.successors = dict(enumerate_actions(self.values))
                 self.child_keys = {}
-                self.ranks = {}
-                for rank, v in enumerate(self.values):
-                    self.ranks.setdefault(fmt(v), rank)
         elif name == "columns":
             self.columns = _successor_columns(self.values)
-        elif name == "value_slot":
-            self.value_slot = hash_slot(_N_HASHED, ("g24v", self.left))
+        elif name == "codes":
+            self.codes = _action_codes(self.values, self.left, self.successors)
+        elif name == "potential":
+            closest = min(abs(float(v - TARGET)) for v in self.values)
+            self.potential = -closest - len(self.values)
         else:
             raise AttributeError(name)
         return getattr(self, name)
@@ -203,8 +231,8 @@ class _Decoded:
 
 # `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
 # 40,668 multisets that `flowseek oracle` meets on `gen --count 200` (about
-# 44 MB), so such a run decodes each once; past it the oldest entry goes (a
-# later query decodes it again)
+# 38 MB, 48 MB with a checkpoint's rows), so such a run decodes each once;
+# past it the oldest entry goes, with its codes (a later query decodes it again)
 _TABLE: dict[str, _Decoded] = {}
 TABLE_ENTRIES = 65536
 
@@ -275,9 +303,7 @@ class Game24Env(Environment):
         return acc * self.step_score(state, action)
 
     def potential(self, state):
-        values = _context(state).values
-        closest = min(abs(float(v - TARGET)) for v in values)
-        return -closest - len(values)
+        return _context(state).potential
 
     # -- features ---------------------------------------------------------------
 
@@ -288,20 +314,16 @@ class Game24Env(Environment):
     def featurize(self, state, action):
         ctx = _context(state)
         child = _entry(_child_left(ctx, state, action), ctx.successors[action])
-        x, op, y, _ = action.split(" ", 3)
-        # operand strings are canonical, so equal strings mean equal values
-        rank_x = ctx.ranks[x]
-        rank_y = rank_x + 1 if y == x else ctx.ranks[y]
-
+        code = ctx.codes[action]
+        cell = code >> 3 * SLOT_BITS
         vec = np.zeros(FEATURE_DIM)
-        vec[_OPS.index(op)] = 1.0
-        vec[4 + min(rank_x, 3) * 4 + min(rank_y, 3)] = 1.0
+        vec[cell >> 4] = 1.0  # the operator
+        vec[4 + (cell & 15)] = 1.0  # the operand-rank pair
         for col in child.columns:
             vec[col] = 1.0
         hashed = vec[_HASHED:]
-        col, sign = ctx.value_slot
-        hashed[col] += sign
-        add_hashed(hashed, ("g24a", action), ("g24va", ctx.left, action))
+        for i in range(3):
+            add_slot(hashed, code >> i * SLOT_BITS)
         return vec
 
 

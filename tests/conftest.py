@@ -48,6 +48,17 @@ def diamond_instance(instance_id: str = "toy-diamond") -> EnvInstance:
     )
 
 
+def reachable_nonterminal(env):
+    """Every non-terminal state reachable from s0, breadth first."""
+    order, seen = [env.s0], {env.s0}
+    for state in order:  # `order` grows as it is walked
+        for _, child in env.children(state) or ():
+            if child not in seen:
+                seen.add(child)
+                order.append(child)
+    return [s for s in order if not env.is_terminal(s)]
+
+
 @pytest.fixture
 def toy_instance():
     return two_terminal_instance()

@@ -27,22 +27,15 @@ from flowseek.environments.cube2x2 import scramble_instance
 from flowseek.environments.game24 import make_instance
 from flowseek.trainer import TrainConfig, build_envs
 
+from conftest import reachable_nonterminal
+
 
 def clear_tables(mp):
-    """Point game24's and blocksworld's process-wide decode tables at fresh, empty ones."""
+    """Point game24's and blocksworld's process-wide decode tables, and cube2x2's
+    hash-slot map, at fresh, empty ones."""
     mp.setattr(game24, "_TABLE", {})
     mp.setattr(blocksworld, "_TABLE", {})
-
-
-def reachable_nonterminal(env):
-    """Every non-terminal state reachable from s0, breadth first."""
-    order, seen = [env.s0], {env.s0}
-    for state in order:  # `order` grows as it is walked
-        for _, child in env.children(state) or ():
-            if child not in seen:
-                seen.add(child)
-                order.append(child)
-    return [s for s in order if not env.is_terminal(s)]
+    mp.setattr(cube2x2, "_CODES", {})
 
 
 def blocksworld_instances():

@@ -379,6 +379,18 @@ def test_build_envs_rejects_instances_of_another_env():
         build_envs(TrainConfig(env_id="toydag"), instances)
 
 
+def test_library_path_rejects_a_repeated_instance_id():
+    # two different hands under one id: envs keyed by id would keep only the
+    # second, and `train` would run on it alone without a word
+    first, second = make_instance([2, 7, 8, 13], "hand"), make_instance([2, 2, 6, 11], "other")
+    twins = [first, dataclasses.replace(second, instance_id="hand")]
+    config = TrainConfig(env_id="game24", iterations=2)
+    with pytest.raises(FlowseekError, match="instance_id 'hand' is repeated"):
+        build_envs(config, twins)
+    with pytest.raises(FlowseekError, match="instance_id 'hand' is repeated"):
+        train(config, twins)
+
+
 def test_build_envs_uses_a_given_tabular_index():
     from flowseek.environments import TabularIndex
 
