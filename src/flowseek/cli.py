@@ -112,8 +112,8 @@ TRAIN_CONFIG_SCHEMA = {
             },
         },
         "lr_schedule": {"enum": ["none", "cosine"]},
-        "max_grad_norm": {"type": ["number", "null"]},
-        "checkpoint_interval": {"type": ["integer", "null"]},
+        "max_grad_norm": {"type": ["number", "null"], "exclusiveMinimum": 0},
+        "checkpoint_interval": {"type": ["integer", "null"], "minimum": 1},
         "out_dir": {"type": "string"},
     },
 }
@@ -131,6 +131,14 @@ FIELD_NAMES = {
     "logz.init": "logz_init",
     "logz.learning_rate": "logz_learning_rate",
 }
+
+
+def positive_int(text: str) -> int:
+    """An argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _sha256(path) -> str:
@@ -402,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a reproducible instance file")
     p.add_argument("--env", required=True, choices=ENV_IDS)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--difficulty", default=None)
     p.add_argument("--out", required=True)
@@ -419,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample trajectories from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--instances", required=True)
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--beta", type=float, default=1.0)
     p.add_argument("--argmax", action="store_true", help="greedy decode (the beta=0 rollout)")

@@ -10,7 +10,7 @@ import numpy as np
 from ..errors import EnumerationCapError, FlowseekError, GenerationError
 from ..flow_core import Trajectory
 from .arc1d import Arc1dEnv
-from .base import EnvInstance, Environment, RowStore, read_instances, write_instances
+from .base import EnvInstance, Environment, read_instances, write_instances
 from .blocksworld import BlocksWorldEnv
 from .cube2x2 import Cube2x2Env
 from .game24 import Game24Env
@@ -77,16 +77,16 @@ class TabularEnv:
     Table rows are indexed by the full state, so two states never share rows:
     `decision_key` is the identity here, rather than the wrapped env's key
     (game24's drops the history), which `__getattr__` would otherwise expose
-    to the row store and the oracle's policy cache. For the same reason the
-    wrapper binds the base `feature_matrix` and keeps a row store of its own:
-    the wrapped env's would read the wrapped env's store and write its step
-    and goal columns.
+    to the row cache and the oracle's policy cache. For the same reason the
+    wrapper binds the base `feature_matrix` and keeps a row cache of its own:
+    the wrapped env's would read the wrapped env's row templates and write its
+    step and goal columns.
     """
 
     def __init__(self, env: Environment, table: TabularIndex):
         self._env = env
         self.table = table
-        self._rows = RowStore(1)
+        self._rows = {}
 
     def __getattr__(self, name):
         return getattr(self._env, name)
@@ -105,7 +105,7 @@ class TabularEnv:
             vec[idx] = 1.0
         return vec
 
-    # bound here so it reads this wrapper's key, store and featurize
+    # bound here so it reads this wrapper's key, row cache and featurize
     feature_matrix = Environment.feature_matrix
 
 
@@ -122,20 +122,15 @@ def make_env(instance: EnvInstance, **settings) -> Environment:
 
 
 def make_envs(instances: list[EnvInstance], **settings) -> dict[str, Environment]:
-    """One environment per instance, by id, built together.
+    """One environment per instance, by id.
 
-    Envs of a class with `shared_rows` share one row store, so a decision
-    point's template is built once for all of them. The store lives as long
-    as they do. A repeated `instance_id` raises FlowseekError, since the
-    second env would replace the first."""
+    A repeated `instance_id` raises FlowseekError, since the second env would
+    replace the first."""
     ids = Counter(inst.instance_id for inst in instances)
     repeated = [i for i, n in ids.items() if n > 1]
     if repeated:
         raise FlowseekError(f"instance_id {repeated[0]!r} is repeated; envs are keyed by id")
-    classes = [_env_class(inst.env_id) for inst in instances]
-    stores = {cls: RowStore(n) for cls, n in Counter(classes).items() if cls.shared_rows}
-    return {inst.instance_id: cls(inst, row_store=stores.get(cls), **settings)
-            for inst, cls in zip(instances, classes)}
+    return {inst.instance_id: make_env(inst, **settings) for inst in instances}
 
 
 def generate_instances(

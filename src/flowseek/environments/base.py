@@ -151,21 +151,21 @@ class Environment:
 
     `decision_key(state)` names the decision point a state stands for. The
     contract: two states with the same key have the same valid actions and
-    the same feature rows, so `cached_valid_actions`, the row store and the
+    the same feature rows, so `cached_valid_actions`, the row cache and the
     oracle's per-state policy cache key on it. The default is the state
     itself; game24 drops the equation history, because its actions and
     features depend only on the numbers left. `TabularEnv` keys on the full
     state again: its one-hot rows index the state itself, so the wrapped
     env's coarser key would merge rows that differ.
 
-    `feature_matrix` widens the decision point's row template (see
-    `row_template`, built once per key by `featurize`) into a fresh float
-    matrix. By default the template is keyed on `decision_key` and holds
-    whole rows. cube2x2 and blocksworld override `feature_matrix`: they key
-    their templates on the configuration and write the step (and goal)
-    columns per call. A class whose templates read nothing of its instance
-    sets `shared_rows`, and then every env that `make_envs` builds together
-    shares one store, which lives as long as they do.
+    `feature_matrix` returns a fresh float matrix of the decision point's
+    rows. By default it copies the rows that `featurize` built for this env,
+    kept per `decision_key` in the env's own bounded cache (arc1d,
+    logicchain, toydag and the tabular wrapper, whose rows read the
+    instance). game24, cube2x2 and blocksworld define no `featurize`: their
+    `feature_matrix` widens an int8 row template kept on the process-wide
+    table entry of the decision point, filled on first read from the
+    entry's facts, and writes the step (and goal) columns per call.
     """
 
     env_id: str = "base"
@@ -174,7 +174,6 @@ class Environment:
     reads_scorer: bool = False
     reads_lambda: bool = False  # whether `edge_scale` is the `intermediate_weight` setting
     reward_start = 0.0  # the reward fold's value before the first edge
-    shared_rows: bool = False  # whether envs built together may share one row store
 
     def __init__(
         self,
@@ -183,19 +182,16 @@ class Environment:
         success_weight: float = DEFAULT_SUCCESS_WEIGHT,
         intermediate_weight: float = DEFAULT_INTERMEDIATE_WEIGHT,
         reward_floor: float = REWARD_FLOOR,
-        row_store: "RowStore | None" = None,
     ):
         if scorer not in SCORERS:
             raise ValueError(f"unknown scorer {scorer!r}")
-        if row_store is not None and not self.shared_rows:
-            raise ValueError(f"{self.env_id} rows read the instance; its envs cannot share a store")
         self.instance = instance
         self.scorer = scorer
         self.w = success_weight
         self.lam = intermediate_weight
         self.reward_floor = reward_floor
         self._valid_cache: dict[str, list[str]] = {}
-        self._rows = RowStore(1) if row_store is None else row_store
+        self._rows: dict[str, np.ndarray] = {}  # see `feature_matrix`
         self._uniform_scores: dict[str, float] = {}
         self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
         self._order: tuple[list[str], int] | None = None  # see `topological_order`
@@ -305,7 +301,12 @@ class Environment:
         """One feature row per action of `cached_valid_actions(state)`, in its order.
 
         A fresh matrix on every call: callers may keep or change it."""
-        return row_template(self, self.decision_key(state), state).astype(np.float64)
+        key = self.decision_key(state)
+        rows = self._rows.get(key)
+        if rows is None:
+            rows = np.array([self.featurize(state, a) for a in self.cached_valid_actions(state)])
+            bounded_put(self._rows, key, rows, FEATURE_CACHE_STATES)
+        return rows.astype(np.float64)
 
     def parent_count(self, state: str) -> int:
         if self.parent_mode == "tree":
@@ -413,45 +414,9 @@ class Environment:
         return p
 
 
-# the most templates a row store keeps per env that reads it; past it the
-# oldest goes (a later query builds it again)
+# the most decision points whose rows an env keeps in its own cache; past it
+# the oldest goes (a later query builds its rows again)
 FEATURE_CACHE_STATES = 2048
-
-
-class RowStore(dict):
-    """Row templates by key, for `envs` envs (one, or all that `make_envs`
-    built together of a class with `shared_rows`).
-
-    It keeps at most FEATURE_CACHE_STATES templates per env, so a shared
-    store never holds more than the per-env stores it stands for would."""
-
-    def __init__(self, envs: int):
-        super().__init__()
-        self.envs = envs
-
-
-def row_template(env, key, state: str, clear=None) -> np.ndarray:
-    """The rows of `state` that `env`'s row store keeps under `key`, built on a miss.
-
-    A template is `env.featurize` of every action at `state`, stacked, with
-    the columns `clear` (an index or index array) zeroed: the caller writes
-    them per call. A store shared by several envs keeps it as int8 when every
-    entry is a small integer, as one-hot, count and hashed columns are: an
-    eighth of the bytes, and exact when widened. A store of one env holds no
-    more rows than that env's own cache did, so it keeps float64 and skips
-    the check. Callers must not change the template."""
-    rows = env._rows.get(key)
-    if rows is None:
-        rows = np.array([env.featurize(state, a) for a in env.cached_valid_actions(state)])
-        if clear is not None:
-            rows[:, clear] = 0.0
-        # the bound is False for a NaN, whose cast would warn
-        if env._rows.envs > 1 and np.abs(rows).max() <= 127:
-            small = rows.astype(np.int8)
-            if (small == rows).all():
-                rows = small
-        bounded_put(env._rows, key, rows, FEATURE_CACHE_STATES * env._rows.envs)
-    return rows
 
 
 def _cap_error(cap: int) -> EnumerationCapError:
@@ -470,32 +435,6 @@ def hash_slot(dim: int, token: object) -> tuple[int, float]:
     """The bucket in `dim` and the sign that feature hashing gives `token` (deterministic)."""
     h = stable_hash(token)
     return h % dim, 1.0 if (h >> 32) & 1 else -1.0
-
-
-# the bits of one `slot_code`: a bucket below 32 and a sign
-SLOT_BITS = 6
-
-
-def slot_code(dim: int, token: object) -> int:
-    """`hash_slot(dim, token)` as one int below 2**SLOT_BITS (`dim` at most 32):
-    twice the bucket, plus 1 when the sign is +. `pack_codes` keeps several
-    in one int, which costs less memory than a tuple or an array of them."""
-    idx, sign = hash_slot(dim, token)
-    return 2 * idx + (sign > 0)
-
-
-def pack_codes(codes) -> int:
-    """Ints below 2**SLOT_BITS side by side in one int, the i-th from bit SLOT_BITS·i."""
-    packed = 0
-    for i, code in enumerate(codes):
-        packed |= code << SLOT_BITS * i
-    return packed
-
-
-def add_slot(row: np.ndarray, code: int) -> None:
-    """Add the signed hash whose `slot_code` is the low SLOT_BITS bits of `code` into `row`."""
-    code &= (1 << SLOT_BITS) - 1
-    row[code >> 1] += 1.0 if code & 1 else -1.0
 
 
 def add_hashed(row: np.ndarray, *tokens: object) -> None:

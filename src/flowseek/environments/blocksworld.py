@@ -12,16 +12,16 @@ order, and its feature hash reads its text as written. Inside, an env reads
 the step from the key and the configuration from one process-wide table that
 fills lazily, one entry per configuration text. An entry holds only what no
 goal changes: the supports, the valid actions in order, the entry each action
-leads to, the parent entries that the four inverse actions reach and each
-action's feature hash slot, so a row hashes nothing once its entry has them.
-Goal facts (relations satisfied, goal met) are computed from an entry's
-supports on each call, so envs with different goals share the table. Feature
-rows without their goal and step columns are kept per entry, in a store that
-envs built together share, and an env keeps its goal columns per entry in its
-own memo. A state's parent count is its number of inverse-action parents that
-do not meet the goal: a terminal state has no edges. The table holds at most
-one entry per configuration of each block set seen: 866 for five blocks (the
-generator's 6-step instances), 125 for four and 22 for three.
+leads to, the parent entries that the four inverse actions reach and an int8
+template of the actions' feature rows without their goal and step columns,
+hashed once when the entry fills it. Goal facts (relations satisfied, goal
+met) are computed from an entry's supports on each call, so envs with
+different goals share the table; an env keeps its goal columns per entry in
+its own memo and writes them, with the step column, on each call. A state's
+parent count is its number of inverse-action parents that do not meet the
+goal: a terminal state has no edges. The table holds at most one entry per
+configuration of each block set seen: 866 for five blocks (the generator's
+6-step instances), 125 for four and 22 for three.
 """
 
 from __future__ import annotations
@@ -32,10 +32,19 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_slot, row_template, slot_code
+from .base import EnvInstance, Environment, hash_slot
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
+
+# feature columns: action type(4) + satisfied count(5) + delta(3) + flags(4)
+# + step fraction(1) + bias(1) + hashed. Of the flags, 12 (improved), 13
+# (worsened) and 15 (moved block named by the goal) read the goal and 14
+# (hand empty after) does not
+_VERBS = ("pickup", "putdown", "stack", "unstack")
+_STEP_COLUMN = 16
+_HASHED = 18
 _N_HASHED = 32  # the width of a feature row's hashed slice
+FEATURE_DIM = _HASHED + _N_HASHED
 
 
 def _parse_config(text: str) -> tuple[str | None, dict[str, str]]:
@@ -106,7 +115,7 @@ class _Config:
 
     `actions` is the list `valid_actions` returns; callers must not change it."""
 
-    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents", "_codes")
+    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents", "_rows")
 
     def __init__(self, text: str):
         hand, on = _parse_config(text)
@@ -119,7 +128,7 @@ class _Config:
             self.actions = [f"putdown {hand}", *(f"stack {hand} {y}" for y in clear)]
         self._next: dict[str, _Config] | None = None
         self._parents: list[_Config] | None = None
-        self._codes: dict[str, int] | None = None
+        self._rows: np.ndarray | None = None
 
     @property
     def next(self) -> dict[str, _Config]:
@@ -130,11 +139,22 @@ class _Config:
         return self._next
 
     @property
-    def codes(self) -> dict[str, int]:
-        """The `slot_code` of each valid action's hashed token `("bw", text, action)`."""
-        if self._codes is None:
-            self._codes = {a: slot_code(_N_HASHED, ("bw", self.text, a)) for a in self.actions}
-        return self._codes
+    def rows(self) -> np.ndarray:
+        """The int8 feature rows of `actions`, in order, with the goal columns
+        (4-13 and 15) and the step column 0; callers must not change it.
+
+        A row sets its action type, whether the hand is empty after it and
+        the bias, and adds the signed hash of `("bw", text, action)`."""
+        if self._rows is None:
+            rows = np.zeros((len(self.actions), FEATURE_DIM), np.int8)
+            for row, action in enumerate(self.actions):
+                rows[row, _VERBS.index(action.split()[0])] = 1
+                rows[row, 14] = self.next[action].hand is None
+                rows[row, 17] = 1  # the bias
+                idx, sign = hash_slot(_N_HASHED, ("bw", self.text, action))
+                rows[row, _HASHED + idx] = sign
+            self._rows = rows
+        return self._rows
 
     @property
     def parents(self) -> list[_Config]:
@@ -196,12 +216,11 @@ class BlocksWorldEnv(Environment):
     parent_mode = "exact"
     reads_scorer = True
     reads_lambda = True
-    shared_rows = True  # templates are keyed by entry and leave the goal and step columns out
 
     def parse_instance(self):
         check_physics(self.s0)
         self.goal_relations = _parse_goal(self.goal)
-        self._goal_cells: dict[_Config, tuple[dict[str, list[int]], np.ndarray]] = {}
+        self._goal_cells: dict[_Config, np.ndarray] = {}
         step, entry = _read(self.s0)
         named = {b for b, _ in self.goal_relations}
         named |= {s for _, s in self.goal_relations if s != "table"}
@@ -258,59 +277,36 @@ class BlocksWorldEnv(Environment):
     def potential(self, state):
         return float(_satisfied(_read(state)[1].on, self.goal_relations))
 
-    # columns: action type(4) + satisfied count(5) + delta(3) + flags(4)
-    # + step fraction(1) + bias(1) + hashed; of the flags, 12 (improved),
-    # 13 (worsened) and 15 (moved block named by the goal) read the goal and
-    # 14 (hand empty after) does not
-    _STEP_COLUMN = 16
-    _CALL_COLUMNS = np.array([*range(4, 14), 15, _STEP_COLUMN])  # written per call
-
     @property
     def feature_dim(self):
-        return 4 + 5 + 3 + 4 + 1 + 1 + _N_HASHED
+        return FEATURE_DIM
 
-    def _goal_ones(self, entry: _Config) -> tuple[dict[str, list[int]], np.ndarray]:
-        """The goal columns that are 1 in each action's row at `entry` (the
-        rest are 0), by action and as flat indices into the entry's matrix.
-
-        Kept per entry in this env's own memo, so `featurize` and
-        `feature_matrix` compute them once."""
-        cells = self._goal_cells.get(entry)
-        if cells is None:
+    def _goal_ones(self, entry: _Config) -> np.ndarray:
+        """The goal columns that are 1 in the rows at `entry` (the rest are 0),
+        as flat indices into the entry's matrix, kept per entry in this env's
+        own memo."""
+        flat = self._goal_cells.get(entry)
+        if flat is None:
             sat_before = _satisfied(entry.on, self.goal_relations)
-            by_action = {}
-            for action in entry.actions:
+            cells = []
+            for row, action in enumerate(entry.actions):
                 sat_after = _satisfied(entry.next[action].on, self.goal_relations)
                 delta = (sat_after > sat_before) - (sat_after < sat_before)
-                ones = by_action[action] = [4 + min(sat_after, 4), 10 + delta]
+                ones = [4 + min(sat_after, 4), 10 + delta]
                 if delta:
                     ones.append(12 if delta > 0 else 13)
                 moved = action.split()[1]
                 if any(moved in rel for rel in self.goal_relations):
                     ones.append(15)
-            dim = self.feature_dim
-            flat = np.array([row * dim + col for row, ones in enumerate(by_action.values())
-                             for col in ones], np.intp)
-            cells = self._goal_cells[entry] = (by_action, flat)
-        return cells
-
-    def featurize(self, state, action):
-        step, entry = _read(state)
-        after = entry.next[action]
-        vec = np.zeros(self.feature_dim)
-        vec[["pickup", "putdown", "stack", "unstack"].index(action.split()[0])] = 1.0
-        vec[self._goal_ones(entry)[0][action]] = 1.0
-        vec[14] = 1.0 if after.hand is None else 0.0
-        vec[self._STEP_COLUMN] = self.step_fraction(step)
-        vec[17] = 1.0
-        add_slot(vec[18:], entry.codes[action])
-        return vec
+                cells += [row * FEATURE_DIM + col for col in ones]
+            flat = self._goal_cells[entry] = np.array(cells, np.intp)
+        return flat
 
     def feature_matrix(self, state):
         step, entry = _read(state)
-        mat = row_template(self, entry, state, self._CALL_COLUMNS).astype(np.float64)
-        mat.put(self._goal_ones(entry)[1], 1.0)
-        mat[:, self._STEP_COLUMN] = self.step_fraction(step)
+        mat = entry.rows.astype(np.float64)
+        mat.put(self._goal_ones(entry), 1.0)
+        mat[:, _STEP_COLUMN] = self.step_fraction(step)
         return mat
 
 

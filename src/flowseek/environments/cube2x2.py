@@ -12,10 +12,10 @@ Inside, an env reads each key once into (step, permutation rank, twist rank)
 on a dense index of every reachable configuration, built once per process.
 Moves, terminal tests, distances and the placed/oriented counts are then
 reads of per-rank tables, and a child's key joins its ranks' digit strings.
-Feature rows without the step column are kept per dense index, in a store
-that envs built together share; the step fraction is written per call. The
-hash slots of a configuration's 9 rows are kept per dense index for the whole
-process, so a row hashes nothing once its configuration has them.
+The feature rows of a configuration's 9 moves, without the step column, are
+kept per dense index for the whole process as an int8 template, filled from
+the rank tables (and hashed) on first read; the step fraction is written per
+call.
 
 Distance-to-solved is breadth-first search from the solved configuration over
 the dense index, filled lazily one vectorised layer at a time and kept for
@@ -30,10 +30,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import (
-    SLOT_BITS, EnvInstance, Environment, add_slot, bounded_put, pack_codes, row_template,
-    slot_code,
-)
+from .base import EnvInstance, Environment, bounded_put, hash_slot
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -175,24 +172,41 @@ def distance_to_solved(config: bytes) -> int:
     return _distance_at(729 * _PERM_RANK[cp] + _TWIST_RANK[co])
 
 
+# feature columns: action(9) + solved-after(1) + placed/oriented/fully-correct
+# counts(27) + step fraction(1) + bias(1) + hashed
 _STEP_COLUMN = 37  # the step fraction, the only column that reads more than the configuration
+_HASHED = 39
 _N_HASHED = 32  # the width of a feature row's hashed slice
+FEATURE_DIM = _HASHED + _N_HASHED
 
-# dense index -> the `slot_code`s of ("cube", configuration text, move) for
-# the 9 moves, packed in MOVES order, for the whole process. Past CODE_ENTRIES
-# the oldest goes (a later row hashes it again)
-_CODES: dict[int, int] = {}
+# dense index -> the int8 feature rows of the 9 moves in MOVES order, with the
+# step column 0, for the whole process. Past CODE_ENTRIES the oldest goes (a
+# later read fills it again)
+_ROWS: dict[int, np.ndarray] = {}
 CODE_ENTRIES = 65536
 
 
-def _move_codes(index: int) -> int:
-    """The packed hash slots of the 9 moves' feature rows at dense `index`."""
-    codes = _CODES.get(index)
-    if codes is None:
-        text = f"{_PERM_DIGITS[index // 729]}|{_TWIST_DIGITS[index % 729]}"
-        codes = pack_codes(slot_code(_N_HASHED, ("cube", text, move)) for move in MOVES)
-        bounded_put(_CODES, index, codes, CODE_ENTRIES)
-    return codes
+def _rows_at(index: int) -> np.ndarray:
+    """The feature rows at dense `index`, filled on a miss; callers must not change them.
+
+    A row sets its move, the solved flag and the placed, oriented and
+    fully-correct counts after the move, and the bias, and adds the signed
+    hash of `("cube", configuration text, move)`."""
+    rows = _ROWS.get(index)
+    if rows is None:
+        p, t = divmod(index, 729)
+        text = f"{_PERM_DIGITS[p]}|{_TWIST_DIGITS[t]}"
+        rows = np.zeros((len(MOVES), FEATURE_DIM), np.int8)
+        for m, move in enumerate(MOVES):
+            after_p, after_t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
+            placed, oriented = _PLACED[after_p], _ORIENTED[after_t]
+            rows[m, [m, 10 + placed.bit_count(), 19 + oriented.bit_count(),
+                     28 + (placed & oriented).bit_count(), 38]] = 1  # 38: the bias
+            rows[m, 9] = not (after_p or after_t)
+            idx, sign = hash_slot(_N_HASHED, ("cube", text, move))
+            rows[m, _HASHED + idx] = sign
+        bounded_put(_ROWS, index, rows, CODE_ENTRIES)
+    return rows
 
 
 # exp of every distance drop a reward can hold, as np.exp gives it
@@ -203,7 +217,6 @@ class Cube2x2Env(Environment):
     env_id = "cube2x2"
     parent_mode = "exact"
     solution_sep = " "
-    shared_rows = True  # templates are keyed by dense index and leave the step column out
 
     def parse_instance(self):
         self._ranks: dict[str, tuple[int, int, int]] = {}
@@ -270,35 +283,11 @@ class Cube2x2Env(Environment):
 
     @property
     def feature_dim(self):
-        # action(9) + solved-after(1) + placed/oriented/fully-correct counts(27)
-        # + step fraction(1) + bias(1) + hashed
-        return 9 + 1 + 27 + 1 + 1 + _N_HASHED
-
-    def featurize(self, state, action):
-        step, p, t = self._ranks_of(state)
-        m = _MOVE_INDEX[action]
-        codes = _move_codes(729 * p + t)
-        p, t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
-        placed, oriented = _PLACED[p], _ORIENTED[t]
-        vec = np.zeros(self.feature_dim)
-        vec[m] = 1.0
-        off = 9
-        if not (p or t):
-            vec[off] = 1.0
-        off += 1
-        vec[off + placed.bit_count()] = 1.0
-        vec[off + 9 + oriented.bit_count()] = 1.0
-        vec[off + 18 + (placed & oriented).bit_count()] = 1.0
-        off += 27
-        vec[off] = self.step_fraction(step)
-        vec[off + 1] = 1.0
-        off += 2
-        add_slot(vec[off:], codes >> SLOT_BITS * m)
-        return vec
+        return FEATURE_DIM
 
     def feature_matrix(self, state):
         step, p, t = self._ranks_of(state)
-        mat = row_template(self, 729 * p + t, state, _STEP_COLUMN).astype(np.float64)
+        mat = _rows_at(729 * p + t).astype(np.float64)
         mat[:, _STEP_COLUMN] = self.step_fraction(step)
         return mat
 

@@ -8,10 +8,11 @@ entry. State keys embed the equation history (tree mode), but everything
 derived from a state depends only on its `|left=` suffix, the decision key:
 one process-wide table decodes each multiset once, and every env and every
 history reaching it reuses the decode. Its feature rows read nothing else
-either, so envs built together share them. An entry also keeps what a row
-reads of the multiset as its action's successor (column indices) and, per
-action, the row's operator and rank cell and its hash slots, so building a
-row does no Fraction arithmetic and, once the entry has them, no hashing.
+either, so an entry keeps them too, as an int8 template filled on first read
+from what the entry knows: each action's operator and operand ranks, the
+columns its successor multiset sets (kept on the successor's entry) and the
+row's hashed tokens, hashed once per entry. Every env in the process reads
+the same template.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import (
-    SLOT_BITS, EnvInstance, Environment, add_slot, bounded_put, pack_codes, slot_code,
-)
+from .base import EnvInstance, Environment, bounded_put, hash_slot
 
 TARGET = Fraction(24)
 
@@ -155,30 +154,6 @@ def _successor_columns(values: tuple[Fraction, ...]) -> tuple[int, ...]:
 _NOTHING = MappingProxyType({})
 
 
-def _action_codes(values: tuple[Fraction, ...], left: str, actions) -> dict[str, int]:
-    """Per action at the multiset `values` (canonical text `left`), one int
-    packing the `slot_code`s of `("g24v", left)`, `("g24a", action)` and
-    `("g24va", left, action)`, then the row's operator and rank-pair cell
-    (4 x 16, so below 2**SLOT_BITS too)."""
-    ranks: dict[str, int] = {}  # operand string -> its first index in the sorted values
-    for rank, v in enumerate(values):
-        ranks.setdefault(fmt(v), rank)
-    value = slot_code(_N_HASHED, ("g24v", left))
-    codes = {}
-    for action in actions:
-        x, op, y, _ = action.split(" ", 3)
-        # operand strings are canonical, so equal strings mean equal values
-        rank_x = ranks[x]
-        rank_y = rank_x + 1 if y == x else ranks[y]
-        codes[action] = pack_codes((
-            value,
-            slot_code(_N_HASHED, ("g24a", action)),
-            slot_code(_N_HASHED, ("g24va", left, action)),
-            _OPS.index(op) * 16 + min(rank_x, 3) * 4 + min(rank_y, 3),
-        ))
-    return codes
-
-
 class _Decoded:
     """Everything one multiset of numbers left yields, decoded once per process.
 
@@ -188,20 +163,20 @@ class _Decoded:
     ever met as the successor of some row:
       - `successors` maps each valid equation to its successor multiset (in
         `enumerate_actions` order), and `child_keys` maps each equation applied
-        or featurized so far to its successor's `|left=` text. They do not
+        or read into a row so far to its successor's `|left=` text. They do not
         depend on an env. A terminal has no actions, so both are the shared
         empty `_NOTHING`.
       - `columns`: the feature columns that every row whose action leads to
         this multiset sets to 1 (see `_successor_columns`).
-      - `codes`: per valid equation, the one int of `_action_codes` (the
-        row's operator and rank-pair cell and its three hash slots).
+      - `rows`: the feature rows of the valid equations (see `_fill_rows`),
+        as an int8 template that `feature_matrix` widens; callers must not
+        change it.
       - `potential`: the `progress` scorer's estimate, minus the distance
         from 24 of the closest number and minus the count of numbers.
-    No assembled row is kept.
     """
 
     __slots__ = ("values", "left", "terminal", "solved",
-                 "successors", "child_keys", "columns", "codes", "potential")
+                 "successors", "child_keys", "columns", "rows", "potential")
 
     def __init__(self, values: tuple[Fraction, ...], left: str | None = None):
         self.values = values
@@ -219,8 +194,8 @@ class _Decoded:
                 self.child_keys = {}
         elif name == "columns":
             self.columns = _successor_columns(self.values)
-        elif name == "codes":
-            self.codes = _action_codes(self.values, self.left, self.successors)
+        elif name == "rows":
+            self.rows = _fill_rows(self)
         elif name == "potential":
             closest = min(abs(float(v - TARGET)) for v in self.values)
             self.potential = -closest - len(self.values)
@@ -230,9 +205,9 @@ class _Decoded:
 
 
 # `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
-# 40,668 multisets that `flowseek oracle` meets on `gen --count 200` (about
-# 38 MB, 48 MB with a checkpoint's rows), so such a run decodes each once;
-# past it the oldest entry goes, with its codes (a later query decodes it again)
+# 40,668 multisets that `flowseek oracle` meets on `gen --count 200`, so such
+# a run decodes each once; past it the oldest entry goes, with its rows (a
+# later query decodes it again)
 _TABLE: dict[str, _Decoded] = {}
 TABLE_ENTRIES = 65536
 
@@ -251,15 +226,40 @@ def _context(state: str) -> _Decoded:
     return _entry(state[state.index("|left=") + len("|left=") :])
 
 
-def _child_left(ctx: _Decoded, state: str, action: str) -> str:
-    """The `|left=` text that `action` leaves at `state`, whose entry is `ctx`."""
+def _child_left(ctx: _Decoded, action: str) -> str:
+    """The `|left=` text that `action` leaves at the multiset of `ctx`."""
     left = ctx.child_keys.get(action)
     if left is None:
         nxt = ctx.successors.get(action)
         if nxt is None:
-            raise InvalidActionError(f"action {action!r} invalid at {state!r}")
+            raise InvalidActionError(f"action {action!r} invalid at left={ctx.left}")
         left = ctx.child_keys[action] = fmt_values(nxt)
     return left
+
+
+def _fill_rows(ctx: _Decoded) -> np.ndarray:
+    """The int8 feature rows of the actions at `ctx`, in `successors` order.
+
+    A row sets its operator, its operand-rank pair and its successor's
+    `columns`, and adds the signed hashes of `("g24v", left)`,
+    `("g24a", action)` and `("g24va", left, action)`. It runs once per entry
+    and calls no env method."""
+    ranks: dict[str, int] = {}  # operand string -> its first index in the sorted values
+    for rank, v in enumerate(ctx.values):
+        ranks.setdefault(fmt(v), rank)
+    rows = np.zeros((len(ctx.successors), FEATURE_DIM), np.int8)
+    value_slot = hash_slot(_N_HASHED, ("g24v", ctx.left))
+    for row, (action, nxt) in enumerate(ctx.successors.items()):
+        x, op, y, _ = action.split(" ", 3)
+        # operand strings are canonical, so equal strings mean equal values
+        rank_x = ranks[x]
+        rank_y = rank_x + 1 if y == x else ranks[y]
+        child = _entry(_child_left(ctx, action), nxt)
+        rows[row, [_OPS.index(op), 4 + min(rank_x, 3) * 4 + min(rank_y, 3), *child.columns]] = 1
+        for idx, sign in (value_slot, hash_slot(_N_HASHED, ("g24a", action)),
+                          hash_slot(_N_HASHED, ("g24va", ctx.left, action))):
+            rows[row, _HASHED + idx] += int(sign)
+    return rows
 
 
 class Game24Env(Environment):
@@ -268,7 +268,6 @@ class Game24Env(Environment):
     solution_sep = ";"
     reads_scorer = True
     reward_start = 1.0  # the reward is success term + the product of step scores
-    shared_rows = True  # rows are keyed on the numbers left and read nothing else
 
     def parse_instance(self):
         if not _context(self.s0).values or self.goal != fmt(TARGET):
@@ -284,7 +283,7 @@ class Game24Env(Environment):
         return list(_context(state).successors)
 
     def apply(self, state, action):
-        left = _child_left(_context(state), state, action)
+        left = _child_left(_context(state), action)
         # same string as "h=" + ";".join(history + [action]) + "|left=" + left
         head = state[: state.index("|left=")]
         sep = "" if head == "h=" else ";"
@@ -311,20 +310,8 @@ class Game24Env(Environment):
     def feature_dim(self):
         return FEATURE_DIM
 
-    def featurize(self, state, action):
-        ctx = _context(state)
-        child = _entry(_child_left(ctx, state, action), ctx.successors[action])
-        code = ctx.codes[action]
-        cell = code >> 3 * SLOT_BITS
-        vec = np.zeros(FEATURE_DIM)
-        vec[cell >> 4] = 1.0  # the operator
-        vec[4 + (cell & 15)] = 1.0  # the operand-rank pair
-        for col in child.columns:
-            vec[col] = 1.0
-        hashed = vec[_HASHED:]
-        for i in range(3):
-            add_slot(hashed, code >> i * SLOT_BITS)
-        return vec
+    def feature_matrix(self, state):
+        return _context(state).rows.astype(np.float64)
 
 
 def solve_game24(numbers) -> set[str]:

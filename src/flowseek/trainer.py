@@ -99,6 +99,11 @@ class TrainConfig:
         if self.loss not in ("logvar", "tb_logz"):
             raise ValueError(f"unknown loss {self.loss!r}")
         check_finite_floats(self)
+        # a clip at or below 0 would flip or zero every gradient
+        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
+            raise ValueError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")
+        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
+            raise ValueError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
         env_class = ENV_CLASSES.get(self.env_id)
         if self.scorer != "uniform" and env_class and not env_class.reads_scorer:
             raise ValueError(f"scorer {self.scorer!r}: the {self.env_id} reward reads no scorer")

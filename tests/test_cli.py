@@ -46,6 +46,15 @@ def test_gen_unknown_env_usage_error(tmp_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_gen_count_below_one_is_usage_error(tmp_path, count):
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(SystemExit) as err:
+        run_cli("gen", "--env", "toydag", "--count", count, "--seed", 1, "--out", out)
+    assert err.value.code == 2
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     monkeypatch.setenv("FLOWSEEK_SEED", "99")
@@ -292,12 +301,14 @@ def test_sample_argmax_decodes_once_per_instance(tmp_path, monkeypatch):
     assert out.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
-def test_sample_n_zero_empty_output(tmp_path):
+def test_sample_n_below_one_is_usage_error(tmp_path):
     config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
     run_cli("train", config_path)
-    code, out = sample_to(tmp_path, run_dir, inst_path, "s0.jsonl", n=0)
-    assert code == 0
-    assert out.read_text() == ""
+    for n in (0, -2):
+        with pytest.raises(SystemExit) as err:
+            sample_to(tmp_path, run_dir, inst_path, "s0.jsonl", n=n)
+        assert err.value.code == 2
+        assert not (tmp_path / "s0.jsonl").exists()
 
 
 def test_sample_env_mismatch_is_error(tmp_path):
@@ -616,6 +627,10 @@ def test_parent_mode_override_is_rejected(tmp_path, capsys):
         ("schedules", "replay_prob_start", float("nan"), "logvar", "replay_prob_start"),
         (None, "w", float("inf"), "logvar", "success_weight"),
         (None, "max_grad_norm", float("nan"), "logvar", "max_grad_norm"),
+        (None, "max_grad_norm", -1, "logvar", "max_grad_norm"),
+        (None, "max_grad_norm", 0, "logvar", "max_grad_norm"),
+        (None, "checkpoint_interval", 0, "logvar", "checkpoint_interval"),
+        (None, "checkpoint_interval", -5, "logvar", "checkpoint_interval"),
         (None, "learning_rate", float("nan"), "logvar", "learning_rate"),
     ],
 )

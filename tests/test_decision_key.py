@@ -27,6 +27,7 @@ from flowseek.policy import action_logits
 from flowseek.trainer import TrainConfig, build_envs, train
 
 from conftest import random_params
+from test_game24_reference import ref_featurize
 
 HANDS = ([4, 4, 6, 8], [3, 3, 8, 8], [1, 2, 3, 4], [1, 1, 1, 1], [2, 5, 7, 10])
 
@@ -45,41 +46,35 @@ def reachable_nonterminal(env):
 
 
 def test_shared_rows_match_fresh_featurize(monkeypatch):
-    # the references come from `featurize` on a decode table of their own,
-    # which the rows under test never touch; two envs built together share one
-    # row store, so each key's template is built exactly once for both
-    refs = {}
-    for hand in HANDS:
-        monkeypatch.setattr(game24, "_TABLE", {})
-        env = make_env(make_instance(hand, "dk"))
-        refs[tuple(hand)] = {
-            state: (env.valid_actions(state),
-                    np.stack([env.featurize(state, a) for a in env.valid_actions(state)]))
-            for state in reachable_nonterminal(env)
-        }
+    # the references come from the test-local featurizer, which reads the
+    # state text alone; two envs built together read one template per key,
+    # filled exactly once, from the process-wide decode table
     built = Counter()
-    featurize = Game24Env.featurize
+    fill_rows = game24._fill_rows
 
-    def counting_featurize(self, state, action):
-        built[self.decision_key(state)] += 1
-        return featurize(self, state, action)
+    def counting_fill_rows(ctx):
+        built["|left=" + ctx.left] += 1
+        return fill_rows(ctx)
 
-    monkeypatch.setattr(Game24Env, "featurize", counting_featurize)
+    monkeypatch.setattr(game24, "_fill_rows", counting_fill_rows)
     for hand in HANDS:
         monkeypatch.setattr(game24, "_TABLE", {})
         built.clear()
         by_key = {}
         envs = make_envs([make_instance(hand, "dk"), make_instance(hand, "dk2")])
         for env in envs.values():
-            for state, (actions, ref) in refs[tuple(hand)].items():
-                assert env.cached_valid_actions(state) == actions
+            for state in reachable_nonterminal(env):
+                actions = env.cached_valid_actions(state)
+                assert actions == [eq for eq, _ in enumerate_actions(parse_values(
+                    state.split("|left=")[1]))]
                 mat = env.feature_matrix(state)
+                ref = np.stack([ref_featurize(state, a) for a in actions])
                 assert mat.tobytes() == ref.tobytes(), state
                 by_key.setdefault(env.decision_key(state), []).append((state, mat))
         assert any(len({s for s, _ in group}) > 1 for group in by_key.values()), hand
         for key, group in by_key.items():
             assert all(m.tobytes() == group[0][1].tobytes() for _, m in group)
-            assert built[key] == len(group[0][1]), key  # one featurize per action, once
+            assert built[key] == 1, key  # one fill per multiset, for both envs
         assert set(built) == set(by_key)
 
 
@@ -94,8 +89,8 @@ def test_feature_rows_match_pinned_digest():
             state = stack.pop()
             if env.is_terminal(state):
                 continue
-            for action in env.valid_actions(state):
-                digest.update(env.featurize(state, action).astype("<f8").tobytes())
+            for action, row in zip(env.valid_actions(state), env.feature_matrix(state)):
+                digest.update(row.astype("<f8").tobytes())
                 stack.append(env.apply(state, action))
     assert digest.hexdigest() == "c9b835034a23a9af9336c9663d3848fa172e0916a3e34e982abe8b07c299c135"
 

@@ -275,9 +275,10 @@ def update_dag_digest(digest, env):
     for state in order:  # breadth first; `order` grows as it is walked
         if state != env.s0:
             digest.update(env.cached_parent_count(state).to_bytes(1, "little"))
-        for action, child in env.children(state) or ():
+        kids = env.children(state) or ()
+        for (action, child), row in zip(kids, env.feature_matrix(state) if kids else ()):
             digest.update(f"{state}>{action}>{child};".encode())
-            digest.update(env.featurize(state, action).astype("<f8").tobytes())
+            digest.update(row.astype("<f8").tobytes())
             if child not in seen:
                 seen.add(child)
                 order.append(child)

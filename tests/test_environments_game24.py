@@ -175,8 +175,7 @@ def test_feature_audit_dimension_and_collisions():
         if env.is_terminal(state):
             continue
         values = state.split("|left=")[1]
-        for action in env.valid_actions(state):
-            vec = env.featurize(state, action)
+        for action, vec in zip(env.valid_actions(state), env.feature_matrix(state)):
             assert vec.shape == (env.feature_dim,)
             sig = vec.tobytes()
             identity = (values, action)

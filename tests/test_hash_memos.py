@@ -1,12 +1,12 @@
-"""Feature rows read their hash slots from process-wide memos, and match a row
-that hashes every token.
+"""Feature rows come from templates kept on process-wide tables, and match a
+row that hashes every token.
 
-game24 keeps each action's slots on its multiset's decode-table entry,
-blocksworld on its configuration's table entry, and cube2x2 in a bounded map
+game24 keeps each multiset's rows on its decode-table entry, blocksworld each
+configuration's on its table entry, and cube2x2 keeps them in a bounded map
 keyed by dense index. A set of envs built after another set has filled the
-memos hashes nothing. Its rows must equal the rows built after the memos are
-cleared, and the rows of the test-local copies below of the featurizers that
-hashed every token with `add_hashed`.
+tables hashes nothing. Its rows must equal the rows built after the tables
+are cleared, and the rows of the test-local copies below of the featurizers
+that hashed every token with `add_hashed`.
 """
 
 import dataclasses
@@ -42,10 +42,20 @@ def old_game24_row(env, state, action):
 
 def old_blocksworld_row(env, state, action):
     step, entry = blocksworld._read(state)
+    after = entry.next[action]
+    relations = env.goal_relations
+    sat_before = sum(entry.on.get(b) == s for b, s in relations)
+    sat_after = sum(after.on.get(b) == s for b, s in relations)
+    delta = (sat_after > sat_before) - (sat_after < sat_before)
     vec = np.zeros(env.feature_dim)
     vec[["pickup", "putdown", "stack", "unstack"].index(action.split()[0])] = 1.0
-    vec[env._goal_ones(entry)[0][action]] = 1.0
-    vec[14] = 1.0 if entry.next[action].hand is None else 0.0
+    vec[4 + min(sat_after, 4)] = 1.0
+    vec[10 + delta] = 1.0
+    if delta:
+        vec[12 if delta > 0 else 13] = 1.0
+    if any(action.split()[1] in rel for rel in relations):
+        vec[15] = 1.0
+    vec[14] = 1.0 if after.hand is None else 0.0
     vec[16] = env.step_fraction(step)
     vec[17] = 1.0
     add_hashed(vec[18:], ("bw", state.split("|", 1)[1], action))
@@ -84,11 +94,11 @@ CASES = {
 }
 
 
-def clear_memos(mp):
-    """Point every process-wide table that holds hash slots at a fresh, empty one."""
+def clear_tables(mp):
+    """Point every process-wide table that holds row templates at a fresh, empty one."""
     mp.setattr(game24, "_TABLE", {})
     mp.setattr(blocksworld, "_TABLE", {})
-    mp.setattr(cube2x2, "_CODES", {})
+    mp.setattr(cube2x2, "_ROWS", {})
 
 
 def all_rows(instances):
@@ -105,16 +115,16 @@ def all_rows(instances):
 def test_rows_are_the_same_from_warm_and_cleared_memos_and_the_old_featurizer(name, monkeypatch):
     make_instances, old_row = CASES[name]
     instances = make_instances()
-    clear_memos(monkeypatch)
+    clear_tables(monkeypatch)
     cold = all_rows(instances)
     hashed = []
     stable_hash = base.stable_hash
     monkeypatch.setattr(base, "stable_hash", lambda token: hashed.append(token) or stable_hash(token))
     warm = all_rows(instances)
     assert not hashed, "a warm process hashed a row token"
-    clear_memos(monkeypatch)
+    clear_tables(monkeypatch)
     cleared = all_rows(instances)
-    assert hashed, "cleared memos were filled without hashing"
+    assert hashed, "cleared tables were filled without hashing"
     envs = make_envs(instances)
     for key, rows in warm.items():
         env, state = envs[key[0]], key[1]
@@ -125,11 +135,11 @@ def test_rows_are_the_same_from_warm_and_cleared_memos_and_the_old_featurizer(na
 
 def test_the_cube_map_stays_in_its_bound_and_rows_survive_an_eviction(monkeypatch):
     instances = seed3("cube2x2", "2")
-    clear_memos(monkeypatch)
+    clear_tables(monkeypatch)
     expect = all_rows(instances)
-    filled = len(cube2x2._CODES)
+    filled = len(cube2x2._ROWS)
     assert filled > 10
-    clear_memos(monkeypatch)
+    clear_tables(monkeypatch)
     monkeypatch.setattr(cube2x2, "CODE_ENTRIES", 10)
     for _ in range(2):  # the second pass meets the entries the first evicted
         envs = make_envs(instances)
@@ -137,7 +147,7 @@ def test_the_cube_map_stays_in_its_bound_and_rows_survive_an_eviction(monkeypatc
             env = envs[inst.instance_id]
             for state in reachable_nonterminal(env):
                 assert env.feature_matrix(state).tobytes() == expect[inst.instance_id, state]
-                assert len(cube2x2._CODES) <= 10
+                assert len(cube2x2._ROWS) <= 10
 
 
 def test_game24_potential_matches_the_old_formula_on_every_reachable_multiset():

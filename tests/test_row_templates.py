@@ -1,15 +1,19 @@
-"""Feature rows from the shared row stores match `featurize` byte for byte.
+"""Feature rows from the process-wide row templates match test-local references.
 
-game24, cube2x2 and blocksworld keep each decision point's rows once for all
-the envs built together, without the step and goal columns, which every call
-writes again. Each case fills a store with one instance and then reads the
-next, which has another goal or budget, from it, in both orders, with fresh
-process-wide decode tables each time. Every reachable non-terminal state's
-`feature_matrix` must equal its stacked `featurize` rows, computed beforehand
-by an env of its own.
+game24, cube2x2 and blocksworld keep each decision point's rows once per
+process, as an int8 template on the table entry of its multiset, dense index
+or configuration, without the step and goal columns, which every call writes
+again. Each case holds instances that share decision points but differ in
+goal or budget. Their rows are read from cold tables, again from the warm
+tables, and then from cleared tables in the other instance order. Every
+reachable non-terminal state's `feature_matrix` must equal the rows of the
+test-local featurizers in `test_hash_memos.py` and `test_game24_reference.py`,
+which hash every token and read none of the templates.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,14 +32,10 @@ from flowseek.environments.game24 import make_instance
 from flowseek.trainer import TrainConfig, build_envs
 
 from conftest import reachable_nonterminal
+from test_game24_reference import ref_featurize
+from test_hash_memos import clear_tables, old_blocksworld_row, old_cube_row
 
-
-def clear_tables(mp):
-    """Point game24's and blocksworld's process-wide decode tables, and cube2x2's
-    hash-slot map, at fresh, empty ones."""
-    mp.setattr(game24, "_TABLE", {})
-    mp.setattr(blocksworld, "_TABLE", {})
-    mp.setattr(cube2x2, "_CODES", {})
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def blocksworld_instances():
@@ -46,54 +46,59 @@ def blocksworld_instances():
 
 
 CASES = {
-    # name: (instances, the store key a state reads)
+    # name: (instances, the reference row of (env, state, action), the template a state reads)
     "game24": (
         [make_instance(h, f"g{i}")
          for i, h in enumerate(([1, 2, 3, 4], [1, 2, 3, 5], [4, 4, 6, 8]))],
+        lambda env, state, action: ref_featurize(state, action),
         lambda env, s: env.decision_key(s),
     ),
     "cube2x2": (
         [scramble_instance(["R", "U'", "F2"], "c3", max_steps=3),
          scramble_instance(["R", "U'", "F2"], "c5", max_steps=5),
          scramble_instance(["F", "R2", "U'", "R"], "d5", max_steps=5)],
+        old_cube_row,
         lambda env, s: env._ranks_of(s)[1:],
     ),
-    "blocksworld": (blocksworld_instances(), lambda env, s: s.split("|", 1)[1]),
+    "blocksworld": (
+        blocksworld_instances(), old_blocksworld_row, lambda env, s: s.split("|", 1)[1],
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stored_rows_match_featurize_whichever_instance_fills_the_store(name, monkeypatch):
-    instances, store_key = CASES[name]
+    instances, reference, template_key = CASES[name]
     refs = {}
     for inst in instances:
-        clear_tables(monkeypatch)
         env = make_env(inst)
-        refs[inst.instance_id, inst.max_steps] = {
-            state: np.stack([env.featurize(state, a) for a in env.valid_actions(state)])
+        refs[inst.instance_id] = {
+            state: np.stack([reference(env, state, a) for a in env.valid_actions(state)])
             for state in reachable_nonterminal(env)
         }
     for order in (instances, instances[::-1]):
         clear_tables(monkeypatch)
-        envs = make_envs(order)
-        filled = set()
-        shared = 0
-        for inst in order:
-            env = envs[inst.instance_id]
-            keys = set()
-            for state, ref in refs[inst.instance_id, inst.max_steps].items():
-                mat = env.feature_matrix(state)
-                assert mat.dtype == np.float64
-                assert mat.tobytes() == ref.tobytes(), (inst.instance_id, state)
-                keys.add(store_key(env, state))
-            shared += len(keys & filled)
-            filled |= keys
-        assert shared, "no instance read rows that another one had stored"
+        for _ in ("cold", "warm"):
+            envs = make_envs(order)
+            filled = set()
+            shared = 0
+            for inst in order:
+                env = envs[inst.instance_id]
+                keys = set()
+                for state, ref in refs[inst.instance_id].items():
+                    mat = env.feature_matrix(state)
+                    assert mat.dtype == np.float64
+                    assert mat.tobytes() == ref.tobytes(), (inst.instance_id, state)
+                    keys.add(template_key(env, state))
+                shared += len(keys & filled)
+                filled |= keys
+                assert not env._rows  # no rows kept per env
+            assert shared, "no instance read a template that another one had filled"
 
 
 @pytest.mark.parametrize("env_id", ["arc1d", "logicchain", "toydag"])
 def test_per_env_rows_match_featurize(env_id):
-    # these envs keep whole rows, step fractions included, in a store of their own
+    # these envs keep whole rows, step fractions included, in a cache of their own
     inst = dataclasses.replace(generate_instances(env_id, 1, 7)[0], max_steps=3)
     env = make_env(inst)
     states = reachable_nonterminal(env)
@@ -103,84 +108,105 @@ def test_per_env_rows_match_featurize(env_id):
     assert len(env._rows) == len({env.decision_key(s) for s in states})
 
 
-def test_goal_and_step_columns_stay_off_the_shared_stores():
+def test_goal_and_step_columns_stay_off_the_shared_stores(monkeypatch):
+    clear_tables(monkeypatch)
     env = make_env(blocksworld_instances()[0])
     for state in reachable_nonterminal(env):
         env.feature_matrix(state)
-    assert env._rows
-    for rows in env._rows.values():
-        assert not rows[:, env._CALL_COLUMNS].any()
+    templates = [entry.rows for entry in blocksworld._TABLE.values() if entry._rows is not None]
+    assert templates
+    call_columns = [*range(4, 14), 15, 16]  # the goal columns and the step fraction
+    for rows in templates:
+        assert rows.dtype == np.int8 and not rows[:, call_columns].any()
     cube = make_env(CASES["cube2x2"][0][1])
     for state in reachable_nonterminal(cube)[:50]:
         cube.feature_matrix(state)
-    assert cube._rows
-    assert not any(rows[:, cube2x2._STEP_COLUMN].any() for rows in cube._rows.values())
+    assert cube2x2._ROWS
+    for rows in cube2x2._ROWS.values():
+        assert rows.dtype == np.int8 and not rows[:, cube2x2._STEP_COLUMN].any()
 
 
-def test_envs_built_together_share_one_store_and_no_other():
+def test_envs_built_together_share_one_store_and_no_other(monkeypatch):
+    # game24 rows live on the process-wide decode table, so every env reads
+    # one template per multiset, whether it was built with the others or not
+    clear_tables(monkeypatch)
     game = [make_instance([4, 4, 6, 8], "a"), make_instance([1, 2, 3, 4], "b")]
     arc = generate_instances("arc1d", 2, 7)
     envs = make_envs([*game, *arc])
-    assert envs["a"]._rows is envs["b"]._rows
-    assert envs["a"]._rows.envs == 2  # so it keeps twice one env's templates
-    # arc1d rows read the instance, so each env keeps its own
-    assert envs[arc[0].instance_id]._rows is not envs[arc[1].instance_id]._rows
-    again = make_envs(game)
-    assert again["a"]._rows is not envs["a"]._rows
-    # a shared store keeps small-integer rows as int8, a store of one env float64
     single = make_env(game[0])
-    key = single.decision_key(single.s0)
-    shared_rows, own_rows = envs["a"].feature_matrix(single.s0), single.feature_matrix(single.s0)
-    assert shared_rows.tobytes() == own_rows.tobytes()
-    assert envs["a"]._rows[key].dtype == np.int8 and single._rows[key].dtype == np.float64
-    with pytest.raises(ValueError, match="cannot share"):
-        make_env(arc[0], row_store=base.RowStore(2))
+    together = envs["a"].feature_matrix(single.s0)
+    entry = game24._TABLE[single.s0.split("|left=")[1]]
+    template = entry.rows
+    assert template.dtype == np.int8
+    assert single.feature_matrix(single.s0).tobytes() == together.tobytes()
+    assert entry.rows is template
+    assert not envs["a"]._rows and not single._rows
+    # arc1d rows read the instance, so each env keeps its own
+    caches = []
+    for inst in arc:
+        env = envs[inst.instance_id]
+        env.feature_matrix(env.s0)
+        caches.append(env._rows)
+    assert caches[0] and caches[1] and caches[0] is not caches[1]
+
+
+def load_tracer():
+    """A `Tracer` of the benchmark harness, which wraps the env methods it counts."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for module_name, _ in module.MODULE_FUNCTIONS.values():
+        importlib.import_module(module_name)  # the tracer wraps only loaded modules
+    return module.Tracer()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_each_build_does_the_same_featurize_work(name, monkeypatch):
-    # a store dies with its envs, so a second set of envs built from the same
-    # instances calls `featurize` exactly as often as the first did
+def test_each_build_makes_the_same_traced_calls(name, monkeypatch):
+    # the tables outlive the envs: the first set fills the templates and the
+    # second reads them. Filling calls no traced method, so both sets make
+    # the same calls, and neither calls `featurize`
     instances = CASES[name][0]
-    cls = type(make_env(instances[0]))
-    calls = []
-    featurize = cls.featurize
-
-    def counting_featurize(self, state, action):
-        calls.append(state)
-        return featurize(self, state, action)
-
-    monkeypatch.setattr(cls, "featurize", counting_featurize)
+    clear_tables(monkeypatch)
     counts = []
-    for _ in range(2):
-        calls.clear()
-        envs = build_envs(TrainConfig(env_id=instances[0].env_id), instances)
-        for inst in instances:
-            for state in reachable_nonterminal(envs[inst.instance_id]):
-                envs[inst.instance_id].feature_matrix(state)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    with load_tracer() as tracer:
+        for _ in range(2):
+            tracer.reset()
+            envs = build_envs(TrainConfig(env_id=instances[0].env_id), instances)
+            for inst in instances:
+                env = envs[inst.instance_id]
+                for state in reachable_nonterminal(env):
+                    env.feature_matrix(state)
+            counts.append({span_name: span.calls for span_name, span in tracer.spans.items()})
+    assert counts[0] == counts[1]
+    assert counts[0]["environments.featurize"] == 0
+    assert counts[0]["environments.feature_matrix"] > 0
 
 
 def test_feature_matrix_is_a_fresh_array():
-    env = make_env(make_instance([4, 4, 6, 8], "fresh"))
-    first = env.feature_matrix(env.s0)
-    expect = first.copy()
-    first[:] = -1.0  # a caller may change its matrix
-    assert env.feature_matrix(env.s0).tobytes() == expect.tobytes()
+    for inst in (make_instance([4, 4, 6, 8], "fresh"), CASES["cube2x2"][0][0],
+                 blocksworld_instances()[0], generate_instances("arc1d", 1, 7)[0]):
+        env = make_env(inst)
+        first = env.feature_matrix(env.s0)
+        expect = first.copy()
+        first[:] = -1.0  # a caller may change its matrix
+        assert env.feature_matrix(env.s0).tobytes() == expect.tobytes()
 
 
 def test_row_store_evicts_the_oldest_template(monkeypatch):
+    # an env's own row cache keeps FEATURE_CACHE_STATES decision points,
+    # first in, first out; a decision point met again is read, not stored again
     monkeypatch.setattr(base, "FEATURE_CACHE_STATES", 5)
-    env = make_env(CASES["cube2x2"][0][1])
+    inst = dataclasses.replace(generate_instances("arc1d", 1, 7)[0], max_steps=3)
+    env = make_env(inst)
     states = reachable_nonterminal(env)[:12]
-    for state in states:
-        env.feature_matrix(state)
-    expect = {}  # first in, first out; a configuration met again is read, not stored again
-    for _, p, t in map(env._ranks_of, states):
-        if 729 * p + t not in expect:
+    assert len(set(states)) > 5
+    expect = {}
+    for state in states + states[:3]:
+        mat = env.feature_matrix(state)
+        ref = np.stack([env.featurize(state, a) for a in env.valid_actions(state)])
+        assert mat.tobytes() == ref.tobytes(), state
+        if state not in expect:
             if len(expect) == 5:
                 del expect[next(iter(expect))]
-            expect[729 * p + t] = None
-    assert len(set(map(env._ranks_of, states))) > 5
+            expect[state] = None
     assert list(env._rows) == list(expect)

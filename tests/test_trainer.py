@@ -74,6 +74,12 @@ def test_config_validation():
     TrainConfig(env_id="toydag", batch_size=1, loss="tb_logz")  # TB allows singletons
     with pytest.raises(ValueError):
         toy_config(loss="nonsense")
+    # a clip at or below 0 flips or zeroes the gradient; an interval below 1
+    # writes no checkpoint (0) or one every |k| iterations (-k)
+    for bad in ({"max_grad_norm": -1.0}, {"max_grad_norm": 0.0},
+                {"checkpoint_interval": 0}, {"checkpoint_interval": -5}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            toy_config(**bad)
 
 
 def test_trajectory_logpf_idempotent_and_fresh(toy_env):
