@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import EnumerationCapError, FlowseekError, ScorerContractError, StructuralError
+from ..errors import (EnumerationCapError, FlowseekError, GenerationError, ScorerContractError,
+                      StructuralError)
 from ..rngutil import stable_hash
 
 REWARD_FLOOR = 1e-8
@@ -428,6 +429,18 @@ def bounded_put(store: dict, key, value, limit: int):
     if len(store) >= limit:
         store.pop(next(iter(store)))
     store[key] = value
+    return value
+
+
+def int_difficulty(env_id: str, difficulty: str, choices, want: str) -> int:
+    """`difficulty` read as one of the integers in `choices`; anything else is
+    a GenerationError that names it."""
+    try:
+        value = int(difficulty)
+    except ValueError:
+        value = None
+    if value not in choices:
+        raise GenerationError(f"bad {env_id} difficulty {difficulty!r}, want {want}")
     return value
 
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hash_slot
+from .base import EnvInstance, Environment, hash_slot, int_difficulty
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 
@@ -326,9 +326,7 @@ def _random_config(blocks: list[str], rng) -> dict[str, str]:
 
 def generate_instances(count: int, seed: int, difficulty: str | None = None) -> list[EnvInstance]:
     """Instances solvable in `difficulty` steps (2, 4, or 6; default 4)."""
-    length = int(difficulty) if difficulty else 4
-    if length not in (2, 4, 6):
-        raise GenerationError("blocksworld difficulty must be 2, 4 or 6")
+    length = int_difficulty("blocksworld", difficulty, (2, 4, 6), "2, 4 or 6") if difficulty else 4
     n_blocks = {2: 3, 4: 4, 6: 5}[length]
     blocks = COLORS[:n_blocks]
     rng = substream(seed, "gen", "blocksworld", length)

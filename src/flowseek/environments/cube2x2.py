@@ -30,7 +30,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, bounded_put, hash_slot
+from .base import EnvInstance, Environment, bounded_put, hash_slot, int_difficulty
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -315,9 +315,8 @@ def generate_instances(count: int, seed: int, difficulty: str | None = None) -> 
     """Scrambles of 1..4 moves; difficulty "k" pins the scramble length."""
     fixed_len = None
     if difficulty and difficulty != "mixed":
-        fixed_len = int(difficulty)
-        if not 1 <= fixed_len <= 4:
-            raise GenerationError("cube scramble length must be in 1..4")
+        fixed_len = int_difficulty("cube2x2", difficulty, range(1, 5),
+                                   "a scramble length 1..4 or 'mixed'")
     rng = substream(seed, "gen", "cube2x2", difficulty or "")
     out = []
     attempts = 0

@@ -13,6 +13,11 @@ from what the entry knows: each action's operator and operand ranks, the
 columns its successor multiset sets (kept on the successor's entry) and the
 row's hashed tokens, hashed once per entry. Every env in the process reads
 the same template.
+
+The solver behind generation and the offline files, `solve_game24`, keeps the
+solution suffixes of each three-number multiset in a bounded memo and reads
+the last step off `enumerate_actions`, so a hand is solved in one pass over
+its own actions rather than once per path.
 """
 
 from __future__ import annotations
@@ -42,6 +47,17 @@ def fmt_values(values: tuple[Fraction, ...]) -> str:
     return " ".join(fmt(v) for v in sorted(values))
 
 
+def _distinct_pairs(values: tuple[Fraction, ...]):
+    """Each distinct value pair of the sorted `values` once, at its first
+    index pair, with the rest of the multiset (still sorted)."""
+    for i, a in enumerate(values):
+        if i and a == values[i - 1]:
+            continue
+        for j in range(i + 1, len(values)):
+            if j == i + 1 or values[j] != values[j - 1]:
+                yield a, values[j], values[:i] + values[i + 1 : j] + values[j + 1 :]
+
+
 @lru_cache(maxsize=65536)
 def enumerate_actions(values: tuple[Fraction, ...]) -> list[tuple[str, tuple[Fraction, ...]]]:
     """All legal (equation, successor multiset) pairs from `values`.
@@ -50,53 +66,30 @@ def enumerate_actions(values: tuple[Fraction, ...]) -> list[tuple[str, tuple[Fra
     zero is excluded. Order is deterministic: value pairs ascending, operators
     in a fixed sequence.
     """
-    values = tuple(sorted(values))
     seen: dict[str, tuple[Fraction, ...]] = {}
-    pairs = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            pair = (values[i], values[j])
-            if pair not in pairs:
-                pairs.append(pair)
-    for a, b in pairs:
-        rest = list(values)
-        rest.remove(a)
-        rest.remove(b)
-        candidates = [
-            (f"{fmt(a)} + {fmt(b)} = {fmt(a + b)}", a + b),
-            (f"{fmt(a)} * {fmt(b)} = {fmt(a * b)}", a * b),
-            (f"{fmt(a)} - {fmt(b)} = {fmt(a - b)}", a - b),
-            (f"{fmt(b)} - {fmt(a)} = {fmt(b - a)}", b - a),
-        ]
+    for a, b, rest in _distinct_pairs(tuple(sorted(values))):
+        x, y = fmt(a), fmt(b)
+        candidates = [(f"{x} + {y}", a + b), (f"{x} * {y}", a * b),
+                      (f"{x} - {y}", a - b), (f"{y} - {x}", b - a)]
         if b != 0:
-            candidates.append((f"{fmt(a)} / {fmt(b)} = {fmt(a / b)}", a / b))
+            candidates.append((f"{x} / {y}", a / b))
         if a != 0:
-            candidates.append((f"{fmt(b)} / {fmt(a)} = {fmt(b / a)}", b / a))
-        for eq, result in candidates:
+            candidates.append((f"{y} / {x}", b / a))
+        for lhs, result in candidates:
+            eq = f"{lhs} = {fmt(result)}"
             if eq not in seen:
-                seen[eq] = tuple(sorted(rest + [result]))
+                seen[eq] = tuple(sorted(rest + (result,)))
     return list(seen.items())
 
 
 @lru_cache(maxsize=65536)
 def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
-    """How many value pairs in the multiset combine to 24 with a single operation."""
-    count = 0
-    seen = set()
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            a, b = values[i], values[j]
-            if (a, b) in seen:
-                continue
-            seen.add((a, b))
-            results = {a + b, a * b, a - b, b - a}
-            if b != 0:
-                results.add(a / b)
-            if a != 0:
-                results.add(b / a)
-            if TARGET in results:
-                count += 1
-    return count
+    """How many value pairs in the sorted multiset combine to 24 with a single operation."""
+    return sum(
+        a + b == TARGET or a * b == TARGET or a - b == TARGET or b - a == TARGET
+        or (b != 0 and a / b == TARGET) or (a != 0 and b / a == TARGET)
+        for a, b, _ in _distinct_pairs(values)
+    )
 
 
 # feature columns. Per action: the operator (4) and the operand-rank pair (16).
@@ -314,25 +307,30 @@ class Game24Env(Environment):
         return _context(state).rows.astype(np.float64)
 
 
+@lru_cache(maxsize=65536)
+def _solutions_from_three(values: tuple[Fraction, ...]) -> tuple[str, ...]:
+    """The two-step solution suffixes from three numbers: each action joined
+    to each last action that leaves 24 (`fmt` is canonical, so its equation
+    ends in " = 24")."""
+    return tuple(
+        f"{eq};{last}"
+        for eq, pair in enumerate_actions(values)
+        for last, _ in enumerate_actions(pair)
+        if last.endswith(" = 24")
+    )
+
+
 def solve_game24(numbers) -> set[str]:
-    """All distinct solution keys for four rationals, by exhaustive search."""
+    """All distinct solution keys for four rationals, by exhaustive search.
+
+    Each key is a first action joined to a suffix from the three numbers it
+    leaves, and the suffixes are kept per multiset, so a hand costs one pass
+    over its own actions once its three-number multisets have been met."""
     values = tuple(sorted(Fraction(n) for n in numbers))
     if len(values) != 4:
         raise ValueError("Game24 takes exactly four numbers")
-    solutions: set[str] = set()
-
-    def recurse(vals: tuple[Fraction, ...], path: list[str]) -> None:
-        if len(vals) == 1:
-            if vals[0] == TARGET:
-                solutions.add(";".join(path))
-            return
-        for eq, nxt in enumerate_actions(vals):
-            path.append(eq)
-            recurse(nxt, path)
-            path.pop()
-
-    recurse(values, [])
-    return solutions
+    return {f"{eq};{rest}" for eq, nxt in enumerate_actions(values)
+            for rest in _solutions_from_three(nxt)}
 
 
 def make_instance(numbers, instance_id: str, split: str = "default") -> EnvInstance:
@@ -350,11 +348,13 @@ def make_instance(numbers, instance_id: str, split: str = "default") -> EnvInsta
 
 
 def generate_instances(count: int, seed: int, difficulty: str | None = None) -> list[EnvInstance]:
-    """Solvable draws of four integers; difficulty "lo-hi" bounds the operands."""
+    """Solvable draws of four integers; difficulty "lo-hi" (lo <= hi) bounds the operands."""
     lo, hi = 1, 13
     if difficulty:
         try:
             lo, hi = (int(t) for t in difficulty.split("-"))
+            if not lo <= hi < 2**63:  # the draw is an int64
+                raise ValueError
         except ValueError:
             raise GenerationError(f"bad game24 difficulty {difficulty!r}, want e.g. '1-13'")
     rng = substream(seed, "gen", "game24", difficulty or "")

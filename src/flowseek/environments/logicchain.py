@@ -15,9 +15,9 @@ import json
 
 import numpy as np
 
-from ..errors import GenerationError, InvalidActionError, TerminalQueryError
+from ..errors import InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_hashed
+from .base import EnvInstance, Environment, add_hashed, int_difficulty
 
 FINISH = "Finish."
 ENTITIES = ["Alex", "Fae", "Max", "Polly", "Rex", "Sam", "Stella", "Wren"]
@@ -146,9 +146,7 @@ def generate_instances(count: int, seed: int, difficulty: str | None = None) -> 
     """
     fixed_depth = None
     if difficulty:
-        fixed_depth = int(difficulty)
-        if not 3 <= fixed_depth <= 6:
-            raise GenerationError("logicchain depth must be in 3..6")
+        fixed_depth = int_difficulty("logicchain", difficulty, range(3, 7), "a depth 3..6")
     rng = substream(seed, "gen", "logicchain", difficulty or "")
     out = []
     for i in range(count):

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from ..errors import InvalidActionError, TerminalQueryError
+from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
 from .base import EnvInstance, Environment
 
@@ -91,7 +91,9 @@ class ToyDagEnv(Environment):
 
 
 def generate_instances(count: int, seed: int, difficulty: str | None = None) -> list[EnvInstance]:
-    """Random small layered DAGs with positive terminal rewards."""
+    """Random small layered DAGs with positive terminal rewards; toydag reads no difficulty."""
+    if difficulty:
+        raise GenerationError(f"toydag takes no difficulty, got {difficulty!r}")
     rng = substream(seed, "gen", "toydag")
     out = []
     for i in range(count):

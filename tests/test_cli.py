@@ -55,6 +55,21 @@ def test_gen_count_below_one_is_usage_error(tmp_path, count):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "env_id, difficulty",
+    [("game24", "13-1"), ("game24", "a-b"), ("game24", f"1-{2**63}"),
+     ("cube2x2", "x"), ("cube2x2", "9"), ("blocksworld", "x"), ("blocksworld", "3"),
+     ("logicchain", "1.5"), ("logicchain", "9"), ("arc1d", "x"), ("toydag", "1")],
+)
+def test_gen_difficulty_the_env_cannot_honour_is_data_error(tmp_path, capsys, env_id, difficulty):
+    out = tmp_path / "x.jsonl"
+    code = run_cli("gen", "--env", env_id, "--count", 2, "--seed", 1,
+                   "--difficulty", difficulty, "--out", out)
+    assert code == 3
+    assert repr(difficulty) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     monkeypatch.setenv("FLOWSEEK_SEED", "99")
