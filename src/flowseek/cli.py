@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="enumerate instances and report Z / TV distance")
     p.add_argument("--instances", required=True)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--cap", type=int, default=ENUMERATION_CAP)
+    p.add_argument("--cap", type=positive_int, default=ENUMERATION_CAP)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_oracle)
     return parser

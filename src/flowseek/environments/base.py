@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,12 +131,29 @@ def progress_score(env: "Environment", state: str, action: str) -> float:
 SCORERS = {"uniform": uniform_score, "progress": progress_score}
 
 
+class Dag(NamedTuple):
+    """An instance's states and edges on dense ids, from `Environment.dag`.
+
+    `states` is in topological order: a state's id is its index, and s0 is 0.
+    State i's edges, in `cached_valid_actions` order, are `offsets[i]` up to
+    `offsets[i + 1]` of `actions` and `child` (ids); a state without edges is
+    terminal. `parents[i]` is the |Pa| of the uniform P_B: 1 in tree mode and
+    for s0, else `cached_parent_count`, read once per state after the walk."""
+
+    states: list[str]
+    offsets: list[int]
+    actions: list[str]
+    child: list[int]
+    parents: list[int]
+    n_trajectories: int
+
+
 class Environment:
     """Interface every concrete environment implements.
 
     Subclasses set `env_id` and `parent_mode` ("tree" or "exact") and bind to
-    one EnvInstance. All methods are pure; tree-mode subclasses inherit the
-    trivial parent count.
+    one EnvInstance. All methods are pure. Only exact-mode subclasses define
+    `parent_count`: a tree-mode state has one parent, and nothing asks.
 
     A reward is a fold along the trajectory: it starts at `reward_start`,
     `reward_step(acc, state, action, child)` takes each edge in path order,
@@ -194,8 +212,7 @@ class Environment:
         self._valid_cache: dict[str, list[str]] = {}
         self._rows: dict[str, np.ndarray] = {}  # see `feature_matrix`
         self._uniform_scores: dict[str, float] = {}
-        self._children_cache: dict[str, list[tuple[str, str]] | None] = {}
-        self._order: tuple[list[str], int] | None = None  # see `topological_order`
+        self._dag: Dag | None = None  # see `dag`
         self._parent_count_cache: dict[str, int] = {}
         try:
             self.parse_instance()
@@ -310,51 +327,41 @@ class Environment:
         return rows.astype(np.float64)
 
     def parent_count(self, state: str) -> int:
-        if self.parent_mode == "tree":
-            return 1
         raise NotImplementedError
 
-    # -- DAG expansion, cached per state so every walker expands a state once ----
+    # -- the instance DAG, walked once per env -----------------------------------
 
     def children(self, state: str) -> list[tuple[str, str]] | None:
         """`(action, child)` per action of `cached_valid_actions`, in its order; None if terminal.
 
-        Keyed on the full state, not `decision_key`: child keys may embed the history."""
-        try:
-            return self._children_cache[state]
-        except KeyError:
-            kids = None if self.is_terminal(state) else [
-                (a, self.apply(state, a)) for a in self.cached_valid_actions(state)
-            ]
-            self._children_cache[state] = kids
-            return kids
+        Uncached: `dag` keeps the edges of its one walk."""
+        if self.is_terminal(state):
+            return None
+        return [(a, self.apply(state, a)) for a in self.cached_valid_actions(state)]
 
-    def topological_order(self, cap: int) -> tuple[list[str], int]:
-        """States reachable from s0, each after all its parents, and the trajectory count.
+    def dag(self, cap: int) -> Dag:
+        """The states reachable from s0 on dense ids, their edges and the trajectory count.
 
-        Walked once per env; raises `EnumerationCapError` with partial count
-        cap + 1 once the instance provably has more than `cap` trajectories.
-        A walk that stops at its cap stores nothing, and a stored count above
-        a later, smaller `cap` raises the same way.
-
-        A depth-first walk over `children` finishes a state once every path
-        below it is counted; reversed finishing order is topological. `found`
-        counts the complete trajectories through the states finished so far,
-        each once, so it never exceeds the total and the walk stops as soon
-        as it passes `cap`, without expanding the rest."""
-        if self._order is None:
-            self._order = self._walk_order(cap)
-        if self._order[1] > cap:
+        Walked once per env, depth first over `children`; reversed finishing
+        order is topological. The walk counts each complete trajectory once,
+        through the states finished so far, and raises `EnumerationCapError`
+        with partial count cap + 1 as soon as that count passes `cap`, without
+        expanding the rest. A walk stopped at its cap stores nothing, and a
+        stored count above a later, smaller `cap` raises the same way."""
+        if self._dag is None:
+            self._dag = self._walk(cap)
+        if self._dag.n_trajectories > cap:
             raise _cap_error(cap)
-        return self._order
+        return self._dag
 
-    def _walk_order(self, cap: int) -> tuple[list[str], int]:
+    def _walk(self, cap: int) -> Dag:
+        kids = self.children(self.s0)
+        if kids is None:
+            return Dag([self.s0], [0, 0], [], [], [1], 1)
+        expanded = {self.s0: kids}  # state -> its children, None if terminal
         paths: dict[str, int] = {}  # finished state -> trajectories from it to a terminal
         finished: list[str] = []
         found = 0
-        kids = self.children(self.s0)
-        if kids is None:
-            return [self.s0], 1
         stack = [[self.s0, kids, 0, 0]]  # state, children, next child, paths found below
         while stack:
             frame = stack[-1]
@@ -370,7 +377,7 @@ class Environment:
             child = kids[i][1]
             n = paths.get(child)
             if n is None:
-                grandkids = self.children(child)
+                grandkids = expanded[child] = self.children(child)
                 if grandkids is not None:
                     stack.append([child, grandkids, 0, 0])
                     continue
@@ -381,7 +388,17 @@ class Environment:
             if found > cap:
                 raise _cap_error(cap)
         finished.reverse()
-        return finished, paths[self.s0]
+        ids = {state: i for i, state in enumerate(finished)}
+        offsets, actions, child_ids = [0], [], []
+        for state in finished:
+            for action, child in expanded[state] or ():
+                actions.append(action)
+                child_ids.append(ids[child])
+            offsets.append(len(child_ids))
+        parents = [1] * len(finished)
+        if self.parent_mode == "exact":
+            parents[1:] = map(self.cached_parent_count, finished[1:])
+        return Dag(finished, offsets, actions, child_ids, parents, paths[self.s0])
 
     def cached_parent_count(self, state: str) -> int:
         count = self._parent_count_cache.get(state)

@@ -7,24 +7,23 @@ backward product is 1, so Z is simply the sum of trajectory rewards; when
 trajectories merge, a terminal's reward mass is split across its incoming
 trajectories in proportion to the uniform backward flow.
 
-Both passes visit the instance's states once, in the topological order
-that the env walks once and keeps (`Environment.topological_order`). The
-policy pass does so for every environment (a tree is a DAG whose states have
-one parent each) and carries each state's log mass: log P(c) is the
-log-sum-exp over parent edges p->c of log P(p) + log pi(a|p).
+Every pass reads the instance's `Dag` (`Environment.dag`, walked once per
+env): states on dense ids in topological order, edge rows and |Pa| per state.
+No pass expands a state or counts parents. The policy pass, for every
+environment, visits each state once and carries its log mass: log P(c) is
+the log-sum-exp over parent edges p->c of log P(p) + log pi(a|p).
 
-The target pass in tree mode carries each state's reward fold
-(`Environment.reward_step`) and finishes it at each terminal, so a shared
-prefix is scored once. In exact mode (merging states) the reward is a
-success term plus scaled edge terms: per state the pass carries the
-backward weight A = sum over parent edges p->c of A(p)/|Pa(c)| and the
-edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|, and a terminal x
-gets flow S(x)*A(x) + scale*B(x). A floor that can bind breaks that
-decomposition, so those exact-mode targets come from a walk over every
-trajectory, which carries the fold along each path.
+In exact mode (merging states) the reward is a success term plus scaled
+edge terms, and the target pass runs forward over the ids: per state it
+carries the backward weight A = sum over parent edges p->c of A(p)/|Pa(c)|
+and the edge-reward mass B = sum of (B(p) + A(p)*edge)/|Pa(c)|, and a
+terminal x gets flow S(x)*A(x) + scale*B(x). A floor that can bind breaks
+that decomposition. Those targets, and every tree's, come from a walk over
+every trajectory that carries the reward fold (`Environment.reward_step`)
+and the backward product; in a tree it visits each state once.
 
 Both raise `EnumerationCapError` with partial count cap + 1 once the instance
-provably has more than `cap` trajectories; the topological walk knows that as
+provably has more than `cap` trajectories; the walk behind `dag` knows that as
 soon as the paths it has counted pass the cap, without expanding the rest.
 """
 
@@ -34,6 +33,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .environments.base import Dag
 from .policy import PolicyParams, action_logits
 
 ENUMERATION_CAP = 1_000_000
@@ -52,92 +52,70 @@ class DagSummary:
         return len(self.target_terminal_dist)
 
 
-def _forward_targets(env, order: list[str], n_trajectories: int) -> DagSummary | None:
+def _forward_targets(env, dag: Dag) -> DagSummary | None:
     """Targets from each terminal's flow S(x)*A(x) + scale*B(x); None if the floor can bind.
 
     `low` is the least scaled edge sum of any path into a state, so a
     terminal's least reward is S(x) + low(x); once that is below the floor,
     max(reward, floor) is no longer the edge sum and the pass gives up."""
     scale = env.edge_scale
-    back = {env.s0: 1.0}
-    edge_mass = {env.s0: 0.0}
-    low = {env.s0: 0.0}
+    states, offsets, actions, child, parents, _ = dag
+    n = len(states)
+    back, edge_mass, low = [1.0] + [0.0] * (n - 1), [0.0] * n, [0.0] + [math.inf] * (n - 1)
     flows: dict[str, float] = {}
-    for state in order:
-        a, b, lo = back.pop(state), edge_mass.pop(state), low.pop(state)
-        kids = env.children(state)
-        if kids is None:
+    for i, state in enumerate(states):
+        a, b, lo = back[i], edge_mass[i], low[i]
+        first, last = offsets[i], offsets[i + 1]
+        if first == last:
             success = env.success_term(state)
             if success + lo < env.reward_floor:
                 return None
             flows[state] = success * a + scale * b
             continue
-        for action, child in kids:
-            edge = env.edge_term(state, action, child)
-            k = env.cached_parent_count(child)
-            back[child] = back.get(child, 0.0) + a / k
-            edge_mass[child] = edge_mass.get(child, 0.0) + (b + a * edge) / k
+        for action, c in zip(actions[first:last], child[first:last]):
+            edge = env.edge_term(state, action, states[c])
+            k = parents[c]
+            back[c] += a / k
+            edge_mass[c] += (b + a * edge) / k
             reach = lo + scale * edge
-            if reach < low.get(child, math.inf):
-                low[child] = reach
+            if reach < low[c]:
+                low[c] = reach
     z = float(sum(flows.values()))
-    return DagSummary(z, {x: flow / z for x, flow in flows.items()}, n_trajectories)
+    return DagSummary(z, {x: flow / z for x, flow in flows.items()}, dag.n_trajectories)
 
 
-def _tree_targets(env, order: list[str], n_trajectories: int) -> DagSummary:
-    """Targets of a tree: each state carries the reward fold of its one path.
+def _walk_targets(env, dag: Dag) -> DagSummary:
+    """Targets from the flow of every trajectory, walked one at a time.
 
-    The pass meets terminals in the reverse of depth-first walk order, so Z
-    is summed, and the target filled, over the reversed list: the float sums
-    of a walk over every trajectory, bit for bit."""
-    folds = {env.s0: env.reward_start}
-    flows: list[tuple[str, float]] = []
-    for state in order:
-        acc = folds.pop(state)
-        kids = env.children(state)
-        if kids is None:
-            flows.append((state, env.reward_finish(acc, state)))
-            continue
-        for action, child in kids:
-            folds[child] = env.reward_step(acc, state, action, child)
-    flows.reverse()
-    z = float(sum(flow for _, flow in flows))
-    return DagSummary(z, {x: flow / z for x, flow in flows}, n_trajectories)
-
-
-def _walk_targets(env, n_trajectories: int) -> DagSummary:
-    """Exact-mode targets from the flow of every trajectory, walked one at a time.
-
-    For the instances whose floor can bind. A stack entry carries its path's
-    reward fold and backward product; the states are expanded already, and
-    the topological pass has counted the trajectories against the cap."""
-    terminals: list[str] = []
-    flows: list[float] = []
-    stack: list[tuple[str, object, float]] = [(env.s0, env.reward_start, 1.0)]
+    For trees, where each terminal has one trajectory and every backward
+    factor is x / 1, and for exact-mode instances whose floor can bind. A
+    stack entry carries its path's reward fold and backward product; the
+    walk behind `dag` has counted the trajectories against the cap."""
+    states, offsets, actions, child, parents, _ = dag
+    terminals, flows = [], []
+    stack: list[tuple[int, object, float]] = [(0, env.reward_start, 1.0)]
     while stack:
-        state, acc, back = stack.pop()
-        children = env.children(state)
-        if children is None:
+        i, acc, back = stack.pop()
+        state = states[i]
+        first, last = offsets[i], offsets[i + 1]
+        if first == last:
             flows.append(env.reward_finish(acc, state) * back)
             terminals.append(state)
             continue
-        for action, child in reversed(children):
-            stack.append((child, env.reward_step(acc, state, action, child),
-                          back / env.cached_parent_count(child)))
+        for action, c in zip(reversed(actions[first:last]), reversed(child[first:last])):
+            stack.append((c, env.reward_step(acc, state, action, states[c]), back / parents[c]))
     z = float(sum(flows))
     terminal_dist: dict[str, float] = {}
     for terminal, flow in zip(terminals, flows):
         terminal_dist[terminal] = terminal_dist.get(terminal, 0.0) + flow / z
-    return DagSummary(z, terminal_dist, n_trajectories)
+    return DagSummary(z, terminal_dist, dag.n_trajectories)
 
 
 def enumerate_dag(instance, env, cap: int = ENUMERATION_CAP) -> DagSummary:
     """Z, the target terminal distribution and the trajectory count of the instance."""
-    order, n_trajectories = env.topological_order(cap)
-    if env.parent_mode == "tree":
-        return _tree_targets(env, order, n_trajectories)
-    summary = _forward_targets(env, order, n_trajectories)
-    return summary if summary is not None else _walk_targets(env, n_trajectories)
+    dag = env.dag(cap)
+    summary = _forward_targets(env, dag) if env.parent_mode == "exact" else None
+    return summary if summary is not None else _walk_targets(env, dag)
 
 
 def policy_terminal_dist(
@@ -149,27 +127,27 @@ def policy_terminal_dist(
     log P(p) + log pi(a|p), the sum a walk along its one path would build,
     and each later parent merges in by log-add-exp. States that share a
     decision key share their action log-probs, which follow
-    `cached_valid_actions` order, as `children` does."""
-    order, _ = env.topological_order(cap)
+    `cached_valid_actions` order, as the DAG's edges do."""
+    states, offsets, _, child, _, _ = env.dag(cap)
     step_logprobs: dict[str, list[float]] = {}
-    log_mass = {env.s0: 0.0}
+    log_mass: list[float | None] = [0.0] + [None] * (len(states) - 1)
     out: dict[str, float] = {}
-    for state in order:
-        logp = log_mass.pop(state)
-        kids = env.children(state)
-        if kids is None:
+    for i, state in enumerate(states):
+        logp = log_mass[i]
+        first, last = offsets[i], offsets[i + 1]
+        if first == last:
             out[state] = math.exp(logp)
             continue
         key = env.decision_key(state)
         lps = step_logprobs.get(key)
         if lps is None:
             lps = step_logprobs[key] = action_logits(params, state, env).log_probs.tolist()
-        for (_, child), lp in zip(kids, lps):
+        for c, lp in zip(child[first:last], lps):
             a = logp + lp
-            b = log_mass.get(child)
+            b = log_mass[c]
             if b is not None:  # log(e^a + e^b), cheaper than scalar np.logaddexp
                 a = max(a, b) + math.log1p(math.exp(-abs(a - b)))
-            log_mass[child] = a
+            log_mass[c] = a
     return out
 
 

@@ -373,6 +373,17 @@ def test_oracle_cap_exceeded_rows(tmp_path):
     assert "cap-exceeded" in out.read_text()
 
 
+@pytest.mark.parametrize("cap", [0, -5])
+def test_oracle_cap_below_one_is_usage_error(tmp_path, cap):
+    inst_path = tmp_path / "g.jsonl"
+    write_instances(inst_path, [make_instance([4, 4, 6, 8], "g")])
+    out = tmp_path / "o.csv"
+    with pytest.raises(SystemExit) as err:
+        run_cli("oracle", "--instances", inst_path, "--cap", cap, "--out", out)
+    assert err.value.code == 2
+    assert not out.exists()
+
+
 def test_oracle_dbl_moved_cube_start_is_data_error(tmp_path, capsys):
     inst_path = tmp_path / "cube.jsonl"
     write_instances(inst_path, [EnvInstance("cube2x2", "dbl-moved", "t=0|01234576|00000000",

@@ -1,14 +1,15 @@
-"""Per-env DAG expansion caches and the oracle passes built on them.
+"""The per-env DAG walk (`Environment.dag`) and the oracle passes built on it.
 
-`Environment.children` and `Environment.cached_parent_count` are checked over
-every reachable state against the uncached methods of a fresh env. The oracle
-is checked against test-local per-trajectory walkers, which call
-`valid_actions`/`apply`/`parent_count` once per trajectory and so share
-nothing across merging paths. Tree mode must match them bit for bit. Exact
-mode's forward pass sums floats in another order, so its Z, target mass,
-policy mass and TV must match to a relative 1e-12, while trajectory counts,
-terminal sets and cap partial counts stay exact. The exact-mode reward fold
-is checked bit for bit against copies of the per-env loops it replaced.
+The `Dag`'s rows and parent counts are checked over every reachable state
+against the uncached methods of a fresh env. The oracle is checked against
+test-local per-trajectory walkers, which call `valid_actions`/`apply`/
+`parent_count` once per trajectory and so share nothing across merging paths.
+Tree mode must match them bit for bit. Exact mode's forward pass sums floats
+in another order, so its Z, target mass, policy mass and TV must match to a
+relative 1e-12 (`test_reward_fold.py` pins their bits), while trajectory
+counts, terminal sets and cap partial counts stay exact. The exact-mode
+reward fold is checked bit for bit against copies of the per-env loops it
+replaced.
 """
 
 import dataclasses
@@ -27,7 +28,8 @@ from flowseek.errors import EnumerationCapError
 from flowseek.oracle import enumerate_dag, policy_terminal_dist, tv_distance
 from flowseek.policy import action_logits
 
-from conftest import diamond_instance, random_params, reference_enumerate_dag, rollout
+from conftest import (diamond_instance, random_params, reference_enumerate_dag, rollout,
+                      walk_trajectories)
 
 
 def skip_edge_instance():
@@ -135,7 +137,7 @@ def _partial_count(fn):
 def test_children_and_parent_counts_match_uncached_methods(case):
     inst, env = fresh_env(case)
     _, plain = fresh_env(case)
-    enumerate_dag(inst, env)  # fills both caches the way the oracle does
+    enumerate_dag(inst, env)  # fills the parent counts the way the oracle does
     states = reachable_states(plain)
     assert len(states) > 1
     for state in states:
@@ -143,9 +145,37 @@ def test_children_and_parent_counts_match_uncached_methods(case):
         assert (children is None) == plain.is_terminal(state)
         if children is not None:
             assert children == [(a, plain.apply(state, a)) for a in plain.valid_actions(state)]
-            assert env.children(state) is children
         if plain.parent_mode == "exact" and state != plain.s0:
             assert env.cached_parent_count(state) == plain.parent_count(state)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_dag_rows_match_a_fresh_env(case):
+    inst, env = fresh_env(case)
+    _, plain = fresh_env(case)
+    counted = []
+    count_calls(env, "parent_count", counted)
+    dag = env.dag(10**6)
+    states = dag.states
+    assert states[0] == plain.s0 and len(set(states)) == len(states) > 1
+    assert len(dag.offsets) == len(states) + 1 and len(dag.parents) == len(states)
+    assert dag.offsets[0] == 0 and len(dag.actions) == len(dag.child) == dag.offsets[-1]
+    for i, state in enumerate(states):
+        first, last = dag.offsets[i], dag.offsets[i + 1]
+        kids = dag.child[first:last]
+        assert all(c > i for c in kids)  # ids are a topological order
+        assert (first == last) == plain.is_terminal(state)
+        if first < last:
+            edges = list(zip(dag.actions[first:last], (states[c] for c in kids)))
+            assert edges == [(a, plain.apply(state, a)) for a in plain.valid_actions(state)]
+        if plain.parent_mode == "exact" and i > 0:
+            assert dag.parents[i] == plain.parent_count(state)
+    assert dag.parents[0] == 1
+    if plain.parent_mode == "tree":
+        assert dag.parents == [1] * len(states) and counted == []
+    walked = {state for _, path in walk_trajectories(plain, 10**6) for state in path}
+    assert set(states) == walked
+    assert dag.n_trajectories == reference_enumerate_dag(inst, plain).n_trajectories
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -194,11 +224,11 @@ def test_oracle_is_bit_identical_to_per_trajectory_walk(case):
 
     _, env = fresh_env(case)
     check_full(env)
-    check_full(env)  # every cache filled by the first pass
+    check_full(env)  # the DAG walked by the first pass
     check_capped(env)
     _, env = fresh_env(case)
     check_capped(env)
-    check_full(env)  # caches filled only as far as the capped walks got
+    check_full(env)  # capped walks store nothing
 
 
 def test_cap_stops_a_full_budget_cube_early():
@@ -248,21 +278,22 @@ def count_calls(env, name, calls):
     setattr(env, name, lambda first, *rest: calls.append(first) or method(first, *rest))
 
 
-@pytest.mark.parametrize("case", ["game24", "arc1d-3", "logicchain", "blocksworld-4"])
+@pytest.mark.parametrize("case", ["game24", "arc1d-3", "logicchain", "blocksworld-4",
+                                  "blocksworld-4-floor", "cube2x2-3", "toydag-diamond"])
 def test_policy_pass_reuses_the_order_the_target_pass_walked(case):
+    # once the target pass has walked the DAG, no pass expands a state or
+    # counts its parents again: they read the `Dag`'s rows and `parents`
     inst, env = fresh_env(case)
     params = random_params("linear", env, seed=3)
     summary = enumerate_dag(inst, env)
-    walks, visits, expansions = [], [], []
-    count_calls(env, "_walk_order", walks)
-    count_calls(env, "children", visits)
-    count_calls(env, "is_terminal", expansions)
-    count_calls(env, "apply", expansions)
+    calls = []
+    for name in ("children", "_walk", "is_terminal", "apply", "parent_count",
+                 "cached_parent_count"):
+        count_calls(env, name, calls)
     policy = policy_terminal_dist(params, inst, env)
-    order, n = env.topological_order(summary.n_trajectories)
-    assert walks == [] and expansions == []
-    assert visits == order  # the pass itself reads each state's children once
-    assert n == summary.n_trajectories
+    assert enumerate_dag(inst, env) == summary
+    assert calls == []
+    assert env.dag(summary.n_trajectories).n_trajectories == summary.n_trajectories
     assert policy.keys() == summary.target_terminal_dist.keys()
 
 
@@ -271,7 +302,7 @@ def test_order_cache_keeps_the_cap_semantics():
     n = enumerate_dag(*fresh_env("game24")).n_trajectories
     params = random_params("linear", env, seed=3)
     walks = []
-    count_calls(env, "_walk_order", walks)
+    count_calls(env, "_walk", walks)
     # a walk stopped by its cap stores nothing, so a larger cap walks again
     assert _partial_count(lambda: enumerate_dag(inst, env, n - 1)) == n
     assert _partial_count(lambda: policy_terminal_dist(params, inst, env, n - 1)) == n

@@ -156,7 +156,7 @@ def test_game24_potential_matches_the_old_formula_on_every_reachable_multiset():
     seen = set()
     for inst in instances:
         env = envs[inst.instance_id]
-        for state in env.topological_order(10**6)[0]:
+        for state in env.dag(10**6).states:
             values = [Fraction(tok) for tok in state.split("|left=")[1].split()]
             seen.add(tuple(sorted(values)))
             closest = min(abs(float(v - 24)) for v in values)

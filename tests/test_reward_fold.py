@@ -1,17 +1,23 @@
-"""The reward fold and the tree-mode target pass built on it.
+"""The reward fold and the oracle passes built on it.
 
-The digests were taken with the per-env `reward` methods and the
-per-trajectory target walk that the fold replaced; they must not move a bit.
+The reward and tree-target digests were taken with the per-env `reward`
+methods and the per-trajectory target walk that the fold replaced. The
+exact-mode target digests (the forward pass, and the trajectory walk where
+the floor can bind) and the policy-mass digests were taken with the
+per-state string dicts that the `Dag` passes replaced. None may move a bit.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
-from flowseek.environments import generate_instances, make_env
+from flowseek.environments import TabularEnv, TabularIndex, generate_instances, make_env
 from flowseek.environments.game24 import make_instance
 from flowseek.flow_core import Trajectory
-from flowseek.oracle import enumerate_dag
+from flowseek.oracle import enumerate_dag, policy_terminal_dist
+
+from conftest import random_params
 
 REWARD_CASES = {
     "game24-uniform": (generate_instances("game24", 2, seed=3), "uniform"),
@@ -39,6 +45,40 @@ TARGET_DIGESTS = {
     "logicchain": "a28ef396d37d11824f801fafeea55590883c16eaf3d6775ae4f15fb42c7a71ff",
 }
 
+BLOCKSWORLD_4 = generate_instances("blocksworld", 1, seed=7, difficulty="4")[0]
+EXACT_TARGET_CASES = {  # case: (instance, env settings)
+    "blocksworld-4": (BLOCKSWORLD_4, {}),
+    # with no intermediate weight every failed trajectory gets the floor reward
+    "blocksworld-4-floor": (BLOCKSWORLD_4, {"intermediate_weight": 0.0}),
+    "cube2x2-3": (dataclasses.replace(
+        generate_instances("cube2x2", 1, seed=7, difficulty="2")[0], max_steps=3), {}),
+    "toydag": (generate_instances("toydag", 1, seed=5)[0], {}),
+}
+
+EXACT_TARGET_DIGESTS = {
+    "blocksworld-4": "f0c8969e8cf05563b85a3086652d859395ea874b3108228465653078009e3736",
+    "blocksworld-4-floor": "acbeb258279989b81ccdc804fb5635f537add94bab4db7b6b1a6f0fdfa18118b",
+    "cube2x2-3": "c1286fe4e82f320866c4728c41dc43e1007c78117cd504963e9bdf217bcf7b74",
+    "toydag": "c6aa4e3ffbee9641bf4a9183e9726b5bb79bf45e345d5c4596a31177b7072d71",
+}
+
+# every env once, and game24 under the tabular featurizer, whose decision key
+# is the full state
+POLICY_CASES = dict(TARGET_CASES)
+POLICY_CASES.update({name: EXACT_TARGET_CASES[name][0]
+                     for name in ("blocksworld-4", "cube2x2-3", "toydag")})
+POLICY_CASES["tabular-game24"] = TARGET_CASES["game24"]
+
+POLICY_DIGESTS = {
+    "arc1d": "cffd99da1229246261d70263391d3f85a4ae6805bc47eb961a638811539932cb",
+    "blocksworld-4": "09953766e45af900baf7cba9ec3060c71a9bcfdbd93c851d41e75db67cad4eea",
+    "cube2x2-3": "d78632a1fbf0798696701b5a32dadc99408eed75f765a073942579be50ff5ef9",
+    "game24": "f6a8a4ebe21bf897fd10b65d58c2b4c0fef5005eba70863581b534bee5782ba7",
+    "logicchain": "f5c683bdf7b39176acd8689d967fcd95897aad75fea166381abf7c8fd5d461a4",
+    "tabular-game24": "125c681eb9e1a35d4b50a9ea54486d0717511342481b0a348d107c14cf41d3e0",
+    "toydag": "a5a6038d5371a8fb8de9c960a9dffdd2f5cc36d80f291bbd2b8f7284b6221573",
+}
+
 
 def reward_digest(instances, scorer):
     """sha256 over the reward of every complete trajectory, depth first."""
@@ -58,11 +98,16 @@ def reward_digest(instances, scorer):
     return digest.hexdigest()
 
 
+def mass_digest(digest, dist):
+    """`digest` fed a distribution's items in order."""
+    for terminal, mass in dist.items():
+        digest.update(f"{terminal}={mass.hex()};".encode())
+    return digest
+
+
 def target_digest(summary):
     """sha256 over Z, the target's items in order and the trajectory count."""
-    digest = hashlib.sha256(summary.Z.hex().encode())
-    for terminal, mass in summary.target_terminal_dist.items():
-        digest.update(f"{terminal}={mass.hex()};".encode())
+    digest = mass_digest(hashlib.sha256(summary.Z.hex().encode()), summary.target_terminal_dist)
     digest.update(str(summary.n_trajectories).encode())
     return digest.hexdigest()
 
@@ -77,3 +122,19 @@ def test_tree_targets_match_pinned_digest(case):
     inst = TARGET_CASES[case]
     assert target_digest(enumerate_dag(inst, make_env(inst))) == TARGET_DIGESTS[case]
 
+
+@pytest.mark.parametrize("case", sorted(EXACT_TARGET_CASES))
+def test_exact_targets_match_pinned_digest(case):
+    inst, settings = EXACT_TARGET_CASES[case]
+    summary = enumerate_dag(inst, make_env(inst, **settings))
+    assert target_digest(summary) == EXACT_TARGET_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(POLICY_CASES))
+def test_policy_masses_match_pinned_digest(case):
+    inst = POLICY_CASES[case]
+    env = make_env(inst)
+    if case.startswith("tabular-"):
+        env = TabularEnv(env, TabularIndex.build([make_env(inst)]))
+    dist = policy_terminal_dist(random_params("linear", env, seed=3), inst, env)
+    assert mass_digest(hashlib.sha256(), dist).hexdigest() == POLICY_DIGESTS[case]
