@@ -1,9 +1,10 @@
 """Operator command line: gen, train, sample, eval, oracle.
 
 Every command resolves one seed (flag, then config, then FLOWSEEK_SEED, then
-0), writes a manifest naming its inputs by digest before doing real work, and
-produces deterministic primary outputs: rerunning with identical arguments
-and seed yields byte-identical files (manifest timestamps excluded).
+0), produces deterministic primary outputs (rerunning with identical
+arguments and seed yields byte-identical files, manifest timestamps
+excluded), and then writes a manifest naming its inputs by digest: a command
+that stops before its outputs are written leaves none.
 
 Exit codes: 0 success, 2 usage or config error, 3 data error, 4 numeric
 failure.
@@ -141,6 +142,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def nonnegative_float(text: str) -> float:
+    """An argparse type: a float of at least 0 (inf included, NaN not)."""
+    value = float(text)
+    if not value >= 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+    return value
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -170,7 +179,6 @@ def write_manifest(out_dir: Path, command: str, seed: int, config: dict,
         "outputs": [str(p) for p in outputs],
         "created_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"manifest-{command}.json"
     with open(path, "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -181,11 +189,12 @@ def write_manifest(out_dir: Path, command: str, seed: int, config: dict,
 def cmd_gen(args) -> int:
     seed = _default_seed(args.seed)
     out = Path(args.out)
+    instances = gen_instances(args.env, args.count, seed, args.difficulty)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write_instances(out, instances)
     write_manifest(out.parent, "gen", seed,
                    {"env": args.env, "count": args.count, "difficulty": args.difficulty},
                    [], [out])
-    instances = gen_instances(args.env, args.count, seed, args.difficulty)
-    write_instances(out, instances)
     print(f"wrote {len(instances)} {args.env} instances to {out}")
     return EXIT_OK
 
@@ -249,12 +258,11 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.json"
     report_path = out_dir / "report.csv"
     trajlog_path = out_dir / "trajectories.jsonl"
-    write_manifest(out_dir, "train", config.seed, doc, inputs,
-                   [ckpt_path, report_path, trajlog_path])
 
     instances = read_instances(instances_path)
     envs = build_envs(config, instances)
     extra = _checkpoint_extra(config, envs)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def checkpoint_writer(iteration, params, opt):
         save_checkpoint(out_dir / f"checkpoint-{iteration + 1}.json", params, opt, extra)
@@ -263,6 +271,8 @@ def cmd_train(args) -> int:
     save_checkpoint(ckpt_path, params, report.optimizer_state, extra)
     report.write_csv(report_path)
     report.write_trajectory_log(trajlog_path)
+    write_manifest(out_dir, "train", config.seed, doc, inputs,
+                   [ckpt_path, report_path, trajlog_path])
     final_loss = report.records[-1]["mean_loss"]
     print(f"trained {config.iterations} iterations; final mean loss {final_loss:.6g}")
     print(f"checkpoint: {ckpt_path}")
@@ -299,16 +309,13 @@ def cmd_sample(args) -> int:
     ckpt_path = Path(args.checkpoint)
     inst_path = Path(args.instances)
     out = Path(args.out)
-    write_manifest(out.parent, "sample", seed,
-                   {"n": args.n, "beta": args.beta, "argmax": args.argmax},
-                   [ckpt_path, inst_path], [out])
-
     instances = read_instances(inst_path)
     params, envs = _load_for_instances(ckpt_path, instances)
 
     from .exploration import sample_trajectory_mixed
 
     beta = 0.0 if args.argmax else args.beta
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         for inst in instances:
             env = envs[inst.instance_id]
@@ -328,6 +335,9 @@ def cmd_sample(args) -> int:
                 }
                 f.write(json.dumps(rec, sort_keys=True))
                 f.write("\n")
+    write_manifest(out.parent, "sample", seed,
+                   {"n": args.n, "beta": args.beta, "argmax": args.argmax},
+                   [ckpt_path, inst_path], [out])
     print(f"wrote {args.n} samples per instance for {len(instances)} instances to {out}")
     return EXIT_OK
 
@@ -341,15 +351,16 @@ def cmd_eval(args) -> int:
         else:
             method, path = Path(item).stem, item
         specs.append((method, Path(path)))
-    write_manifest(out.parent, "eval", 0, {"methods": [m for m, _ in specs]},
-                   [p for _, p in specs], [out])
     runs = [load_run(path, method) for method, path in specs]
     if len(runs) < 2:
         print("single method: creativity omitted (needs >= 2 aligned sample files)")
     reports = evaluate(runs)
+    out.parent.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(out, reports)
     breakdown = out.with_suffix(".breakdown.jsonl")
     write_breakdown_jsonl(breakdown, runs)
+    write_manifest(out.parent, "eval", 0, {"methods": [m for m, _ in specs]},
+                   [p for _, p in specs], [out])
     for r in reports:
         div = "undefined" if r.diversity is None else f"{r.diversity:.4f}"
         crea = "-" if r.creativity is None else f"{r.creativity:.4f}"
@@ -363,8 +374,6 @@ def cmd_oracle(args) -> int:
     inputs = [inst_path]
     if args.checkpoint:
         inputs.append(Path(args.checkpoint))
-    write_manifest(out.parent, "oracle", 0, {"cap": args.cap}, inputs, [out])
-
     instances = read_instances(inst_path)
     params = None
     if args.checkpoint:
@@ -373,6 +382,7 @@ def cmd_oracle(args) -> int:
         # enumeration reads no features, so instances of any dims may mix
         envs = {i.instance_id: make_env(i) for i in instances}
     n_failed = 0
+    out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         f.write("instance_id,Z,n_trajectories,n_terminals,tv_vs_policy,error\n")
         for inst in instances:
@@ -391,6 +401,7 @@ def cmd_oracle(args) -> int:
             except EnumerationCapError as exc:
                 n_failed += 1
                 f.write(f"{inst.instance_id},,,,,cap-exceeded:{exc.partial_count}\n")
+    write_manifest(out.parent, "oracle", 0, {"cap": args.cap}, inputs, [out])
     print(f"oracle report for {len(instances)} instances written to {out}")
     if n_failed == len(instances):
         print("all instances exceeded the enumeration cap", file=sys.stderr)
@@ -429,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", required=True)
     p.add_argument("-n", type=positive_int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--beta", type=float, default=1.0)
+    p.add_argument("--beta", type=nonnegative_float, default=1.0)
     p.add_argument("--argmax", action="store_true", help="greedy decode (the beta=0 rollout)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample)

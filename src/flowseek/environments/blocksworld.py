@@ -113,9 +113,16 @@ def _goal_met(on: dict[str, str], relations: list[tuple[str, str]]) -> bool:
 class _Config:
     """One configuration's goal-independent facts, shared by every env.
 
-    `actions` is the list `valid_actions` returns; callers must not change it."""
+    `actions` is the list `valid_actions` returns. `next` (each action's
+    entry), `parents` (the entries one action leads here from) and `rows` are
+    filled on first read (`__getattr__`). `rows` holds the int8 feature rows
+    of `actions` with the goal columns (4-13 and 15) and the step column 0: a
+    row sets its action type, whether the hand is empty after it and the bias,
+    and adds the signed hash of `("bw", text, action)`. Callers must not
+    change `actions` or `rows`.
+    """
 
-    __slots__ = ("text", "hand", "on", "actions", "_next", "_parents", "_rows")
+    __slots__ = ("text", "hand", "on", "actions", "next", "rows", "parents")
 
     def __init__(self, text: str):
         hand, on = _parse_config(text)
@@ -126,26 +133,13 @@ class _Config:
                             for x in clear]
         else:
             self.actions = [f"putdown {hand}", *(f"stack {hand} {y}" for y in clear)]
-        self._next: dict[str, _Config] | None = None
-        self._parents: list[_Config] | None = None
-        self._rows: np.ndarray | None = None
 
-    @property
-    def next(self) -> dict[str, _Config]:
-        """The entry each valid action leads to."""
-        if self._next is None:
-            self._next = {a: _entry(_encode_config(*_move(self.hand, self.on, a)))
-                          for a in self.actions}
-        return self._next
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The int8 feature rows of `actions`, in order, with the goal columns
-        (4-13 and 15) and the step column 0; callers must not change it.
-
-        A row sets its action type, whether the hand is empty after it and
-        the bias, and adds the signed hash of `("bw", text, action)`."""
-        if self._rows is None:
+    def __getattr__(self, name):
+        # runs only while the slot `name` is unset: fill it, then read it
+        if name == "next":
+            self.next = {a: _entry(_encode_config(*_move(self.hand, self.on, a)))
+                         for a in self.actions}
+        elif name == "rows":
             rows = np.zeros((len(self.actions), FEATURE_DIM), np.int8)
             for row, action in enumerate(self.actions):
                 rows[row, _VERBS.index(action.split()[0])] = 1
@@ -153,20 +147,17 @@ class _Config:
                 rows[row, 17] = 1  # the bias
                 idx, sign = hash_slot(_N_HASHED, ("bw", self.text, action))
                 rows[row, _HASHED + idx] = sign
-            self._rows = rows
-        return self._rows
-
-    @property
-    def parents(self) -> list[_Config]:
-        """The entries from which one valid action leads here."""
-        if self._parents is None:
+            self.rows = rows
+        elif name == "parents":
             hand, on = self.hand, self.on
             if hand is None:  # the last action put down or stacked some clear block x
                 prev = [(x, {b: s for b, s in on.items() if b != x}) for x in _clear_blocks(on)]
             else:  # the last action lifted `hand` from the table or from a clear block
                 prev = [(None, {**on, hand: s}) for s in ("table", *_clear_blocks(on))]
-            self._parents = [_entry(_encode_config(*p)) for p in prev]
-        return self._parents
+            self.parents = [_entry(_encode_config(*p)) for p in prev]
+        else:
+            raise AttributeError(name)
+        return getattr(self, name)
 
 
 _TABLE: dict[str, _Config] = {}  # configuration text -> its entry, for the whole process

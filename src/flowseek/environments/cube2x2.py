@@ -240,7 +240,7 @@ class Cube2x2Env(Environment):
     def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
-        return list(MOVES)
+        return MOVES  # shared by every env: callers must not change it
 
     def apply(self, state, action):
         m = _MOVE_INDEX.get(action)

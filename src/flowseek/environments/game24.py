@@ -7,12 +7,12 @@ which makes "8 + 4" and "4 + 8" the same action and the same solution-key
 entry. State keys embed the equation history (tree mode), but everything
 derived from a state depends only on its `|left=` suffix, the decision key:
 one process-wide table decodes each multiset once, and every env and every
-history reaching it reuses the decode. Its feature rows read nothing else
-either, so an entry keeps them too, as an int8 template filled on first read
-from what the entry knows: each action's operator and operand ranks, the
-columns its successor multiset sets (kept on the successor's entry) and the
-row's hashed tokens, hashed once per entry. Every env in the process reads
-the same template.
+history reaching it reuses the decode; an entry links each action to its
+child's entry. Its feature rows read nothing else either, so an entry keeps
+them too, as an int8 template filled on first read from what the entry knows:
+each action's operator and operand ranks, the columns its child sets (kept on
+the child's entry) and the row's hashed tokens, hashed once per entry. Every
+env in the process reads the same template.
 
 The solver behind generation and the offline files, `solve_game24`, keeps the
 solution suffixes of each three-number multiset in a bounded memo and reads
@@ -143,7 +143,7 @@ def _successor_columns(values: tuple[Fraction, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-# what a terminal entry holds for `successors` and `child_keys`
+# what a terminal entry holds for `next`: it has no actions
 _NOTHING = MappingProxyType({})
 
 
@@ -153,23 +153,22 @@ class _Decoded:
     `terminal` (one number left) and `solved` (that number is 24) are set when
     the entry is made, since every state is asked whether it is terminal. The
     rest is filled on first read (`__getattr__`), because many entries are only
-    ever met as the successor of some row:
-      - `successors` maps each valid equation to its successor multiset (in
-        `enumerate_actions` order), and `child_keys` maps each equation applied
-        or read into a row so far to its successor's `|left=` text. They do not
-        depend on an env. A terminal has no actions, so both are the shared
-        empty `_NOTHING`.
+    ever met as the child of some entry:
+      - `next` maps each valid equation, in `enumerate_actions` order, to the
+        entry of the multiset it leaves, and `actions` is the list of those
+        equations that `valid_actions` returns; callers must not change it.
+        They do not depend on an env. A terminal has no actions, so its
+        `next` is the shared empty `_NOTHING`.
       - `columns`: the feature columns that every row whose action leads to
         this multiset sets to 1 (see `_successor_columns`).
-      - `rows`: the feature rows of the valid equations (see `_fill_rows`),
-        as an int8 template that `feature_matrix` widens; callers must not
-        change it.
+      - `rows`: the feature rows of `actions` (see `_fill_rows`), as an int8
+        template that `feature_matrix` widens; callers must not change it.
       - `potential`: the `progress` scorer's estimate, minus the distance
         from 24 of the closest number and minus the count of numbers.
     """
 
     __slots__ = ("values", "left", "terminal", "solved",
-                 "successors", "child_keys", "columns", "rows", "potential")
+                 "next", "actions", "columns", "rows", "potential")
 
     def __init__(self, values: tuple[Fraction, ...], left: str | None = None):
         self.values = values
@@ -179,12 +178,11 @@ class _Decoded:
 
     def __getattr__(self, name):
         # runs only while the slot `name` is unset: fill it, then read it
-        if name in ("successors", "child_keys"):
-            if self.terminal:
-                self.successors = self.child_keys = _NOTHING
-            else:
-                self.successors = dict(enumerate_actions(self.values))
-                self.child_keys = {}
+        if name == "next":
+            self.next = _NOTHING if self.terminal else {
+                eq: _entry(fmt_values(nxt), nxt) for eq, nxt in enumerate_actions(self.values)}
+        elif name == "actions":
+            self.actions = list(self.next)
         elif name == "columns":
             self.columns = _successor_columns(self.values)
         elif name == "rows":
@@ -200,7 +198,7 @@ class _Decoded:
 # `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
 # 40,668 multisets that `flowseek oracle` meets on `gen --count 200`, so such
 # a run decodes each once; past it the oldest entry goes, with its rows (a
-# later query decodes it again)
+# later query decodes an equal one, though a parent's `next` may keep the old)
 _TABLE: dict[str, _Decoded] = {}
 TABLE_ENTRIES = 65536
 
@@ -219,35 +217,22 @@ def _context(state: str) -> _Decoded:
     return _entry(state[state.index("|left=") + len("|left=") :])
 
 
-def _child_left(ctx: _Decoded, action: str) -> str:
-    """The `|left=` text that `action` leaves at the multiset of `ctx`."""
-    left = ctx.child_keys.get(action)
-    if left is None:
-        nxt = ctx.successors.get(action)
-        if nxt is None:
-            raise InvalidActionError(f"action {action!r} invalid at left={ctx.left}")
-        left = ctx.child_keys[action] = fmt_values(nxt)
-    return left
-
-
 def _fill_rows(ctx: _Decoded) -> np.ndarray:
-    """The int8 feature rows of the actions at `ctx`, in `successors` order.
+    """The int8 feature rows of the actions at `ctx`, in `actions` order.
 
-    A row sets its operator, its operand-rank pair and its successor's
-    `columns`, and adds the signed hashes of `("g24v", left)`,
-    `("g24a", action)` and `("g24va", left, action)`. It runs once per entry
-    and calls no env method."""
+    A row sets its operator, its operand-rank pair and its child's `columns`,
+    and adds the signed hashes of `("g24v", left)`, `("g24a", action)` and
+    `("g24va", left, action)`. It runs once per entry and calls no env method."""
     ranks: dict[str, int] = {}  # operand string -> its first index in the sorted values
     for rank, v in enumerate(ctx.values):
         ranks.setdefault(fmt(v), rank)
-    rows = np.zeros((len(ctx.successors), FEATURE_DIM), np.int8)
+    rows = np.zeros((len(ctx.next), FEATURE_DIM), np.int8)
     value_slot = hash_slot(_N_HASHED, ("g24v", ctx.left))
-    for row, (action, nxt) in enumerate(ctx.successors.items()):
+    for row, (action, child) in enumerate(ctx.next.items()):
         x, op, y, _ = action.split(" ", 3)
         # operand strings are canonical, so equal strings mean equal values
         rank_x = ranks[x]
         rank_y = rank_x + 1 if y == x else ranks[y]
-        child = _entry(_child_left(ctx, action), nxt)
         rows[row, [_OPS.index(op), 4 + min(rank_x, 3) * 4 + min(rank_y, 3), *child.columns]] = 1
         for idx, sign in (value_slot, hash_slot(_N_HASHED, ("g24a", action)),
                           hash_slot(_N_HASHED, ("g24va", ctx.left, action))):
@@ -273,14 +258,17 @@ class Game24Env(Environment):
     def valid_actions(self, state):
         if self.is_terminal(state):
             raise TerminalQueryError(f"state {state!r} is terminal")
-        return list(_context(state).successors)
+        return _context(state).actions
 
     def apply(self, state, action):
-        left = _child_left(_context(state), action)
-        # same string as "h=" + ";".join(history + [action]) + "|left=" + left
+        ctx = _context(state)
+        child = ctx.next.get(action)
+        if child is None:
+            raise InvalidActionError(f"action {action!r} invalid at left={ctx.left}")
+        # same string as "h=" + ";".join(history + [action]) + "|left=" + child.left
         head = state[: state.index("|left=")]
         sep = "" if head == "h=" else ";"
-        return f"{head}{sep}{action}|left={left}"
+        return f"{head}{sep}{action}|left={child.left}"
 
     def is_terminal(self, state):
         return _context(state).terminal
@@ -369,7 +357,7 @@ def generate_instances(count: int, seed: int, difficulty: str | None = None) -> 
         if nums in seen:
             continue
         seen.add(nums)
-        if not solve_game24(nums):
-            continue
-        out.append(make_instance(nums, f"game24-{seed}-{len(out)}"))
+        inst = make_instance(nums, f"game24-{seed}-{len(out)}")
+        if inst.gold_solutions:
+            out.append(inst)
     return out

@@ -161,13 +161,10 @@ def tv_distance(p: dict, q: dict) -> float:
     return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-# Game24 brute-force search doubles as the offline-data generator.
-from .environments.game24 import solve_game24  # noqa: E402  (re-export)
-
-
 def write_offline_game24(path, instances) -> int:
-    """Write every solution of each instance as an offline-trajectory record."""
-    from .environments.game24 import parse_values
+    """Write every solution of each instance as an offline-trajectory record,
+    solved again: a hand-written instance file may list `gold_solutions` in part."""
+    from .environments.game24 import parse_values, solve_game24
 
     n = 0
     with open(path, "w", encoding="utf-8") as f:

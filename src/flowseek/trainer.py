@@ -99,6 +99,14 @@ class TrainConfig:
         if self.loss not in ("logvar", "tb_logz"):
             raise ValueError(f"unknown loss {self.loss!r}")
         check_finite_floats(self)
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if self.lr_schedule not in ("none", "cosine"):
+            raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
+        if self.policy_variant == "mlp" and self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be >= 1 for the mlp policy, got {self.hidden_dim}")
+        if self.local_search.num_recon < 1:
+            raise ValueError(f"local_search.num_recon must be >= 1, got {self.local_search.num_recon}")
         # a clip at or below 0 would flip or zero every gradient
         if self.max_grad_norm is not None and self.max_grad_norm <= 0:
             raise ValueError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")

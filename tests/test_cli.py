@@ -326,6 +326,56 @@ def test_sample_n_below_one_is_usage_error(tmp_path):
         assert not (tmp_path / "s0.jsonl").exists()
 
 
+@pytest.mark.parametrize("beta", ["-1", "nan", "-inf"])
+def test_sample_beta_below_zero_or_nan_is_usage_error_before_any_write(tmp_path, beta):
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
+    run_cli("train", config_path)
+    with pytest.raises(SystemExit) as err:
+        sample_to(tmp_path, run_dir, inst_path, "sb.jsonl", extra=("--beta", beta))
+    assert err.value.code == 2
+    assert not (tmp_path / "sb.jsonl").exists()
+    assert not (tmp_path / "manifest-sample.json").exists()
+
+
+@pytest.mark.parametrize("beta", ["0", "inf"])
+def test_sample_beta_zero_and_inf_are_valid(tmp_path, beta):
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
+    run_cli("train", config_path)
+    code, out = sample_to(tmp_path, run_dir, inst_path, "sb.jsonl", extra=("--beta", beta))
+    assert code == 0 and out.read_text()
+    manifest = json.loads((tmp_path / "manifest-sample.json").read_text())
+    assert manifest["outputs"] == [str(out)]
+
+
+def test_failed_commands_leave_no_manifest_and_keep_an_earlier_one(tmp_path):
+    good = tmp_path / "good.jsonl"
+    assert run_cli("gen", "--env", "toydag", "--count", 1, "--seed", 8, "--out", good) == 0
+    assert run_cli("oracle", "--instances", good, "--out", tmp_path / "o1.csv") == 0
+    manifests = {c: (tmp_path / f"manifest-{c}.json").read_bytes() for c in ("gen", "oracle")}
+
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"env_id": "toydag", "s0": "s", "goal": "g", "max_steps": 3}\n')
+    assert run_cli("oracle", "--instances", bad, "--out", tmp_path / "o2.csv") == 3
+    assert run_cli("gen", "--env", "blocksworld", "--count", 1, "--difficulty", "3",
+                   "--out", tmp_path / "g2.jsonl") == 3
+    assert not (tmp_path / "o2.csv").exists() and not (tmp_path / "g2.jsonl").exists()
+    for command, text in manifests.items():
+        assert (tmp_path / f"manifest-{command}.json").read_bytes() == text
+
+    fresh = tmp_path / "fresh"
+    assert run_cli("oracle", "--instances", bad, "--out", fresh / "o.csv") == 3
+    assert run_cli("gen", "--env", "blocksworld", "--count", 1, "--difficulty", "3",
+                   "--out", fresh / "g.jsonl") == 3
+    assert not fresh.exists()
+
+
+def test_outputs_in_a_new_directory_are_written_before_the_manifest(tmp_path):
+    out = tmp_path / "new" / "deeper" / "toy.jsonl"
+    assert run_cli("gen", "--env", "toydag", "--count", 1, "--seed", 8, "--out", out) == 0
+    manifest = json.loads((out.parent / "manifest-gen.json").read_text())
+    assert manifest["outputs"] == [str(out)] and out.read_text()
+
+
 def test_sample_env_mismatch_is_error(tmp_path):
     config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
     run_cli("train", config_path)
@@ -371,6 +421,9 @@ def test_oracle_cap_exceeded_rows(tmp_path):
     out = tmp_path / "o.csv"
     assert run_cli("oracle", "--instances", inst_path, "--cap", 10, "--out", out) == 3
     assert "cap-exceeded" in out.read_text()
+    # every instance hit the cap, but the CSV exists, so its manifest does too
+    manifest = json.loads((tmp_path / "manifest-oracle.json").read_text())
+    assert manifest["outputs"] == [str(out)]
 
 
 @pytest.mark.parametrize("cap", [0, -5])

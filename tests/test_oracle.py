@@ -3,13 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowseek.environments import make_env
-from flowseek.environments.game24 import make_instance
+from flowseek.environments.game24 import make_instance, solve_game24
 from flowseek.environments.toydag import generate_instances
 from flowseek.errors import EnumerationCapError
 from flowseek.oracle import (
     enumerate_dag,
     policy_terminal_dist,
-    solve_game24,
     tv_distance,
     write_offline_game24,
 )

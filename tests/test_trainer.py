@@ -75,9 +75,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         toy_config(loss="nonsense")
     # a clip at or below 0 flips or zeroes the gradient; an interval below 1
-    # writes no checkpoint (0) or one every |k| iterations (-k)
+    # writes no checkpoint (0) or one every |k| iterations (-k); an unknown
+    # lr schedule trains at a constant lr, and a num_recon below 1 skips
+    # local search
     for bad in ({"max_grad_norm": -1.0}, {"max_grad_norm": 0.0},
-                {"checkpoint_interval": 0}, {"checkpoint_interval": -5}):
+                {"checkpoint_interval": 0}, {"checkpoint_interval": -5},
+                {"lr_schedule": "cosin"}, {"learning_rate": 0.0}, {"learning_rate": -0.05},
+                {"hidden_dim": 0, "policy_variant": "mlp"},
+                {"local_search": LocalSearchConfig(num_recon=0)},
+                {"local_search": LocalSearchConfig(num_recon=-2)}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             toy_config(**bad)
 
