@@ -109,7 +109,7 @@ TRAIN_CONFIG_SCHEMA = {
             "properties": {
                 "shared": {"type": "boolean"},
                 "init": {"type": "number"},
-                "learning_rate": {"type": ["number", "null"]},
+                "learning_rate": {"type": ["number", "null"], "exclusiveMinimum": 0},
             },
         },
         "lr_schedule": {"enum": ["none", "cosine"]},

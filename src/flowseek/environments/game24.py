@@ -14,16 +14,15 @@ each action's operator and operand ranks, the columns its child sets (kept on
 the child's entry) and the row's hashed tokens, hashed once per entry. Every
 env in the process reads the same template.
 
-The solver behind generation and the offline files, `solve_game24`, keeps the
-solution suffixes of each three-number multiset in a bounded memo and reads
-the last step off `enumerate_actions`, so a hand is solved in one pass over
-its own actions rather than once per path.
+The solver behind generation and the offline files, `solve_game24`, reads the
+hand's solutions off the same table: an entry keeps the solution suffixes from
+its multiset, so each multiset is solved once per process, not once per path,
+and the table is game24's only process-wide memo.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -58,7 +57,6 @@ def _distinct_pairs(values: tuple[Fraction, ...]):
                 yield a, values[j], values[:i] + values[i + 1 : j] + values[j + 1 :]
 
 
-@lru_cache(maxsize=65536)
 def enumerate_actions(values: tuple[Fraction, ...]) -> list[tuple[str, tuple[Fraction, ...]]]:
     """All legal (equation, successor multiset) pairs from `values`.
 
@@ -82,7 +80,6 @@ def enumerate_actions(values: tuple[Fraction, ...]) -> list[tuple[str, tuple[Fra
     return list(seen.items())
 
 
-@lru_cache(maxsize=65536)
 def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
     """How many value pairs in the sorted multiset combine to 24 with a single operation."""
     return sum(
@@ -165,10 +162,13 @@ class _Decoded:
         template that `feature_matrix` widens; callers must not change it.
       - `potential`: the `progress` scorer's estimate, minus the distance
         from 24 of the closest number and minus the count of numbers.
+      - `solutions`: the solution suffixes (equations joined by ";") from
+        this multiset. Two numbers read theirs off `enumerate_actions`, so
+        no one-number entry is made; `fmt` is canonical, so they end in " = 24".
     """
 
     __slots__ = ("values", "left", "terminal", "solved",
-                 "next", "actions", "columns", "rows", "potential")
+                 "next", "actions", "columns", "rows", "potential", "solutions")
 
     def __init__(self, values: tuple[Fraction, ...], left: str | None = None):
         self.values = values
@@ -190,15 +190,22 @@ class _Decoded:
         elif name == "potential":
             closest = min(abs(float(v - TARGET)) for v in self.values)
             self.potential = -closest - len(self.values)
+        elif name == "solutions":
+            if len(self.values) == 2:
+                self.solutions = tuple(eq for eq, _ in enumerate_actions(self.values)
+                                       if eq.endswith(" = 24"))
+            else:
+                self.solutions = tuple(f"{eq};{rest}" for eq, child in self.next.items()
+                                       for rest in child.solutions)
         else:
             raise AttributeError(name)
         return getattr(self, name)
 
 
-# `|left=` text -> its entry, for the whole process. TABLE_ENTRIES holds the
-# 40,668 multisets that `flowseek oracle` meets on `gen --count 200`, so such
-# a run decodes each once; past it the oldest entry goes, with its rows (a
-# later query decodes an equal one, though a parent's `next` may keep the old)
+# `|left=` text -> its entry, read by the envs and the solver of the whole
+# process. TABLE_ENTRIES holds the 40,668 multisets that `flowseek oracle` meets
+# on `gen --count 200`, so such a run decodes each once; past it the oldest goes
+# (a later query decodes an equal one, while a parent's `next` keeps the old)
 _TABLE: dict[str, _Decoded] = {}
 TABLE_ENTRIES = 65536
 
@@ -295,30 +302,15 @@ class Game24Env(Environment):
         return _context(state).rows.astype(np.float64)
 
 
-@lru_cache(maxsize=65536)
-def _solutions_from_three(values: tuple[Fraction, ...]) -> tuple[str, ...]:
-    """The two-step solution suffixes from three numbers: each action joined
-    to each last action that leaves 24 (`fmt` is canonical, so its equation
-    ends in " = 24")."""
-    return tuple(
-        f"{eq};{last}"
-        for eq, pair in enumerate_actions(values)
-        for last, _ in enumerate_actions(pair)
-        if last.endswith(" = 24")
-    )
-
-
 def solve_game24(numbers) -> set[str]:
     """All distinct solution keys for four rationals, by exhaustive search.
 
-    Each key is a first action joined to a suffix from the three numbers it
-    leaves, and the suffixes are kept per multiset, so a hand costs one pass
-    over its own actions once its three-number multisets have been met."""
+    The keys are the `solutions` of the hand's decode entry, so generation,
+    the offline writer and the envs share one decode of each multiset."""
     values = tuple(sorted(Fraction(n) for n in numbers))
     if len(values) != 4:
         raise ValueError("Game24 takes exactly four numbers")
-    return {f"{eq};{rest}" for eq, nxt in enumerate_actions(values)
-            for rest in _solutions_from_three(nxt)}
+    return set(_entry(fmt_values(values), values).solutions)
 
 
 def make_instance(numbers, instance_id: str, split: str = "default") -> EnvInstance:

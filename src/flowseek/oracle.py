@@ -163,7 +163,8 @@ def tv_distance(p: dict, q: dict) -> float:
 
 def write_offline_game24(path, instances) -> int:
     """Write every solution of each instance as an offline-trajectory record,
-    solved again: a hand-written instance file may list `gold_solutions` in part."""
+    solved again (a decode-table read once the process has met the hand): a
+    hand-written instance file may list `gold_solutions` in part."""
     from .environments.game24 import parse_values, solve_game24
 
     n = 0

@@ -92,26 +92,31 @@ class TrainConfig:
     checkpoint_interval: int | None = None
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        for name in ("iterations", "batch_size", "checkpoint_interval"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if self.loss == "logvar" and self.batch_size < 2:
             raise ValueError("the variance loss needs batch_size >= 2")
         if self.loss not in ("logvar", "tb_logz"):
             raise ValueError(f"unknown loss {self.loss!r}")
         check_finite_floats(self)
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # a step at or below 0 climbs the loss or stands still, and a clip at
+        # or below 0 flips or zeroes every gradient
+        for name in ("learning_rate", "logz_learning_rate", "max_grad_norm", "reward_floor"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be > 0, got {value}")
         if self.lr_schedule not in ("none", "cosine"):
             raise ValueError(f"unknown lr_schedule {self.lr_schedule!r}")
         if self.policy_variant == "mlp" and self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be >= 1 for the mlp policy, got {self.hidden_dim}")
         if self.local_search.num_recon < 1:
             raise ValueError(f"local_search.num_recon must be >= 1, got {self.local_search.num_recon}")
-        # a clip at or below 0 would flip or zero every gradient
-        if self.max_grad_norm is not None and self.max_grad_norm <= 0:
-            raise ValueError(f"max_grad_norm must be > 0, got {self.max_grad_norm}")
-        if self.checkpoint_interval is not None and self.checkpoint_interval < 1:
-            raise ValueError(f"checkpoint_interval must be >= 1, got {self.checkpoint_interval}")
+        # a k below 1 backs up no step, so every candidate is the trajectory itself
+        k_mode = self.local_search.k_mode
+        if k_mode != "uniform" and not (type(k_mode) is int and k_mode >= 1):
+            raise ValueError(f"local_search.k_mode must be 'uniform' or an int >= 1, got {k_mode!r}")
         env_class = ENV_CLASSES.get(self.env_id)
         if self.scorer != "uniform" and env_class and not env_class.reads_scorer:
             raise ValueError(f"scorer {self.scorer!r}: the {self.env_id} reward reads no scorer")

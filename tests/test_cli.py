@@ -711,6 +711,7 @@ def test_parent_mode_override_is_rejected(tmp_path, capsys):
         (None, "checkpoint_interval", 0, "logvar", "checkpoint_interval"),
         (None, "checkpoint_interval", -5, "logvar", "checkpoint_interval"),
         (None, "learning_rate", float("nan"), "logvar", "learning_rate"),
+        ("logz", "learning_rate", -1.0, "tb_logz", "logz/learning_rate"),
     ],
 )
 def test_bad_config_value_is_usage_error_before_any_write(tmp_path, capsys, group, key,

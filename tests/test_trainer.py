@@ -76,16 +76,25 @@ def test_config_validation():
         toy_config(loss="nonsense")
     # a clip at or below 0 flips or zeroes the gradient; an interval below 1
     # writes no checkpoint (0) or one every |k| iterations (-k); an unknown
-    # lr schedule trains at a constant lr, and a num_recon below 1 skips
-    # local search
+    # lr schedule trains at a constant lr, a num_recon below 1 skips local
+    # search and a k_mode below 1 keeps no candidate; a negative log Z step
+    # climbs the TB loss; an empty batch has no loss, whatever the loss
     for bad in ({"max_grad_norm": -1.0}, {"max_grad_norm": 0.0},
                 {"checkpoint_interval": 0}, {"checkpoint_interval": -5},
                 {"lr_schedule": "cosin"}, {"learning_rate": 0.0}, {"learning_rate": -0.05},
                 {"hidden_dim": 0, "policy_variant": "mlp"},
                 {"local_search": LocalSearchConfig(num_recon=0)},
-                {"local_search": LocalSearchConfig(num_recon=-2)}):
+                {"local_search": LocalSearchConfig(num_recon=-2)},
+                {"local_search": LocalSearchConfig(k_mode=0)},
+                {"local_search": LocalSearchConfig(k_mode=-3)},
+                {"local_search": LocalSearchConfig(k_mode="unifrom")},
+                {"logz_learning_rate": -1.0, "loss": "tb_logz"},
+                {"logz_learning_rate": 0.0, "loss": "tb_logz"},
+                {"reward_floor": 0.0}, {"reward_floor": -1.0},
+                {"batch_size": 0, "loss": "tb_logz"}, {"batch_size": -1, "loss": "tb_logz"}):
         with pytest.raises(ValueError, match=next(iter(bad))):
             toy_config(**bad)
+    toy_config(local_search=LocalSearchConfig(k_mode=2), logz_learning_rate=0.01)
 
 
 def test_trajectory_logpf_idempotent_and_fresh(toy_env):
