@@ -18,6 +18,9 @@ The solver behind generation and the offline files, `solve_game24`, reads the
 hand's solutions off the same table: an entry keeps the solution suffixes from
 its multiset, so each multiset is solved once per process, not once per path,
 and the table is game24's only process-wide memo.
+
+Each env maps the state strings its `children` builds, those of its `Dag`, to
+their entries, so a query on a walked state parses nothing.
 """
 
 from __future__ import annotations
@@ -160,6 +163,7 @@ class _Decoded:
         this multiset sets to 1 (see `_successor_columns`).
       - `rows`: the feature rows of `actions` (see `_fill_rows`), as an int8
         template that `feature_matrix` widens; callers must not change it.
+      - `key`: "|left=" + `left`, the decision key of the states it decodes.
       - `potential`: the `progress` scorer's estimate, minus the distance
         from 24 of the closest number and minus the count of numbers.
       - `solutions`: the solution suffixes (equations joined by ";") from
@@ -168,7 +172,7 @@ class _Decoded:
     """
 
     __slots__ = ("values", "left", "terminal", "solved",
-                 "next", "actions", "columns", "rows", "potential", "solutions")
+                 "next", "actions", "columns", "rows", "potential", "solutions", "key")
 
     def __init__(self, values: tuple[Fraction, ...], left: str | None = None):
         self.values = values
@@ -183,6 +187,8 @@ class _Decoded:
                 eq: _entry(fmt_values(nxt), nxt) for eq, nxt in enumerate_actions(self.values)}
         elif name == "actions":
             self.actions = list(self.next)
+        elif name == "key":
+            self.key = "|left=" + self.left
         elif name == "columns":
             self.columns = _successor_columns(self.values)
         elif name == "rows":
@@ -248,6 +254,9 @@ def _fill_rows(ctx: _Decoded) -> np.ndarray:
 
 
 class Game24Env(Environment):
+    """`children` maps each state string it builds to its decode entry, which
+    every query reads before it parses a string; `apply` maps nothing."""
+
     env_id = "game24"
     parent_mode = "tree"
     solution_sep = ";"
@@ -257,40 +266,56 @@ class Game24Env(Environment):
     def parse_instance(self):
         if not _context(self.s0).values or self.goal != fmt(TARGET):
             raise ValueError("s0 must hold numbers and the goal must be 24")
+        self._entries: dict[str, _Decoded] = {}  # see `children`
+
+    def _ctx(self, state):
+        return self._entries.get(state) or _context(state)
 
     def decision_key(self, state):
         # the `|left=` suffix: actions and features never read the history
-        return state[state.index("|left=") :]
+        ctx = self._entries.get(state)
+        return state[state.index("|left=") :] if ctx is None else ctx.key
 
     def valid_actions(self, state):
-        if self.is_terminal(state):
+        ctx = self._ctx(state)
+        if ctx.terminal:
             raise TerminalQueryError(f"state {state!r} is terminal")
-        return _context(state).actions
+        return ctx.actions
 
     def apply(self, state, action):
-        ctx = _context(state)
+        ctx = self._ctx(state)
         child = ctx.next.get(action)
         if child is None:
             raise InvalidActionError(f"action {action!r} invalid at left={ctx.left}")
-        # same string as "h=" + ";".join(history + [action]) + "|left=" + child.left
-        head = state[: state.index("|left=")]
-        sep = "" if head == "h=" else ";"
-        return f"{head}{sep}{action}|left={child.left}"
+        return f"{_head(state)}{action}|left={child.left}"
+
+    def children(self, state):
+        # the base method's list, with one lookup and one history head per state
+        ctx = self._ctx(state)
+        if ctx.terminal:
+            return None
+        head = _head(state)
+        kids = []
+        for action, child in ctx.next.items():
+            kid = f"{head}{action}|left={child.left}"
+            self._entries[kid] = child
+            kids.append((action, kid))
+        return kids
 
     def is_terminal(self, state):
-        return _context(state).terminal
+        return self._ctx(state).terminal
 
     def is_success(self, traj):
-        return _context(traj.states[-1]).solved
+        return self._ctx(traj.states[-1]).solved
 
     def success_term(self, terminal):
-        return self.w if _context(terminal).solved else 0.0
+        return self.w if self._ctx(terminal).solved else 0.0
 
     def reward_step(self, acc, state, action, child):
         return acc * self.step_score(state, action)
 
     def potential(self, state):
-        return _context(state).potential
+        return self._ctx(state).potential
 
     # -- features ---------------------------------------------------------------
 
@@ -299,7 +324,13 @@ class Game24Env(Environment):
         return FEATURE_DIM
 
     def feature_matrix(self, state):
-        return _context(state).rows.astype(np.float64)
+        return self._ctx(state).rows.astype(np.float64)
+
+
+def _head(state: str) -> str:
+    """What a child's key puts before its action: "h=", or "h=<history>;"."""
+    head = state[: state.index("|left=")]
+    return head if head == "h=" else head + ";"
 
 
 def solve_game24(numbers) -> set[str]:

@@ -297,6 +297,23 @@ def test_policy_pass_reuses_the_order_the_target_pass_walked(case):
     assert policy.keys() == summary.target_terminal_dist.keys()
 
 
+def test_game24_walk_reads_each_state_entry_once():
+    # game24's `children` builds the child strings from the state's decode
+    # entry, so the walk applies no action and asks at most s0 whether it is
+    # terminal; the passes over its `Dag` read the entries it mapped
+    inst, env = fresh_env("game24")
+    params = random_params("linear", env, seed=3)
+    applied, asked = [], []
+    count_calls(env, "apply", applied)
+    count_calls(env, "is_terminal", asked)
+    env.dag(10**6)
+    assert applied == [] and len(asked) <= 1
+    asked.clear()
+    enumerate_dag(inst, env)
+    policy_terminal_dist(params, inst, env)
+    assert applied == asked == []
+
+
 def test_order_cache_keeps_the_cap_semantics():
     inst, env = fresh_env("game24")
     n = enumerate_dag(*fresh_env("game24")).n_trajectories

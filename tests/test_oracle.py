@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,30 @@ def test_tv_distance_bounds(p, q):
 
     d = tv_distance(norm(p), norm(q))
     assert -1e-12 <= d <= 1.0 + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    masses=st.dictionaries(
+        st.text(min_size=1, max_size=4),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans(), st.booleans()),
+        min_size=1, max_size=12,
+    ),
+    orders=st.lists(st.randoms(use_true_random=False), min_size=1, max_size=4),
+)
+def test_tv_distance_does_not_depend_on_insertion_order(masses, orders):
+    # each key is in p, in q or in both; fsum rounds once, so any order of
+    # the key union gives the bits of the sum over sorted keys
+    p = {k: a for k, (a, _, in_p, in_q) in masses.items() if in_p or not in_q}
+    q = {k: b for k, (_, b, in_p, in_q) in masses.items() if in_q}
+    keys = sorted(p.keys() | q.keys())
+    want = 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    assert tv_distance(p, q).hex() == want.hex()
+    for rng in orders:
+        shuffled = [list(p.items()), list(q.items())]
+        for items in shuffled:
+            rng.shuffle(items)
+        assert tv_distance(*map(dict, shuffled)).hex() == want.hex()
 
 
 def test_enumeration_cap():
