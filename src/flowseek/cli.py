@@ -158,11 +158,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _default_seed(explicit: int | None, config_seed: int | None = None) -> int:
+def _default_seed(explicit: int | None) -> int:
     if explicit is not None:
         return explicit
-    if config_seed is not None:
-        return config_seed
     env = os.environ.get("FLOWSEEK_SEED")
     return int(env) if env else 0
 

@@ -194,7 +194,7 @@ class Arc1dEnv(Environment):
     def success_term(self, terminal):
         return self.w if self._matched(self._decode(terminal)[1]) else 0.0
 
-    def reward_step(self, acc, state, action, child):
+    def reward_step(self, acc, state, child):
         # exp of each grid's hamming drop, added grid by grid
         _, before, _ = self._decode(state)
         _, after, _ = self._decode(child)

@@ -10,7 +10,7 @@ A reward is one float, floored at the env's `reward_floor`. Only the game24
 and blocksworld rewards read a per-step probability, `step_score`, standing
 in for the likelihood model their formulas expect. The env's `scorer` names
 its function in `SCORERS`: `uniform` (p = 1 / |valid actions|) or `progress`
-(logistic in the change of the env's `potential`).
+(logistic in the change of the env's `potential` from a state to its child).
 """
 
 from __future__ import annotations
@@ -111,20 +111,18 @@ def read_instances(path) -> list[EnvInstance]:
     return out
 
 
-def uniform_score(env: "Environment", state: str, action: str) -> float:
+def uniform_score(env: "Environment", state: str, child: str) -> float:
     """p = 1 / |valid actions at state|."""
     n = len(env.cached_valid_actions(state))
     # a single-action state would give p = 1; the clamp keeps log p finite
     return 1.0 / n if n > 1 else P_SCORE_MAX
 
 
-def progress_score(env: "Environment", state: str, action: str) -> float:
-    """Logistic in the potential improvement of taking the action."""
-    before = env.potential(state)
-    after = env.potential(env.apply(state, action))
+def progress_score(env: "Environment", state: str, child: str) -> float:
+    """Logistic in the potential improvement of the step from `state` to `child`."""
     # past +-30 the logistic is already clamped to P_SCORE_MIN/MAX; clipping
     # keeps exp finite and p strictly inside (0, 1) for any step
-    delta = min(max(after - before, -30.0), 30.0)
+    delta = min(max(env.potential(child) - env.potential(state), -30.0), 30.0)
     return 1.0 / (1.0 + math.exp(-delta))
 
 
@@ -136,13 +134,13 @@ class Dag(NamedTuple):
 
     `states` is in topological order: a state's id is its index, and s0 is 0.
     State i's edges, in `cached_valid_actions` order, are `offsets[i]` up to
-    `offsets[i + 1]` of `actions` and `child` (ids); a state without edges is
-    terminal. `parents[i]` is the |Pa| of the uniform P_B: 1 in tree mode and
-    for s0, else `cached_parent_count`, read once per state after the walk."""
+    `offsets[i + 1]` of `child` (ids); an env is deterministic, so a child
+    names its action. A state without edges is terminal. `parents[i]` is the
+    |Pa| of the uniform P_B: 1 in tree mode and for s0, else
+    `cached_parent_count`, read once per state after the walk."""
 
     states: list[str]
     offsets: list[int]
-    actions: list[str]
     child: list[int]
     parents: list[int]
     n_trajectories: int
@@ -156,13 +154,14 @@ class Environment:
     `parent_count`: a tree-mode state has one parent, and nothing asks.
 
     A reward is a fold along the trajectory: it starts at `reward_start`,
-    `reward_step(acc, state, action, child)` takes each edge in path order,
+    `reward_step(acc, state, child)` takes each transition in path order,
     and `reward_finish(acc, terminal)` turns the result into the floored
     reward. `reward` runs the fold over a trajectory, and the oracle carries
     it state by state, so a shared prefix is folded once. The default fold
     is edge-decomposed: `success_term(terminal)` plus `edge_scale` times the
-    sum of `edge_term(state, action, child)`. Exact-mode subclasses implement
-    the two terms, and the oracle's forward pass reads them edge by edge.
+    sum of `edge_term(state, child)`. No hook reads an action: an env is
+    deterministic, so a state and its child name the step. Exact-mode
+    subclasses implement the two terms, which the oracle reads edge by edge.
     Tree-mode subclasses whose reward is no edge sum state their own fold
     (game24 a product, arc1d a sum over grids, logicchain a hit count). A
     subclass whose reward reads `step_score` sets `reads_scorer` and defines
@@ -254,16 +253,16 @@ class Environment:
         raise NotImplementedError
 
     def reward(self, traj) -> float:
-        """The reward fold over the trajectory's edges, finished at its last state."""
+        """The reward fold over the trajectory's transitions, finished at its last state."""
         states = traj.states
         acc = self.reward_start
-        for state, action, child in zip(states, traj.actions, states[1:]):
-            acc = self.reward_step(acc, state, action, child)
+        for state, child in zip(states, states[1:]):
+            acc = self.reward_step(acc, state, child)
         return self.reward_finish(acc, states[-1])
 
-    def reward_step(self, acc, state: str, action: str, child: str):
+    def reward_step(self, acc, state: str, child: str):
         """The fold after one more edge; by default the running sum of edge terms."""
-        return acc + self.edge_term(state, action, child)
+        return acc + self.edge_term(state, child)
 
     def reward_finish(self, acc, terminal: str) -> float:
         """The floored reward from the folded edges; by default `success_term`
@@ -274,7 +273,7 @@ class Environment:
         """The reward's terminal part, under the default `reward_finish`."""
         raise NotImplementedError
 
-    def edge_term(self, state: str, action: str, child: str) -> float:
+    def edge_term(self, state: str, child: str) -> float:
         """The step's share of the default fold's edge sum, before `edge_scale`."""
         raise NotImplementedError
 
@@ -357,7 +356,7 @@ class Environment:
     def _walk(self, cap: int) -> Dag:
         kids = self.children(self.s0)
         if kids is None:
-            return Dag([self.s0], [0, 0], [], [], [1], 1)
+            return Dag([self.s0], [0, 0], [], [1], 1)
         expanded = {self.s0: kids}  # state -> its children, None if terminal
         paths: dict[str, int] = {}  # finished state -> trajectories from it to a terminal
         finished: list[str] = []
@@ -389,16 +388,15 @@ class Environment:
                 raise _cap_error(cap)
         finished.reverse()
         ids = {state: i for i, state in enumerate(finished)}
-        offsets, actions, child_ids = [0], [], []
+        offsets, child_ids = [0], []
         for state in finished:
-            for action, child in expanded[state] or ():
-                actions.append(action)
+            for _, child in expanded[state] or ():
                 child_ids.append(ids[child])
             offsets.append(len(child_ids))
         parents = [1] * len(finished)
         if self.parent_mode == "exact":
             parents[1:] = map(self.cached_parent_count, finished[1:])
-        return Dag(finished, offsets, actions, child_ids, parents, paths[self.s0])
+        return Dag(finished, offsets, child_ids, parents, paths[self.s0])
 
     def cached_parent_count(self, state: str) -> int:
         count = self._parent_count_cache.get(state)
@@ -411,9 +409,9 @@ class Environment:
     def floored(self, success_term: float, intermediate_term: float) -> float:
         return max(success_term + intermediate_term, self.reward_floor)
 
-    def step_score(self, state: str, action: str) -> float:
-        """The scorer's p(action | state), which must lie in (0, 1), clamped to
-        [P_SCORE_MIN, P_SCORE_MAX].
+    def step_score(self, state: str, child: str) -> float:
+        """The scorer's p of the step from `state` to `child`, which must lie in
+        (0, 1), clamped to [P_SCORE_MIN, P_SCORE_MAX].
 
         Under `uniform`, p depends on the state alone, so it is scored once per
         decision point."""
@@ -423,7 +421,7 @@ class Environment:
             p = self._uniform_scores.get(key)
             if p is not None:
                 return p
-        p = SCORERS[self.scorer](self, state, action)
+        p = SCORERS[self.scorer](self, state, child)
         if not (0.0 < p < 1.0):
             raise ScorerContractError(f"scorer {self.scorer} returned p={p} outside (0,1)")
         p = min(max(p, P_SCORE_MIN), P_SCORE_MAX)

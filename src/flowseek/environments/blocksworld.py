@@ -245,8 +245,8 @@ class BlocksWorldEnv(Environment):
     def success_term(self, terminal):
         return self.w if _goal_met(_read(terminal)[1].on, self.goal_relations) else 0.0
 
-    def edge_term(self, state, action, child):
-        return -1.0 / math.log(self.step_score(state, action))
+    def edge_term(self, state, child):
+        return -1.0 / math.log(self.step_score(state, child))
 
     @property
     def edge_scale(self):

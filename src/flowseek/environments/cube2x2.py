@@ -270,7 +270,7 @@ class Cube2x2Env(Environment):
         _, p, t = self._ranks_of(terminal)
         return 0.0 if p or t else self.w
 
-    def edge_term(self, state, action, child):
+    def edge_term(self, state, child):
         return _EXP_DROP[self._distance(state) - self._distance(child)]
 
     def parent_count(self, state):

@@ -311,8 +311,8 @@ class Game24Env(Environment):
     def success_term(self, terminal):
         return self.w if self._ctx(terminal).solved else 0.0
 
-    def reward_step(self, acc, state, action, child):
-        return acc * self.step_score(state, action)
+    def reward_step(self, acc, state, child):
+        return acc * self.step_score(state, child)
 
     def potential(self, state):
         return self._ctx(state).potential

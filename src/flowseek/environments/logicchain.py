@@ -106,7 +106,7 @@ class LogicChainEnv(Environment):
         pair = (_claim_category(prev_claim), _claim_category(next_claim))
         return pair in self.gold_transitions
 
-    def reward_step(self, acc, state, action, child):
+    def reward_step(self, acc, state, child):
         hits, n = acc
         return hits + self._is_gold(state, child), n + 1
 

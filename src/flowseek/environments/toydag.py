@@ -67,7 +67,7 @@ class ToyDagEnv(Environment):
     def success_term(self, terminal):
         return float(self.rewards.get(terminal, 0.0))
 
-    def edge_term(self, state, action, child):
+    def edge_term(self, state, child):
         return 0.0
 
     def parent_count(self, state):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import AlignmentError
+from .errors import AlignmentError, FlowseekError
 
 
 @dataclass
@@ -82,20 +82,27 @@ def creativity(runs: list[EvalRun], target_method: str) -> float:
 
 
 def load_run(path, method_id: str) -> EvalRun:
-    """Build an EvalRun from a sample JSONL file written by `flowseek sample`."""
+    """Build an EvalRun from a sample JSONL file written by `flowseek sample`; a
+    line that is no sample record, or a file without one, raises FlowseekError."""
     per_problem_counts: dict[str, int] = {}
     run = EvalRun(method_id=method_id, n_samples=0)
     with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
                 continue
-            rec = json.loads(line)
-            iid = rec["instance_id"]
+            try:
+                rec = json.loads(line)
+                iid = rec["instance_id"]
+                if not isinstance(iid, str):
+                    raise TypeError("instance_id must be a string")
+                run.add(iid, rec.get("solution_key") if rec.get("success") else None)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise FlowseekError(
+                    f"{path}: line {lineno}: not a sample record ({exc!r})"
+                ) from None
             per_problem_counts[iid] = per_problem_counts.get(iid, 0) + 1
-            run.add(iid, rec.get("solution_key") if rec.get("success") else None)
     if not run.problems:
-        raise ValueError(f"no records in {path}")
+        raise FlowseekError(f"{path}: no sample records")
     counts = sorted(set(per_problem_counts.values()))
     if len(counts) != 1:
         raise AlignmentError(

@@ -59,7 +59,7 @@ def _forward_targets(env, dag: Dag) -> DagSummary | None:
     terminal's least reward is S(x) + low(x); once that is below the floor,
     max(reward, floor) is no longer the edge sum and the pass gives up."""
     scale = env.edge_scale
-    states, offsets, actions, child, parents, _ = dag
+    states, offsets, child, parents, _ = dag
     n = len(states)
     back, edge_mass, low = [1.0] + [0.0] * (n - 1), [0.0] * n, [0.0] + [math.inf] * (n - 1)
     flows: dict[str, float] = {}
@@ -72,8 +72,8 @@ def _forward_targets(env, dag: Dag) -> DagSummary | None:
                 return None
             flows[state] = success * a + scale * b
             continue
-        for action, c in zip(actions[first:last], child[first:last]):
-            edge = env.edge_term(state, action, states[c])
+        for c in child[first:last]:
+            edge = env.edge_term(state, states[c])
             k = parents[c]
             back[c] += a / k
             edge_mass[c] += (b + a * edge) / k
@@ -91,7 +91,7 @@ def _walk_targets(env, dag: Dag) -> DagSummary:
     factor is x / 1, and for exact-mode instances whose floor can bind. A
     stack entry carries its path's reward fold and backward product; the
     walk behind `dag` has counted the trajectories against the cap."""
-    states, offsets, actions, child, parents, _ = dag
+    states, offsets, child, parents, _ = dag
     terminals, flows = [], []
     stack: list[tuple[int, object, float]] = [(0, env.reward_start, 1.0)]
     while stack:
@@ -102,8 +102,8 @@ def _walk_targets(env, dag: Dag) -> DagSummary:
             flows.append(env.reward_finish(acc, state) * back)
             terminals.append(state)
             continue
-        for action, c in zip(reversed(actions[first:last]), reversed(child[first:last])):
-            stack.append((c, env.reward_step(acc, state, action, states[c]), back / parents[c]))
+        for c in reversed(child[first:last]):
+            stack.append((c, env.reward_step(acc, state, states[c]), back / parents[c]))
     z = float(sum(flows))
     terminal_dist: dict[str, float] = {}
     for terminal, flow in zip(terminals, flows):
@@ -128,7 +128,7 @@ def policy_terminal_dist(
     and each later parent merges in by log-add-exp. States that share a
     decision key share their action log-probs, which follow
     `cached_valid_actions` order, as the DAG's edges do."""
-    states, offsets, _, child, _, _ = env.dag(cap)
+    states, offsets, child, _, _ = env.dag(cap)
     step_logprobs: dict[str, list[float]] = {}
     log_mass: list[float | None] = [0.0] + [None] * (len(states) - 1)
     out: dict[str, float] = {}

@@ -12,12 +12,13 @@ finite-difference checks stay trivial.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DeadEndError, InvalidActionError
+from .errors import CheckpointError, DeadEndError, InvalidActionError
 from .rngutil import substream
 
 DEFAULT_HIDDEN_DIM = 64
@@ -213,8 +214,6 @@ CHECKPOINT_VERSION = 1
 
 def save_checkpoint(path, params: PolicyParams, opt: OptimizerState, extra: dict | None = None) -> None:
     """Write a versioned JSON checkpoint; floats round-trip bit-exactly via repr."""
-    import json
-
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
@@ -231,25 +230,22 @@ def save_checkpoint(path, params: PolicyParams, opt: OptimizerState, extra: dict
 
 
 def load_checkpoint(path) -> tuple[PolicyParams, OptimizerState, dict]:
-    """Read a checkpoint written by `save_checkpoint`."""
-    import json
-
-    from .errors import CheckpointError
-
+    """Read a checkpoint written by `save_checkpoint`; a file that is none
+    raises CheckpointError naming it."""
     with open(path, encoding="utf-8") as f:
-        doc = json.load(f)
-    if doc.get("format") != CHECKPOINT_FORMAT:
-        raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
-    if doc.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {doc.get('version')}")
-    params = PolicyParams(
-        doc["variant"],
-        doc["feature_dim"],
-        doc["hidden_dim"],
-        np.asarray(doc["params"], dtype=np.float64),
-    )
-    opt = OptimizerState.from_state_dict(doc["optimizer"])
-    return params, opt, doc.get("extra", {})
+        try:
+            doc = json.load(f)
+            if doc.get("format") != CHECKPOINT_FORMAT:
+                raise CheckpointError(f"{path}: not a {CHECKPOINT_FORMAT} file")
+            version = doc.get("version")
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            params = PolicyParams(doc["variant"], doc["feature_dim"], doc["hidden_dim"],
+                                  np.asarray(doc["params"], dtype=np.float64))
+            opt = OptimizerState.from_state_dict(doc["optimizer"])
+            return params, opt, dict(doc.get("extra", {}))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: malformed checkpoint ({exc!r})") from None
 
 
 def apply_update(

@@ -178,6 +178,21 @@ def test_train_periodic_checkpoints(tmp_path):
     assert json.loads(final.read_text())["optimizer"]["step"] == 20
 
 
+def test_train_flags_override_the_config_and_the_manifest_records_the_merge(tmp_path):
+    config_path, _, config_dir = write_toy_setup(tmp_path, iterations=20)
+    run_dir = tmp_path / "flagged"
+    assert run_cli("train", config_path, "--seed", 11, "--iterations", 3, "--loss", "tb_logz",
+                   "--out-dir", run_dir) == 0
+    assert not config_dir.exists()
+    manifest = json.loads((run_dir / "manifest-train.json").read_text())
+    assert manifest["seed"] == 11
+    config = manifest["config"]
+    assert (config["seed"], config["iterations"], config["loss"], config["out_dir"]) == (
+        11, 3, "tb_logz", str(run_dir))
+    assert config["batch_size"] == 4  # a field no flag names keeps the file's value
+    assert len((run_dir / "report.csv").read_text().splitlines()) == 1 + 3
+
+
 def test_train_missing_instances_is_data_error(tmp_path):
     config = {
         "env_id": "toydag",
@@ -413,6 +428,50 @@ def test_eval_alignment_error(tmp_path):
     a.write_text(json.dumps({"instance_id": "p0", "success": True, "solution_key": "k"}) + "\n")
     b.write_text(json.dumps({"instance_id": "p1", "success": True, "solution_key": "k"}) + "\n")
     assert run_cli("eval", f"a={a}", f"b={b}", "--out", tmp_path / "m.csv") == 3
+
+
+SAMPLE_RECORD = '{"instance_id": "p0", "success": true, "solution_key": "k"}'
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (f'{SAMPLE_RECORD}\n{{"success": false}}\n', "line 2: not a sample record (KeyError"),
+        (f'{SAMPLE_RECORD}\n["p0", true]\n', "line 2: not a sample record (TypeError"),
+        (f"{SAMPLE_RECORD}\n{{not json\n", "line 2: not a sample record (JSONDecodeError"),
+        (f'{SAMPLE_RECORD}\n{{"instance_id": 7}}\n', "line 2: not a sample record (TypeError"),
+        ("\n", "no sample records"),
+    ],
+    ids=["no-instance-id", "not-an-object", "not-json", "non-string-id", "empty"],
+)
+def test_bad_sample_file_is_data_error(tmp_path, capsys, body, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(body)
+    out = tmp_path / "m.csv"
+    assert run_cli("eval", f"a={path}", "--out", out) == 3
+    assert f"{path}: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("damage", ["no-variant", "list", "not-json", "short-params"])
+def test_bad_checkpoint_is_data_error_for_sample_and_oracle(tmp_path, capsys, damage):
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=2)
+    assert run_cli("train", config_path) == 0
+    ckpt = run_dir / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    if damage == "no-variant":
+        del doc["variant"]
+    elif damage == "short-params":
+        doc["params"] = doc["params"][:-1]
+    text = {"list": json.dumps([doc]), "not-json": "{checkpoint"}.get(damage, json.dumps(doc))
+    ckpt.write_text(text)
+    capsys.readouterr()
+    code, out = sample_to(tmp_path, run_dir, inst_path, "s.jsonl")
+    assert code == 3 and not out.exists()
+    assert f"{ckpt}: " in capsys.readouterr().err
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--checkpoint", ckpt, "--out", out) == 3
+    assert f"{ckpt}: " in capsys.readouterr().err and not out.exists()
 
 
 def test_oracle_cap_exceeded_rows(tmp_path):

@@ -60,8 +60,10 @@ INSTANCES = {
 # with no intermediate weight every failed trajectory gets the floor reward
 INSTANCES["blocksworld-4-floor"] = INSTANCES["blocksworld-4"]
 INSTANCES["game24-progress"] = INSTANCES["game24"]
+INSTANCES["blocksworld-4-progress"] = INSTANCES["blocksworld-4"]
 SETTINGS = {"blocksworld-4-floor": {"intermediate_weight": 0.0},
-            "game24-progress": {"scorer": "progress"}}
+            "game24-progress": {"scorer": "progress"},
+            "blocksworld-4-progress": {"scorer": "progress"}}
 CASES = sorted(INSTANCES) + ["tabular-blocksworld-2"]
 
 
@@ -159,15 +161,15 @@ def test_dag_rows_match_a_fresh_env(case):
     states = dag.states
     assert states[0] == plain.s0 and len(set(states)) == len(states) > 1
     assert len(dag.offsets) == len(states) + 1 and len(dag.parents) == len(states)
-    assert dag.offsets[0] == 0 and len(dag.actions) == len(dag.child) == dag.offsets[-1]
+    assert dag.offsets[0] == 0 and len(dag.child) == dag.offsets[-1]
     for i, state in enumerate(states):
         first, last = dag.offsets[i], dag.offsets[i + 1]
         kids = dag.child[first:last]
         assert all(c > i for c in kids)  # ids are a topological order
         assert (first == last) == plain.is_terminal(state)
         if first < last:
-            edges = list(zip(dag.actions[first:last], (states[c] for c in kids)))
-            assert edges == [(a, plain.apply(state, a)) for a in plain.valid_actions(state)]
+            assert [states[c] for c in kids] == [plain.apply(state, a)
+                                                 for a in plain.valid_actions(state)]
         if plain.parent_mode == "exact" and i > 0:
             assert dag.parents[i] == plain.parent_count(state)
     assert dag.parents[0] == 1
@@ -297,6 +299,24 @@ def test_policy_pass_reuses_the_order_the_target_pass_walked(case):
     assert policy.keys() == summary.target_terminal_dist.keys()
 
 
+@pytest.mark.parametrize("case", ["game24-1568", "blocksworld-4"])
+def test_progress_target_pass_applies_no_action(case):
+    # `progress` scores a step by the potential of the child the `Dag` holds,
+    # so once the walk is done the target pass, which scores each edge once,
+    # builds no child again
+    if case == "game24-1568":
+        inst = make_instance([1, 5, 6, 8], "g24-1568")
+    else:
+        inst = INSTANCES[case]
+    env = make_env(inst, scorer="progress")
+    dag = env.dag(10**6)
+    applied, potentials = [], []
+    count_calls(env, "apply", applied)
+    count_calls(env, "potential", potentials)
+    enumerate_dag(inst, env)
+    assert applied == [] and len(potentials) == 2 * len(dag.child) > 0
+
+
 def test_game24_walk_reads_each_state_entry_once():
     # game24's `children` builds the child strings from the state's decode
     # entry, so the walk applies no action and asks at most s0 whether it is
@@ -357,8 +377,8 @@ def old_reward_total(env, traj):
     if env.env_id == "blocksworld":
         success = env.w if _goal_met(bw_supports(traj.states[-1]), env.goal_relations) else 0.0
         intermediate = 0.0
-        for s, a in zip(traj.states[:-1], traj.actions):
-            intermediate += -1.0 / math.log(env.step_score(s, a))
+        for s, child in zip(traj.states[:-1], traj.states[1:]):
+            intermediate += -1.0 / math.log(env.step_score(s, child))
         return max(success + env.lam * intermediate, env.reward_floor)
     return max(0.0 + float(env.rewards.get(traj.states[-1], 0.0)), env.reward_floor)
 
@@ -390,9 +410,9 @@ def test_uniform_step_score_is_scored_once_per_decision_point(name, monkeypatch)
     scored = []
     uniform = base.SCORERS["uniform"]
 
-    def counting_uniform(env, state, action):
+    def counting_uniform(env, state, child):
         scored.append(env.decision_key(state))
-        return uniform(env, state, action)
+        return uniform(env, state, child)
 
     monkeypatch.setitem(base.SCORERS, "uniform", counting_uniform)
     inst = INSTANCES[name]

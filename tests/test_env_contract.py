@@ -1,0 +1,45 @@
+"""The error contract every environment keeps at the edges of its DAG.
+
+`apply` with an action the env does not know raises `InvalidActionError`; at
+a terminal state of the env's `Dag`, `valid_actions` raises
+`TerminalQueryError`, and `apply` raises one of the two.
+"""
+
+import dataclasses
+
+import pytest
+
+from flowseek.environments import ENV_IDS, generate_instances, make_env
+from flowseek.errors import InvalidActionError, TerminalQueryError
+
+INSTANCES = {
+    "game24": generate_instances("game24", 1, seed=3)[0],
+    # a budget of 3 keeps the walks small
+    "cube2x2": dataclasses.replace(
+        generate_instances("cube2x2", 1, seed=7, difficulty="2")[0], max_steps=3),
+    "blocksworld": generate_instances("blocksworld", 1, seed=7, difficulty="4")[0],
+    "arc1d": dataclasses.replace(generate_instances("arc1d", 1, seed=7)[0], max_steps=3),
+    "logicchain": generate_instances("logicchain", 1, seed=7, difficulty="3")[0],
+    "toydag": generate_instances("toydag", 1, seed=5)[0],
+}
+
+
+def test_every_env_is_covered():
+    assert sorted(INSTANCES) == sorted(ENV_IDS)
+
+
+@pytest.mark.parametrize("env_id", sorted(INSTANCES))
+def test_unknown_actions_and_terminal_queries_raise_typed_errors(env_id):
+    env = make_env(INSTANCES[env_id])
+    with pytest.raises(InvalidActionError):
+        env.apply(env.s0, "no-such-action")
+    first_action = env.valid_actions(env.s0)[0]
+    dag = env.dag(10**6)
+    terminals = [state for i, state in enumerate(dag.states)
+                 if dag.offsets[i] == dag.offsets[i + 1]]
+    # the first and the last terminal in topological order
+    for terminal in (terminals[0], terminals[-1]):
+        with pytest.raises(TerminalQueryError):
+            env.valid_actions(terminal)
+        with pytest.raises((InvalidActionError, TerminalQueryError)):
+            env.apply(terminal, first_action)

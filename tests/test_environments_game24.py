@@ -198,7 +198,7 @@ def test_progress_scorer_survives_extreme_potential_changes():
     from flowseek.errors import ScorerContractError
 
     class OneStep:
-        """Potential 0 at "s" and `delta` after any action."""
+        """Potential 0 at "s" and `delta` at "t"."""
 
         scorer = "progress"
 
@@ -208,19 +208,16 @@ def test_progress_scorer_survives_extreme_potential_changes():
         def potential(self, state):
             return 0.0 if state == "s" else self.delta
 
-        def apply(self, state, action):
-            return "t"
-
     # game24 steps change the potential by -9,467 to +61 on the gen --seed 3 hands
     for delta, expected in ((-1e4, P_SCORE_MIN), (61.0, P_SCORE_MAX)):
         env = OneStep(delta)
-        assert 0.0 < SCORERS["progress"](env, "s", "a") < 1.0
-        assert Environment.step_score(env, "s", "a") == expected
+        assert 0.0 < SCORERS["progress"](env, "s", "t") < 1.0
+        assert Environment.step_score(env, "s", "t") == expected
     # a NaN potential gives p = NaN, which breaks the (0, 1) contract
     env = OneStep(float("nan"))
-    assert math.isnan(SCORERS["progress"](env, "s", "a"))
+    assert math.isnan(SCORERS["progress"](env, "s", "t"))
     with pytest.raises(ScorerContractError):
-        Environment.step_score(env, "s", "a")
+        Environment.step_score(env, "s", "t")
 
 
 def test_progress_scorer_training_run_completes():

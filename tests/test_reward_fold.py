@@ -4,7 +4,9 @@ The reward and tree-target digests were taken with the per-env `reward`
 methods and the per-trajectory target walk that the fold replaced. The
 exact-mode target digests (the forward pass, and the trajectory walk where
 the floor can bind) and the policy-mass digests were taken with the
-per-state string dicts that the `Dag` passes replaced. None may move a bit.
+per-state string dicts that the `Dag` passes replaced. The `progress`
+target digests were taken while that scorer still applied each step's action
+to score it, before it read the child the `Dag` holds. None may move a bit.
 """
 
 import dataclasses
@@ -33,14 +35,17 @@ REWARD_DIGESTS = {
     "logicchain": "e155bc479b63f19b403346f04b06467ac36068cf2af93415c6fb0c4767aaebf9",
 }
 
-TARGET_CASES = {
-    "game24": make_instance([4, 4, 6, 8], "g24"),
-    "arc1d": generate_instances("arc1d", 1, seed=7)[0],
-    "logicchain": generate_instances("logicchain", 1, seed=7, difficulty="4")[0],
+GAME24 = make_instance([4, 4, 6, 8], "g24")
+TARGET_CASES = {  # case: (instance, env settings)
+    "game24": (GAME24, {}),
+    "game24-progress": (GAME24, {"scorer": "progress"}),
+    "arc1d": (generate_instances("arc1d", 1, seed=7)[0], {}),
+    "logicchain": (generate_instances("logicchain", 1, seed=7, difficulty="4")[0], {}),
 }
 
 TARGET_DIGESTS = {
     "game24": "f6b5ca647ceb97a5b00bd93609eb25ee678694bb2c37edcaf346aa292a9e2703",
+    "game24-progress": "854c7c8737fd4f9fea5aa0c0db18c107cf04ce1bef83a510d66a3d3e8ae41cf5",
     "arc1d": "83790cbb49639918bfd59be7263043902610b6a2fb087380971424aea66827c1",
     "logicchain": "a28ef396d37d11824f801fafeea55590883c16eaf3d6775ae4f15fb42c7a71ff",
 }
@@ -50,6 +55,7 @@ EXACT_TARGET_CASES = {  # case: (instance, env settings)
     "blocksworld-4": (BLOCKSWORLD_4, {}),
     # with no intermediate weight every failed trajectory gets the floor reward
     "blocksworld-4-floor": (BLOCKSWORLD_4, {"intermediate_weight": 0.0}),
+    "blocksworld-4-progress": (BLOCKSWORLD_4, {"scorer": "progress"}),
     "cube2x2-3": (dataclasses.replace(
         generate_instances("cube2x2", 1, seed=7, difficulty="2")[0], max_steps=3), {}),
     "toydag": (generate_instances("toydag", 1, seed=5)[0], {}),
@@ -58,16 +64,16 @@ EXACT_TARGET_CASES = {  # case: (instance, env settings)
 EXACT_TARGET_DIGESTS = {
     "blocksworld-4": "f0c8969e8cf05563b85a3086652d859395ea874b3108228465653078009e3736",
     "blocksworld-4-floor": "acbeb258279989b81ccdc804fb5635f537add94bab4db7b6b1a6f0fdfa18118b",
+    "blocksworld-4-progress": "369fa71e9870b8bafb0a7c6679cfd9f8ec59b61106d118e74bb805a195652050",
     "cube2x2-3": "c1286fe4e82f320866c4728c41dc43e1007c78117cd504963e9bdf217bcf7b74",
     "toydag": "c6aa4e3ffbee9641bf4a9183e9726b5bb79bf45e345d5c4596a31177b7072d71",
 }
 
-# every env once, and game24 under the tabular featurizer, whose decision key
-# is the full state
-POLICY_CASES = dict(TARGET_CASES)
-POLICY_CASES.update({name: EXACT_TARGET_CASES[name][0]
-                     for name in ("blocksworld-4", "cube2x2-3", "toydag")})
-POLICY_CASES["tabular-game24"] = TARGET_CASES["game24"]
+# every env once (no reward setting moves a policy's mass), and game24 under
+# the tabular featurizer, whose decision key is the full state
+POLICY_CASES = {name: inst for name, (inst, settings)
+                in {**TARGET_CASES, **EXACT_TARGET_CASES}.items() if not settings}
+POLICY_CASES["tabular-game24"] = GAME24
 
 POLICY_DIGESTS = {
     "arc1d": "cffd99da1229246261d70263391d3f85a4ae6805bc47eb961a638811539932cb",
@@ -119,8 +125,9 @@ def test_rewards_match_pinned_digest(case):
 
 @pytest.mark.parametrize("case", sorted(TARGET_CASES))
 def test_tree_targets_match_pinned_digest(case):
-    inst = TARGET_CASES[case]
-    assert target_digest(enumerate_dag(inst, make_env(inst))) == TARGET_DIGESTS[case]
+    inst, settings = TARGET_CASES[case]
+    summary = enumerate_dag(inst, make_env(inst, **settings))
+    assert target_digest(summary) == TARGET_DIGESTS[case]
 
 
 @pytest.mark.parametrize("case", sorted(EXACT_TARGET_CASES))
