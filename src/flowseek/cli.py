@@ -134,6 +134,28 @@ FIELD_NAMES = {
 }
 
 
+# a checkpoint's `extra`: the env settings of the run that wrote it, typed as a
+# train config types them, and its featurizer with any tabular index
+_CONFIG_KEYS = {field: key for key, field in FIELD_NAMES.items()}
+_PAIR = {"type": "array", "items": {"type": "string"}, "minItems": 3, "maxItems": 3}
+CHECKPOINT_EXTRA_SCHEMA = {"type": "object", "required": ["env_id"], "properties": {
+    **{name: TRAIN_CONFIG_SCHEMA["properties"][_CONFIG_KEYS.get(name, name)]
+       for name in ("env_id", *ENV_SETTINGS)},
+    "featurizer": {"type": "object", "required": ["kind"], "properties": {
+        "kind": TRAIN_CONFIG_SCHEMA["properties"]["policy"]["properties"]["featurizer"],
+        "table": {"type": "object", "required": ["pairs"],
+                  "properties": {"pairs": {"type": "array", "items": _PAIR}}}}}}}
+
+
+def validate(doc, schema: dict, source, error: type[FlowseekError]) -> None:
+    """Raise `error` naming `source` and the first field of `doc` that `schema` rejects."""
+    try:
+        jsonschema.validate(doc, schema)
+    except jsonschema.ValidationError as exc:
+        field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
+        raise error(f"{source}: field {field}: {exc.message}") from None
+
+
 def positive_int(text: str) -> int:
     """An argparse type: an int of at least 1."""
     value = int(text)
@@ -203,11 +225,7 @@ def _resolve_train_config(args) -> tuple[TrainConfig, dict, Path, Path]:
             doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{args.config}: invalid JSON at line {exc.lineno}: {exc.msg}")
-    try:
-        jsonschema.validate(doc, TRAIN_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        field = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ConfigError(f"{args.config}: field {field}: {exc.message}")
+    validate(doc, TRAIN_CONFIG_SCHEMA, args.config, ConfigError)
 
     # flags override config fields; the resolved merge is what gets recorded
     for key in ("seed", "iterations", "out_dir", "loss"):
@@ -278,12 +296,10 @@ def cmd_train(args) -> int:
 
 
 def _envs_from_checkpoint(extra: dict, instances: list[EnvInstance]) -> dict:
-    """The envs of the run that wrote `extra`, rebuilt from its stored settings."""
+    """The envs of the run that wrote `extra` (checked), rebuilt from its stored settings."""
     settings = {name: extra[name] for name in ENV_SETTINGS if name in extra}
-    feat = extra.get("featurizer", {})
-    if "kind" in feat:
-        settings["featurizer"] = feat["kind"]
-    config = TrainConfig(env_id=extra.get("env_id"), **settings)
+    feat = extra.get("featurizer", {"kind": "default"})
+    config = TrainConfig(env_id=extra["env_id"], featurizer=feat["kind"], **settings)
     table = TabularIndex.from_doc(feat["table"]) if "table" in feat else None
     return build_envs(config, instances, table)
 
@@ -291,7 +307,11 @@ def _envs_from_checkpoint(extra: dict, instances: list[EnvInstance]) -> dict:
 def _load_for_instances(path, instances: list[EnvInstance]) -> tuple[PolicyParams, dict]:
     """A checkpoint's params and the envs it scores `instances` with."""
     params, _, extra = load_checkpoint(path)
-    envs = _envs_from_checkpoint(extra, instances)
+    validate(extra, CHECKPOINT_EXTRA_SCHEMA, f"{path}: extra", CheckpointError)
+    try:
+        envs = _envs_from_checkpoint(extra, instances)
+    except ValueError as exc:  # well-typed settings that the env's config refuses
+        raise CheckpointError(f"{path}: extra: {exc}") from None
     # build_envs has checked that the envs share one feature dim
     dim = next((env.feature_dim for env in envs.values()), params.feature_dim)
     if dim != params.feature_dim:

@@ -27,14 +27,15 @@ ENV_CLASSES: dict[str, type[Environment]] = {
 }
 
 ENV_IDS = sorted(ENV_CLASSES)
+TABULAR_PAIR_CAP = 200_000  # the most (goal, state, action) pairs a tabular index holds
 
 
 class TabularIndex:
     """One-hot index over every (goal, state, action) pair reachable in a set
     of instances. Intended for small instances where full capacity is wanted;
-    unseen pairs featurize to the zero vector (uniform logits)."""
+    unseen pairs get the zero row (uniform logits)."""
 
-    def __init__(self, pairs: list[tuple[str, str, str]]):
+    def __init__(self, pairs):
         self.index = {pair: i for i, pair in enumerate(sorted(pairs))}
 
     @property
@@ -42,7 +43,9 @@ class TabularIndex:
         return max(len(self.index), 1)
 
     @classmethod
-    def build(cls, envs: list[Environment], cap: int = 200_000) -> "TabularIndex":
+    def build(cls, envs: list[Environment]) -> "TabularIndex":
+        """The index over every pair the envs reach from s0, walked here with a pair
+        cap: a merging DAG can hold few pairs but pass the oracle's trajectory cap."""
         pairs: set[tuple[str, str, str]] = set()
         for env in envs:
             seen = {env.s0}
@@ -51,24 +54,25 @@ class TabularIndex:
                 state = stack.pop()
                 for action, child in env.children(state) or ():
                     pairs.add((env.goal, state, action))
-                    if len(pairs) > cap:
+                    if len(pairs) > TABULAR_PAIR_CAP:
                         raise EnumerationCapError(
-                            f"tabular featurizer exceeded {cap} pairs", len(pairs)
+                            f"tabular featurizer exceeded {TABULAR_PAIR_CAP} pairs", len(pairs)
                         )
                     if child not in seen:
                         seen.add(child)
                         stack.append(child)
-        return cls(sorted(pairs))
+        return cls(pairs)
 
     def to_doc(self) -> dict:
-        ordered = [None] * len(self.index)
-        for pair, i in self.index.items():
-            ordered[i] = list(pair)
-        return {"pairs": ordered}
+        return {"pairs": [list(pair) for pair in self.index]}
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TabularIndex":
-        return cls([tuple(p) for p in doc["pairs"]])
+        """The index `to_doc` wrote; a repeated pair raises ValueError."""
+        table = cls(map(tuple, doc["pairs"]))
+        if len(table.index) < len(doc["pairs"]):
+            raise ValueError("the tabular index repeats a pair")
+        return table
 
 
 class TabularEnv:
@@ -77,16 +81,14 @@ class TabularEnv:
     Table rows are indexed by the full state, so two states never share rows:
     `decision_key` is the identity here, rather than the wrapped env's key
     (game24's drops the history), which `__getattr__` would otherwise expose
-    to the row cache and the oracle's policy cache. For the same reason the
-    wrapper binds the base `feature_matrix` and keeps a row cache of its own:
-    the wrapped env's would read the wrapped env's row templates and write its
-    step and goal columns.
+    to the oracle's policy cache. `feature_matrix` builds the one-hot rows
+    from `table.index` on every call and keeps none: a row is as wide as the
+    whole index, so a kept matrix costs (actions x index width) floats.
     """
 
     def __init__(self, env: Environment, table: TabularIndex):
         self._env = env
         self.table = table
-        self._rows = {}
 
     def __getattr__(self, name):
         return getattr(self._env, name)
@@ -98,15 +100,14 @@ class TabularEnv:
     def decision_key(self, state: str) -> str:
         return state
 
-    def featurize(self, state: str, action: str) -> np.ndarray:
-        vec = np.zeros(self.table.dim)
-        idx = self.table.index.get((self.goal, state, action))
-        if idx is not None:
-            vec[idx] = 1.0
-        return vec
-
-    # bound here so it reads this wrapper's key, row cache and featurize
-    feature_matrix = Environment.feature_matrix
+    def feature_matrix(self, state: str) -> np.ndarray:
+        actions = self.cached_valid_actions(state)
+        mat = np.zeros((len(actions), self.table.dim))
+        for row, action in enumerate(actions):
+            col = self.table.index.get((self.goal, state, action))
+            if col is not None:
+                mat[row, col] = 1.0
+        return mat
 
 
 def _env_class(env_id: str) -> type[Environment]:

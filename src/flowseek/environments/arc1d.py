@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import GenerationError, InvalidActionError, TerminalQueryError
+from ..errors import GenerationError, InvalidActionError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_hashed
+from .base import N_HASHED, EnvInstance, Environment, add_hashed
 
 Grid = list[int]
 
@@ -143,8 +143,9 @@ class Arc1dEnv(Environment):
     env_id = "arc1d"
     parent_mode = "tree"
     solution_sep = ","
-
-    _N_HASHED = 32
+    # action(10) + delta sign(3) + delta magnitude(1) + matched pairs(K+1 up to 4)
+    # + stop-when-matched(1) + step fraction(1) + bias(1) + hashed
+    feature_dim = 10 + 3 + 1 + 4 + 1 + 1 + 1 + N_HASHED
 
     def parse_instance(self):
         head, _, body = self.goal.partition("=")
@@ -169,9 +170,7 @@ class Arc1dEnv(Environment):
     def _matched(self, grids: list[Grid]) -> bool:
         return all(hamming(g, t) == 0 for g, t in zip(grids, self.targets))
 
-    def valid_actions(self, state):
-        if self.is_terminal(state):
-            raise TerminalQueryError(f"state {state!r} is terminal")
+    def _actions(self, state):
         return list(ACTIONS)
 
     def apply(self, state, action):
@@ -187,12 +186,8 @@ class Arc1dEnv(Environment):
         hist, grids, stopped = self._decode(state)
         return stopped or len(hist) >= self.max_steps or self._matched(grids)
 
-    def is_success(self, traj):
-        _, grids, _ = self._decode(traj.states[-1])
-        return self._matched(grids)
-
-    def success_term(self, terminal):
-        return self.w if self._matched(self._decode(terminal)[1]) else 0.0
+    def solved(self, terminal):
+        return self._matched(self._decode(terminal)[1])
 
     def reward_step(self, acc, state, child):
         # exp of each grid's hamming drop, added grid by grid
@@ -201,12 +196,6 @@ class Arc1dEnv(Environment):
         for b, a, target in zip(before, after, self.targets):
             acc += float(np.exp(hamming(b, target) - hamming(a, target)))
         return acc
-
-    @property
-    def feature_dim(self):
-        # action(10) + delta sign(3) + delta magnitude(1) + matched pairs(K+1 up to 4)
-        # + stop-when-matched(1) + step fraction(1) + bias(1) + hashed
-        return 10 + 3 + 1 + 4 + 1 + 1 + 1 + self._N_HASHED
 
     def featurize(self, state, action):
         hist, grids, _ = self._decode(state)

@@ -22,8 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import (EnumerationCapError, FlowseekError, GenerationError, ScorerContractError,
-                      StructuralError)
+from ..errors import (EnumerationCapError, FlowseekError, GenerationError, NotASolutionError,
+                      ScorerContractError, StructuralError, TerminalQueryError)
 from ..rngutil import stable_hash
 
 REWARD_FLOOR = 1e-8
@@ -32,6 +32,8 @@ DEFAULT_INTERMEDIATE_WEIGHT = 1.5
 
 P_SCORE_MIN = 1e-6
 P_SCORE_MAX = 1.0 - 1e-6
+
+N_HASHED = 32  # the width of a feature row's hashed slice
 
 
 @dataclass
@@ -150,8 +152,11 @@ class Environment:
     """Interface every concrete environment implements.
 
     Subclasses set `env_id` and `parent_mode` ("tree" or "exact") and bind to
-    one EnvInstance. All methods are pure. Only exact-mode subclasses define
-    `parent_count`: a tree-mode state has one parent, and nothing asks.
+    one EnvInstance. All methods are pure. `valid_actions` raises
+    `TerminalQueryError` at a terminal and otherwise returns the subclass's
+    `_actions(state)`; game24 overrides it to read both facts off one decode
+    entry. Only exact-mode subclasses define `parent_count`: a tree-mode
+    state has one parent, and nothing asks.
 
     A reward is a fold along the trajectory: it starts at `reward_start`,
     `reward_step(acc, state, child)` takes each transition in path order,
@@ -160,8 +165,10 @@ class Environment:
     it state by state, so a shared prefix is folded once. The default fold
     is edge-decomposed: `success_term(terminal)` plus `edge_scale` times the
     sum of `edge_term(state, child)`. No hook reads an action: an env is
-    deterministic, so a state and its child name the step. Exact-mode
-    subclasses implement the two terms, which the oracle reads edge by edge.
+    deterministic, so a state and its child name the step. By default
+    `success_term` is `w` where the `solved(terminal)` hook holds and 0
+    elsewhere, and `is_success` reads the same hook. Exact-mode subclasses
+    supply both terms, which the oracle reads edge by edge.
     Tree-mode subclasses whose reward is no edge sum state their own fold
     (game24 a product, arc1d a sum over grids, logicchain a hit count). A
     subclass whose reward reads `step_score` sets `reads_scorer` and defines
@@ -179,11 +186,12 @@ class Environment:
     `feature_matrix` returns a fresh float matrix of the decision point's
     rows. By default it copies the rows that `featurize` built for this env,
     kept per `decision_key` in the env's own bounded cache (arc1d,
-    logicchain, toydag and the tabular wrapper, whose rows read the
-    instance). game24, cube2x2 and blocksworld define no `featurize`: their
-    `feature_matrix` widens an int8 row template kept on the process-wide
-    table entry of the decision point, filled on first read from the
-    entry's facts, and writes the step (and goal) columns per call.
+    logicchain and toydag, whose rows read the instance). game24, cube2x2
+    and blocksworld define no `featurize`: their `feature_matrix` widens an
+    int8 row template kept on the process-wide table entry of the decision
+    point, filled on first read from the entry's facts, and writes the step
+    (and goal) columns per call. The tabular wrapper builds its one-hot rows
+    on every call and keeps none.
     """
 
     env_id: str = "base"
@@ -241,6 +249,13 @@ class Environment:
         arithmetic error raised here marks the instance as malformed."""
 
     def valid_actions(self, state: str) -> list[str]:
+        """The actions at `state`; a terminal state raises TerminalQueryError."""
+        if self.is_terminal(state):
+            raise TerminalQueryError(f"state {state!r} is terminal")
+        return self._actions(state)
+
+    def _actions(self, state: str) -> list[str]:
+        """The actions at `state`, which `valid_actions` has found non-terminal."""
         raise NotImplementedError
 
     def apply(self, state: str, action: str) -> str:
@@ -250,6 +265,10 @@ class Environment:
         raise NotImplementedError
 
     def is_success(self, traj) -> bool:
+        return self.solved(traj.states[-1])
+
+    def solved(self, terminal: str) -> bool:
+        """Whether `terminal` meets the instance's goal."""
         raise NotImplementedError
 
     def reward(self, traj) -> float:
@@ -270,8 +289,8 @@ class Environment:
         return self.floored(self.success_term(terminal), self.edge_scale * acc)
 
     def success_term(self, terminal: str) -> float:
-        """The reward's terminal part, under the default `reward_finish`."""
-        raise NotImplementedError
+        """The reward's terminal part under the default `reward_finish`."""
+        return self.w if self.solved(terminal) else 0.0
 
     def edge_term(self, state: str, child: str) -> float:
         """The step's share of the default fold's edge sum, before `edge_scale`."""
@@ -283,8 +302,6 @@ class Environment:
         return 1.0
 
     def solution_key(self, traj) -> str:
-        from ..errors import NotASolutionError
-
         if not (traj.is_complete and self.is_success(traj)):
             raise NotASolutionError("solution keys exist only for successful trajectories")
         return self.solution_sep.join(traj.actions)

@@ -30,9 +30,9 @@ import math
 
 import numpy as np
 
-from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
+from ..errors import GenerationError, InvalidActionError, StructuralError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, hash_slot, int_difficulty
+from .base import N_HASHED, EnvInstance, Environment, hash_slot, int_difficulty
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 
@@ -43,8 +43,7 @@ COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 _VERBS = ("pickup", "putdown", "stack", "unstack")
 _STEP_COLUMN = 16
 _HASHED = 18
-_N_HASHED = 32  # the width of a feature row's hashed slice
-FEATURE_DIM = _HASHED + _N_HASHED
+FEATURE_DIM = _HASHED + N_HASHED
 
 
 def _parse_config(text: str) -> tuple[str | None, dict[str, str]]:
@@ -145,7 +144,7 @@ class _Config:
                 rows[row, _VERBS.index(action.split()[0])] = 1
                 rows[row, 14] = self.next[action].hand is None
                 rows[row, 17] = 1  # the bias
-                idx, sign = hash_slot(_N_HASHED, ("bw", self.text, action))
+                idx, sign = hash_slot(N_HASHED, ("bw", self.text, action))
                 rows[row, _HASHED + idx] = sign
             self.rows = rows
         elif name == "parents":
@@ -207,6 +206,7 @@ class BlocksWorldEnv(Environment):
     parent_mode = "exact"
     reads_scorer = True
     reads_lambda = True
+    feature_dim = FEATURE_DIM
 
     def parse_instance(self):
         check_physics(self.s0)
@@ -224,9 +224,7 @@ class BlocksWorldEnv(Environment):
         if _goal_met(entry.on, self.goal_relations):
             raise StructuralError("the start already meets the goal")
 
-    def valid_actions(self, state):
-        if self.is_terminal(state):
-            raise TerminalQueryError(f"state {state!r} is terminal")
+    def _actions(self, state):
         return _read(state)[1].actions
 
     def apply(self, state, action):
@@ -239,11 +237,8 @@ class BlocksWorldEnv(Environment):
         step, entry = _read(state)
         return step >= self.max_steps or _goal_met(entry.on, self.goal_relations)
 
-    def is_success(self, traj):
-        return _goal_met(_read(traj.states[-1])[1].on, self.goal_relations)
-
-    def success_term(self, terminal):
-        return self.w if _goal_met(_read(terminal)[1].on, self.goal_relations) else 0.0
+    def solved(self, terminal):
+        return _goal_met(_read(terminal)[1].on, self.goal_relations)
 
     def edge_term(self, state, child):
         return -1.0 / math.log(self.step_score(state, child))
@@ -267,10 +262,6 @@ class BlocksWorldEnv(Environment):
 
     def potential(self, state):
         return float(_satisfied(_read(state)[1].on, self.goal_relations))
-
-    @property
-    def feature_dim(self):
-        return FEATURE_DIM
 
     def _goal_ones(self, entry: _Config) -> np.ndarray:
         """The goal columns that are 1 in the rows at `entry` (the rest are 0),

@@ -28,9 +28,9 @@ import itertools
 
 import numpy as np
 
-from ..errors import GenerationError, InvalidActionError, StructuralError, TerminalQueryError
+from ..errors import GenerationError, InvalidActionError, StructuralError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, bounded_put, hash_slot, int_difficulty
+from .base import N_HASHED, EnvInstance, Environment, bounded_put, hash_slot, int_difficulty
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -176,8 +176,7 @@ def distance_to_solved(config: bytes) -> int:
 # counts(27) + step fraction(1) + bias(1) + hashed
 _STEP_COLUMN = 37  # the step fraction, the only column that reads more than the configuration
 _HASHED = 39
-_N_HASHED = 32  # the width of a feature row's hashed slice
-FEATURE_DIM = _HASHED + _N_HASHED
+FEATURE_DIM = _HASHED + N_HASHED
 
 # dense index -> the int8 feature rows of the 9 moves in MOVES order, with the
 # step column 0, for the whole process. Past CODE_ENTRIES the oldest goes (a
@@ -203,7 +202,7 @@ def _rows_at(index: int) -> np.ndarray:
             rows[m, [m, 10 + placed.bit_count(), 19 + oriented.bit_count(),
                      28 + (placed & oriented).bit_count(), 38]] = 1  # 38: the bias
             rows[m, 9] = not (after_p or after_t)
-            idx, sign = hash_slot(_N_HASHED, ("cube", text, move))
+            idx, sign = hash_slot(N_HASHED, ("cube", text, move))
             rows[m, _HASHED + idx] = sign
         bounded_put(_ROWS, index, rows, CODE_ENTRIES)
     return rows
@@ -217,6 +216,7 @@ class Cube2x2Env(Environment):
     env_id = "cube2x2"
     parent_mode = "exact"
     solution_sep = " "
+    feature_dim = FEATURE_DIM
 
     def parse_instance(self):
         self._ranks: dict[str, tuple[int, int, int]] = {}
@@ -237,9 +237,7 @@ class Cube2x2Env(Environment):
             ranks = self._ranks[state] = (int(t_part[2:]), _PERM_RANK[cp], _TWIST_RANK[co])
         return ranks
 
-    def valid_actions(self, state):
-        if self.is_terminal(state):
-            raise TerminalQueryError(f"state {state!r} is terminal")
+    def _actions(self, state):
         return MOVES  # shared by every env: callers must not change it
 
     def apply(self, state, action):
@@ -258,17 +256,13 @@ class Cube2x2Env(Environment):
         step, p, t = self._ranks_of(state)
         return not (p or t) or step >= self.max_steps
 
-    def is_success(self, traj):
-        _, p, t = self._ranks_of(traj.states[-1])
+    def solved(self, terminal):
+        _, p, t = self._ranks_of(terminal)
         return not (p or t)
 
     def _distance(self, state):
         _, p, t = self._ranks_of(state)
         return _distance_at(729 * p + t)
-
-    def success_term(self, terminal):
-        _, p, t = self._ranks_of(terminal)
-        return 0.0 if p or t else self.w
 
     def edge_term(self, state, child):
         return _EXP_DROP[self._distance(state) - self._distance(child)]
@@ -280,10 +274,6 @@ class Cube2x2Env(Environment):
         # the 9 inverse moves give 9 distinct predecessors; a solved one is terminal,
         # so no edge, and exactly one is solved when `state` is one move from solved
         return 8 if 729 * p + t in _ONE_MOVE else 9
-
-    @property
-    def feature_dim(self):
-        return FEATURE_DIM
 
     def feature_matrix(self, state):
         step, p, t = self._ranks_of(state)

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, bounded_put, hash_slot
+from .base import N_HASHED, EnvInstance, Environment, bounded_put, hash_slot
 
 TARGET = Fraction(24)
 
@@ -100,11 +100,10 @@ def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
 # The signed hashes come last.
 _OPS = "+-*/"
 _N_BUCKETS = 20
-_N_HASHED = 32
 _SUCCESSOR = 4 + 16
 _FLAGS = _SUCCESSOR + 3 + 3 * _N_BUCKETS
 _HASHED = _FLAGS + 3 + 4 + 1
-FEATURE_DIM = _HASHED + _N_HASHED
+FEATURE_DIM = _HASHED + N_HASHED
 
 
 def _bucket(v: Fraction) -> int:
@@ -240,15 +239,15 @@ def _fill_rows(ctx: _Decoded) -> np.ndarray:
     for rank, v in enumerate(ctx.values):
         ranks.setdefault(fmt(v), rank)
     rows = np.zeros((len(ctx.next), FEATURE_DIM), np.int8)
-    value_slot = hash_slot(_N_HASHED, ("g24v", ctx.left))
+    value_slot = hash_slot(N_HASHED, ("g24v", ctx.left))
     for row, (action, child) in enumerate(ctx.next.items()):
         x, op, y, _ = action.split(" ", 3)
         # operand strings are canonical, so equal strings mean equal values
         rank_x = ranks[x]
         rank_y = rank_x + 1 if y == x else ranks[y]
         rows[row, [_OPS.index(op), 4 + min(rank_x, 3) * 4 + min(rank_y, 3), *child.columns]] = 1
-        for idx, sign in (value_slot, hash_slot(_N_HASHED, ("g24a", action)),
-                          hash_slot(_N_HASHED, ("g24va", ctx.left, action))):
+        for idx, sign in (value_slot, hash_slot(N_HASHED, ("g24a", action)),
+                          hash_slot(N_HASHED, ("g24va", ctx.left, action))):
             rows[row, _HASHED + idx] += int(sign)
     return rows
 
@@ -262,6 +261,7 @@ class Game24Env(Environment):
     solution_sep = ";"
     reads_scorer = True
     reward_start = 1.0  # the reward is success term + the product of step scores
+    feature_dim = FEATURE_DIM
 
     def parse_instance(self):
         if not _context(self.s0).values or self.goal != fmt(TARGET):
@@ -305,11 +305,8 @@ class Game24Env(Environment):
     def is_terminal(self, state):
         return self._ctx(state).terminal
 
-    def is_success(self, traj):
-        return self._ctx(traj.states[-1]).solved
-
-    def success_term(self, terminal):
-        return self.w if self._ctx(terminal).solved else 0.0
+    def solved(self, terminal):
+        return self._ctx(terminal).solved
 
     def reward_step(self, acc, state, child):
         return acc * self.step_score(state, child)
@@ -318,10 +315,6 @@ class Game24Env(Environment):
         return self._ctx(state).potential
 
     # -- features ---------------------------------------------------------------
-
-    @property
-    def feature_dim(self):
-        return FEATURE_DIM
 
     def feature_matrix(self, state):
         return self._ctx(state).rows.astype(np.float64)

@@ -15,9 +15,9 @@ import json
 
 import numpy as np
 
-from ..errors import InvalidActionError, TerminalQueryError
+from ..errors import InvalidActionError
 from ..rngutil import substream
-from .base import EnvInstance, Environment, add_hashed, int_difficulty
+from .base import N_HASHED, EnvInstance, Environment, add_hashed, int_difficulty
 
 FINISH = "Finish."
 ENTITIES = ["Alex", "Fae", "Max", "Polly", "Rex", "Sam", "Stella", "Wren"]
@@ -46,8 +46,9 @@ class LogicChainEnv(Environment):
     parent_mode = "tree"
     solution_sep = "~"
     reward_start = (0, 0)  # (gold transitions, steps): the reward is w * hits / steps
-
-    _N_HASHED = 32
+    # premise match(1) + finish(1) + reaches conclusion(1) + revisit(1)
+    # + step fraction(1) + bias(1) + hashed
+    feature_dim = 6 + N_HASHED
 
     def parse_instance(self):
         doc = json.loads(self.goal)
@@ -68,9 +69,7 @@ class LogicChainEnv(Environment):
     def _encode(self, hist: list[str], claim: str) -> str:
         return f"h={'~'.join(hist)}|claim={claim}"
 
-    def valid_actions(self, state):
-        if self.is_terminal(state):
-            raise TerminalQueryError(f"state {state!r} is terminal")
+    def _actions(self, state):
         return list(self.facts) + [FINISH]
 
     def apply(self, state, action):
@@ -113,12 +112,6 @@ class LogicChainEnv(Environment):
     def reward_finish(self, acc, terminal):
         hits, n = acc
         return self.floored(0.0, self.w * hits / n if n else 0.0)
-
-    @property
-    def feature_dim(self):
-        # premise match(1) + finish(1) + reaches conclusion(1) + revisit(1)
-        # + step fraction(1) + bias(1) + hashed
-        return 6 + self._N_HASHED
 
     def featurize(self, state, action):
         hist, claim = self._decode(state)

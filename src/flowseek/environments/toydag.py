@@ -4,9 +4,10 @@ The whole transition graph travels inside the instance's goal field as JSON:
 {"edges": {state: {action: child}}, "rewards": {terminal: value}}. Rewards
 are a function of the terminal state and there is no intermediate term, so
 results on this environment are exactly checkable against the enumeration
-oracle. A state's parents are the graph's states that s0 reaches and that
-have an edge into it, so uniform P_B never leaks backward mass to states off
-the instance's DAG and Z is the sum of the reachable terminals' rewards.
+oracle. A state's parents are the graph's edges into it from the states that
+s0 reaches, one per edge even when two actions of one state lead to it, so
+uniform P_B never leaks backward mass off the instance's DAG and Z is the sum
+of the reachable terminals' rewards.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 
 import numpy as np
 
-from ..errors import GenerationError, InvalidActionError, TerminalQueryError
+from ..errors import GenerationError, InvalidActionError, StructuralError
 from ..rngutil import substream
 from .base import EnvInstance, Environment
 
@@ -36,20 +37,19 @@ class ToyDagEnv(Environment):
             raise KeyError(f"s0 {self.s0!r} is no state of the graph")
         pairs = [(s, a) for s in sorted(self.edges) for a in sorted(self.edges[s])]
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
-        # parents only among the states s0 reaches: an edge from a state off the
-        # instance's DAG carries no flow, so counting it would leak backward mass
-        self._parents: dict[str, set[str]] = {}
+        # one parent per edge from a state s0 reaches: an edge from a state off
+        # the instance's DAG carries no flow, and two actions from one state into
+        # one child are two ways in, so either miscount would leak backward mass
+        self._parents: dict[str, int] = {}
         stack = [self.s0]
         while stack:
             state = stack.pop()
             for child in self.edges.get(state, {}).values():
                 if child not in self._parents:
                     stack.append(child)
-                self._parents.setdefault(child, set()).add(state)
+                self._parents[child] = self._parents.get(child, 0) + 1
 
-    def valid_actions(self, state):
-        if self.is_terminal(state):
-            raise TerminalQueryError(f"state {state!r} is terminal")
+    def _actions(self, state):
         return sorted(self.edges[state])
 
     def apply(self, state, action):
@@ -71,14 +71,12 @@ class ToyDagEnv(Environment):
         return 0.0
 
     def parent_count(self, state):
-        from ..errors import StructuralError
-
         if state == self.s0:
             raise StructuralError("parent count undefined for the initial state")
-        parents = self._parents.get(state)
-        if not parents:
+        count = self._parents.get(state)
+        if not count:
             raise StructuralError(f"state {state!r} has no parents in the graph")
-        return len(parents)
+        return count
 
     @property
     def feature_dim(self):

@@ -474,6 +474,48 @@ def test_bad_checkpoint_is_data_error_for_sample_and_oracle(tmp_path, capsys, da
     assert f"{ckpt}: " in capsys.readouterr().err and not out.exists()
 
 
+def _pairs(extra):
+    return extra["featurizer"]["table"]["pairs"]
+
+
+# a checkpoint's stored env settings, damaged: id -> (edit of `extra`, message)
+BAD_EXTRA = {
+    "floor-not-a-number": (lambda extra: extra.update(reward_floor="x"),
+                           "field reward_floor: 'x' is not of type 'number'"),
+    "unknown-scorer": (lambda extra: extra.update(scorer="bogus"),
+                       "field scorer: 'bogus' is not one of"),
+    "featurizer-not-an-object": (lambda extra: extra.update(featurizer="x"),
+                                 "field featurizer: 'x' is not of type 'object'"),
+    "pair-not-a-list": (lambda extra: _pairs(extra).insert(0, "abc"),
+                        "field featurizer/table/pairs/0: 'abc' is not of type 'array'"),
+    "repeated-pair": (lambda extra: _pairs(extra).append(_pairs(extra)[0]),
+                      "the tabular index repeats a pair"),
+    "no-env-id": (lambda extra: extra.pop("env_id"), "'env_id' is a required property"),
+    "scorer-the-env-cannot-read": (lambda extra: extra.update(scorer="progress"),
+                                   "the toydag reward reads no scorer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_EXTRA))
+def test_bad_checkpoint_settings_are_data_error_for_sample_and_oracle(tmp_path, capsys, case):
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=2)
+    assert run_cli("train", config_path) == 0
+    ckpt = run_dir / "checkpoint.json"
+    doc = json.loads(ckpt.read_text())
+    damage, message = BAD_EXTRA[case]
+    damage(doc["extra"])
+    ckpt.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, out = sample_to(tmp_path, run_dir, inst_path, "s.jsonl")
+    assert code == 3 and not out.exists()
+    err = capsys.readouterr().err
+    assert f"{ckpt}: extra" in err and message in err
+    out = tmp_path / "o.csv"
+    assert run_cli("oracle", "--instances", inst_path, "--checkpoint", ckpt, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert f"{ckpt}: extra" in err and message in err and not out.exists()
+
+
 def test_oracle_cap_exceeded_rows(tmp_path):
     inst_path = tmp_path / "g.jsonl"
     write_instances(inst_path, [make_instance([4, 4, 6, 8], "big")])

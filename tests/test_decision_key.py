@@ -126,6 +126,16 @@ def reference_terminal_dist(params, env):
     return out
 
 
+def table_rows(env, state):
+    """The rows of `state` read off the wrapper's index: each action's row is
+    one-hot at its (goal, state, action) column, which every reachable pair has."""
+    actions = env.cached_valid_actions(state)
+    rows = np.zeros((len(actions), env.table.dim))
+    for row, action in enumerate(actions):
+        rows[row, env.table.index[(env.goal, state, action)]] = 1.0
+    return rows
+
+
 def test_tabular_rows_stay_per_state():
     # the wrapper reads none of the wrapped env's shared row store and writes
     # none of its step or goal columns: its rows are the table's one-hots
@@ -141,8 +151,7 @@ def test_tabular_rows_stay_per_state():
         for state in reachable_nonterminal(env):
             assert env.decision_key(state) == state
             mat = env.feature_matrix(state)
-            ref = np.stack([env.featurize(state, a) for a in env.cached_valid_actions(state)])
-            assert mat.tobytes() == ref.tobytes(), state
+            assert mat.tobytes() == table_rows(env, state).tobytes(), state
             assert (mat.sum(axis=1) == 1.0).all()  # one one-hot per row, nothing more
             if inst.env_id == "game24":
                 by_multiset.setdefault(state.split("|left=")[1], []).append(mat)
@@ -159,7 +168,8 @@ def test_tabular_rows_stay_per_state():
             assert got == want
         else:  # merging paths add up in another order than the walk's
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        assert env._rows and not env._env._rows
+        # no rows are kept, neither by the wrapper nor in the wrapped env's cache
+        assert sorted(vars(env)) == ["_env", "table"] and not env._env._rows
 
 
 def test_policy_terminal_dist_shares_default_rows():

@@ -2,7 +2,9 @@
 
 `apply` with an action the env does not know raises `InvalidActionError`; at
 a terminal state of the env's `Dag`, `valid_actions` raises
-`TerminalQueryError`, and `apply` raises one of the two.
+`TerminalQueryError`, and `apply` raises one of the two. Where the reward's
+terminal part is the success weight, `success_term` is `w` at exactly the
+terminals whose trajectories succeed.
 """
 
 import dataclasses
@@ -11,6 +13,7 @@ import pytest
 
 from flowseek.environments import ENV_IDS, generate_instances, make_env
 from flowseek.errors import InvalidActionError, TerminalQueryError
+from flowseek.flow_core import Trajectory
 
 INSTANCES = {
     "game24": generate_instances("game24", 1, seed=3)[0],
@@ -43,3 +46,33 @@ def test_unknown_actions_and_terminal_queries_raise_typed_errors(env_id):
             env.valid_actions(terminal)
         with pytest.raises((InvalidActionError, TerminalQueryError)):
             env.apply(terminal, first_action)
+
+
+def paths_to_terminals(env, dag):
+    """One (actions, states) path from s0 to each terminal of `dag`."""
+    came_from = {0: None}  # state id -> (parent id, action) of the first edge into it
+    for i, state in enumerate(dag.states):
+        kids = env.children(state) or ()
+        for (action, _), child in zip(kids, dag.child[dag.offsets[i]:dag.offsets[i + 1]]):
+            came_from.setdefault(child, (i, action))
+    for i in range(len(dag.states)):
+        if dag.offsets[i] < dag.offsets[i + 1]:
+            continue
+        actions, ids = [], [i]
+        while came_from[ids[-1]] is not None:
+            parent, action = came_from[ids[-1]]
+            actions.append(action)
+            ids.append(parent)
+        yield actions[::-1], [dag.states[j] for j in reversed(ids)]
+
+
+@pytest.mark.parametrize("env_id", ["arc1d", "blocksworld", "cube2x2", "game24"])
+def test_success_term_is_w_exactly_at_successful_terminals(env_id):
+    env = make_env(INSTANCES[env_id])
+    outcomes = set()
+    for actions, states in paths_to_terminals(env, env.dag(10**6)):
+        traj = Trajectory("contract", states, actions, [0.0] * len(actions), is_complete=True)
+        success = env.is_success(traj)
+        assert env.success_term(states[-1]) == (env.w if success else 0.0), states[-1]
+        outcomes.add(success)
+    assert outcomes == {False, True}  # both kinds of terminal are checked

@@ -56,14 +56,14 @@ GENERATED_TOYDAGS = [inst for seed in range(20) for inst in generate_instances(5
 
 
 def in_dag_parents(env):
-    """Distinct parents of every state reachable from s0, from a `children` walk."""
+    """state -> the states s0 reaches with an edge into it, once per edge."""
     parents = {}
     seen = {env.s0}
     stack = [env.s0]
     while stack:
         state = stack.pop()
         for _, child in env.children(state) or ():
-            parents.setdefault(child, set()).add(state)
+            parents.setdefault(child, []).append(state)
             if child not in seen:
                 seen.add(child)
                 stack.append(child)
@@ -82,6 +82,23 @@ def test_toydag_partition_value_is_the_sum_of_terminal_rewards():
     for inst in GENERATED_TOYDAGS:
         env = make_env(inst)
         assert enumerate_dag(inst, env).Z == pytest.approx(sum(env.rewards.values()), rel=1e-12)
+
+
+def test_toydag_counts_a_parent_per_edge():
+    # two actions of s0 lead to c: each edge is a way in, so c has two parents
+    # and P_B sends half of c's flow back along each; one parent would double it
+    from flowseek.environments.base import EnvInstance
+    from flowseek.environments.toydag import make_graph_goal
+
+    edges = {"s0": {"a1": "c", "a2": "c", "b": "t2"}, "c": {"x": "t1"}}
+    inst = EnvInstance("toydag", "two-edges", "s0",
+                       make_graph_goal(edges, {"t1": 1.0, "t2": 1.0}), 2)
+    env = make_env(inst)
+    assert env.parent_count("c") == 2 and len(in_dag_parents(env)["c"]) == 2
+    summary = enumerate_dag(inst, env)
+    assert summary.Z == 2.0 == sum(env.rewards.values())
+    assert summary.target_terminal_dist == {"t1": 0.5, "t2": 0.5}
+    assert reference_enumerate_dag(inst, env).Z == pytest.approx(2.0, rel=1e-12)
 
 
 def second_enumerator(env):
