@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError
 from ..rngutil import substream
-from .base import N_HASHED, EnvInstance, Environment, add_hashed
+from .base import EnvInstance, Environment
 
 Grid = list[int]
 
@@ -144,8 +144,8 @@ class Arc1dEnv(Environment):
     parent_mode = "tree"
     solution_sep = ","
     # action(10) + delta sign(3) + delta magnitude(1) + matched pairs(K+1 up to 4)
-    # + stop-when-matched(1) + step fraction(1) + bias(1) + hashed
-    feature_dim = 10 + 3 + 1 + 4 + 1 + 1 + 1 + N_HASHED
+    # + stop-when-matched(1) + step fraction(1) + bias(1)
+    feature_dim = 10 + 3 + 1 + 4 + 1 + 1 + 1
 
     def parse_instance(self):
         head, _, body = self.goal.partition("=")
@@ -217,9 +217,6 @@ class Arc1dEnv(Environment):
         off += 1
         vec[off] = self.step_fraction(len(hist))
         vec[off + 1] = 1.0
-        off += 2
-        grid_sig = ";".join(_grid_str(g) for g in grids)
-        add_hashed(vec[off:], ("arc", grid_sig, action))
         return vec
 
 

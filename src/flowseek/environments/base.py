@@ -24,7 +24,6 @@ import numpy as np
 
 from ..errors import (EnumerationCapError, FlowseekError, GenerationError, NotASolutionError,
                       ScorerContractError, StructuralError, TerminalQueryError)
-from ..rngutil import stable_hash
 
 REWARD_FLOOR = 1e-8
 DEFAULT_SUCCESS_WEIGHT = 100.0
@@ -32,8 +31,6 @@ DEFAULT_INTERMEDIATE_WEIGHT = 1.5
 
 P_SCORE_MIN = 1e-6
 P_SCORE_MAX = 1.0 - 1e-6
-
-N_HASHED = 32  # the width of a feature row's hashed slice
 
 
 @dataclass
@@ -474,17 +471,3 @@ def int_difficulty(env_id: str, difficulty: str, choices, want: str) -> int:
     if value not in choices:
         raise GenerationError(f"bad {env_id} difficulty {difficulty!r}, want {want}")
     return value
-
-
-def hash_slot(dim: int, token: object) -> tuple[int, float]:
-    """The bucket in `dim` and the sign that feature hashing gives `token` (deterministic)."""
-    h = stable_hash(token)
-    return h % dim, 1.0 if (h >> 32) & 1 else -1.0
-
-
-def add_hashed(row: np.ndarray, *tokens: object) -> None:
-    """Add each token's signed feature hash into `row`, the hashed slice of a feature row."""
-    dim = len(row)
-    for tok in tokens:
-        idx, sign = hash_slot(dim, tok)
-        row[idx] += sign

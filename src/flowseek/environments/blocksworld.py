@@ -8,20 +8,20 @@ a clear target. Goals are conjunctions of on-relations.
 A state key is `t=<step>|hand=<block or ->|on=<block:support,...>`: the step
 index (exact parent mode) and the configuration. Every key an env builds lists
 the blocks sorted; a start read from an instance file may list them in any
-order, and its feature hash reads its text as written. Inside, an env reads
+order, which moves neither its actions nor its rows. Inside, an env reads
 the step from the key and the configuration from one process-wide table that
 fills lazily, one entry per configuration text. An entry holds only what no
 goal changes: the supports, the valid actions in order, the entry each action
 leads to, the parent entries that the four inverse actions reach and an int8
-template of the actions' feature rows without their goal and step columns,
-hashed once when the entry fills it. Goal facts (relations satisfied, goal
-met) are computed from an entry's supports on each call, so envs with
-different goals share the table; an env keeps its goal columns per entry in
-its own memo and writes them, with the step column, on each call. A state's
-parent count is its number of inverse-action parents that do not meet the
-goal: a terminal state has no edges. The table holds at most one entry per
-configuration of each block set seen: 866 for five blocks (the generator's
-6-step instances), 125 for four and 22 for three.
+template of the actions' feature rows without their goal and step columns.
+Goal facts (relations satisfied, goal met) are computed from an entry's
+supports on each call, so envs with different goals share the table; an env
+keeps its goal columns per entry in its own memo and writes them, with the
+step column, on each call. A state's parent count is its number of
+inverse-action parents that do not meet the goal: a terminal state has no
+edges. The table holds at most one entry per configuration of each block set
+seen: 866 for five blocks (the generator's 6-step instances), 125 for four and
+22 for three.
 """
 
 from __future__ import annotations
@@ -32,18 +32,17 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError
 from ..rngutil import substream
-from .base import N_HASHED, EnvInstance, Environment, hash_slot, int_difficulty
+from .base import EnvInstance, Environment, int_difficulty
 
 COLORS = ["blue", "cyan", "orange", "red", "yellow", "violet", "white"]
 
 # feature columns: action type(4) + satisfied count(5) + delta(3) + flags(4)
-# + step fraction(1) + bias(1) + hashed. Of the flags, 12 (improved), 13
-# (worsened) and 15 (moved block named by the goal) read the goal and 14
-# (hand empty after) does not
+# + step fraction(1) + bias(1). Of the flags, 12 (improved), 13 (worsened)
+# and 15 (moved block named by the goal) read the goal and 14 (hand empty
+# after) does not
 _VERBS = ("pickup", "putdown", "stack", "unstack")
 _STEP_COLUMN = 16
-_HASHED = 18
-FEATURE_DIM = _HASHED + N_HASHED
+FEATURE_DIM = 18
 
 
 def _parse_config(text: str) -> tuple[str | None, dict[str, str]]:
@@ -116,9 +115,8 @@ class _Config:
     entry), `parents` (the entries one action leads here from) and `rows` are
     filled on first read (`__getattr__`). `rows` holds the int8 feature rows
     of `actions` with the goal columns (4-13 and 15) and the step column 0: a
-    row sets its action type, whether the hand is empty after it and the bias,
-    and adds the signed hash of `("bw", text, action)`. Callers must not
-    change `actions` or `rows`.
+    row sets its action type, whether the hand is empty after it and the bias.
+    Callers must not change `actions` or `rows`.
     """
 
     __slots__ = ("text", "hand", "on", "actions", "next", "rows", "parents")
@@ -144,8 +142,6 @@ class _Config:
                 rows[row, _VERBS.index(action.split()[0])] = 1
                 rows[row, 14] = self.next[action].hand is None
                 rows[row, 17] = 1  # the bias
-                idx, sign = hash_slot(N_HASHED, ("bw", self.text, action))
-                rows[row, _HASHED + idx] = sign
             self.rows = rows
         elif name == "parents":
             hand, on = self.hand, self.on

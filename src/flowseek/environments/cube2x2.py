@@ -7,15 +7,14 @@ inverse moves give 9 distinct predecessors (the group acts freely); parent
 counting drops the solved one, which is terminal, so it counts 8 or 9.
 
 A state key stays the digit string `t=<step>|<8 permutation digits>|<8 twist
-digits>`, so instance files, feature hashes and checkpoints read as before.
+digits>`, so instance files and checkpoints read as before.
 Inside, an env reads each key once into (step, permutation rank, twist rank)
 on a dense index of every reachable configuration, built once per process.
 Moves, terminal tests, distances and the placed/oriented counts are then
 reads of per-rank tables, and a child's key joins its ranks' digit strings.
 The feature rows of a configuration's 9 moves, without the step column, are
 kept per dense index for the whole process as an int8 template, filled from
-the rank tables (and hashed) on first read; the step fraction is written per
-call.
+the rank tables on first read; the step fraction is written per call.
 
 Distance-to-solved is breadth-first search from the solved configuration over
 the dense index, filled lazily one vectorised layer at a time and kept for
@@ -30,7 +29,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, StructuralError
 from ..rngutil import substream
-from .base import N_HASHED, EnvInstance, Environment, bounded_put, hash_slot, int_difficulty
+from .base import EnvInstance, Environment, bounded_put, int_difficulty
 
 # corner indices: 0 URF, 1 UFL, 2 ULB, 3 UBR, 4 DFR, 5 DLF, 6 DBL, 7 DRB
 _BASE = {
@@ -173,10 +172,9 @@ def distance_to_solved(config: bytes) -> int:
 
 
 # feature columns: action(9) + solved-after(1) + placed/oriented/fully-correct
-# counts(27) + step fraction(1) + bias(1) + hashed
+# counts(27) + step fraction(1) + bias(1)
 _STEP_COLUMN = 37  # the step fraction, the only column that reads more than the configuration
-_HASHED = 39
-FEATURE_DIM = _HASHED + N_HASHED
+FEATURE_DIM = 39
 
 # dense index -> the int8 feature rows of the 9 moves in MOVES order, with the
 # step column 0, for the whole process. Past CODE_ENTRIES the oldest goes (a
@@ -189,21 +187,17 @@ def _rows_at(index: int) -> np.ndarray:
     """The feature rows at dense `index`, filled on a miss; callers must not change them.
 
     A row sets its move, the solved flag and the placed, oriented and
-    fully-correct counts after the move, and the bias, and adds the signed
-    hash of `("cube", configuration text, move)`."""
+    fully-correct counts after the move, and the bias."""
     rows = _ROWS.get(index)
     if rows is None:
         p, t = divmod(index, 729)
-        text = f"{_PERM_DIGITS[p]}|{_TWIST_DIGITS[t]}"
         rows = np.zeros((len(MOVES), FEATURE_DIM), np.int8)
-        for m, move in enumerate(MOVES):
+        for m in range(len(MOVES)):
             after_p, after_t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
             placed, oriented = _PLACED[after_p], _ORIENTED[after_t]
             rows[m, [m, 10 + placed.bit_count(), 19 + oriented.bit_count(),
                      28 + (placed & oriented).bit_count(), 38]] = 1  # 38: the bias
             rows[m, 9] = not (after_p or after_t)
-            idx, sign = hash_slot(N_HASHED, ("cube", text, move))
-            rows[m, _HASHED + idx] = sign
         bounded_put(_ROWS, index, rows, CODE_ENTRIES)
     return rows
 

@@ -10,9 +10,8 @@ one process-wide table decodes each multiset once, and every env and every
 history reaching it reuses the decode; an entry links each action to its
 child's entry. Its feature rows read nothing else either, so an entry keeps
 them too, as an int8 template filled on first read from what the entry knows:
-each action's operator and operand ranks, the columns its child sets (kept on
-the child's entry) and the row's hashed tokens, hashed once per entry. Every
-env in the process reads the same template.
+each action's operator and operand ranks and the columns its child sets (kept
+on the child's entry). Every env in the process reads the same template.
 
 The solver behind generation and the offline files, `solve_game24`, reads the
 hand's solutions off the same table: an entry keeps the solution suffixes from
@@ -32,7 +31,7 @@ import numpy as np
 
 from ..errors import GenerationError, InvalidActionError, TerminalQueryError
 from ..rngutil import substream
-from .base import N_HASHED, EnvInstance, Environment, bounded_put, hash_slot
+from .base import EnvInstance, Environment, bounded_put
 
 TARGET = Fraction(24)
 
@@ -97,13 +96,11 @@ def _pairs_reaching_target(values: tuple[Fraction, ...]) -> int:
 # leads to it: result count (3), the buckets of its first three values
 # (3 x 20), {contains 24, solved next, one left not 24} (3), the
 # combinable-pair count (3), two left and combinable (1) and the bias (1).
-# The signed hashes come last.
 _OPS = "+-*/"
 _N_BUCKETS = 20
 _SUCCESSOR = 4 + 16
 _FLAGS = _SUCCESSOR + 3 + 3 * _N_BUCKETS
-_HASHED = _FLAGS + 3 + 4 + 1
-FEATURE_DIM = _HASHED + N_HASHED
+FEATURE_DIM = _FLAGS + 3 + 4 + 1
 
 
 def _bucket(v: Fraction) -> int:
@@ -232,23 +229,18 @@ def _context(state: str) -> _Decoded:
 def _fill_rows(ctx: _Decoded) -> np.ndarray:
     """The int8 feature rows of the actions at `ctx`, in `actions` order.
 
-    A row sets its operator, its operand-rank pair and its child's `columns`,
-    and adds the signed hashes of `("g24v", left)`, `("g24a", action)` and
-    `("g24va", left, action)`. It runs once per entry and calls no env method."""
+    A row sets its operator, its operand-rank pair and its child's `columns`.
+    It runs once per entry and calls no env method."""
     ranks: dict[str, int] = {}  # operand string -> its first index in the sorted values
     for rank, v in enumerate(ctx.values):
         ranks.setdefault(fmt(v), rank)
     rows = np.zeros((len(ctx.next), FEATURE_DIM), np.int8)
-    value_slot = hash_slot(N_HASHED, ("g24v", ctx.left))
     for row, (action, child) in enumerate(ctx.next.items()):
         x, op, y, _ = action.split(" ", 3)
         # operand strings are canonical, so equal strings mean equal values
         rank_x = ranks[x]
         rank_y = rank_x + 1 if y == x else ranks[y]
         rows[row, [_OPS.index(op), 4 + min(rank_x, 3) * 4 + min(rank_y, 3), *child.columns]] = 1
-        for idx, sign in (value_slot, hash_slot(N_HASHED, ("g24a", action)),
-                          hash_slot(N_HASHED, ("g24va", ctx.left, action))):
-            rows[row, _HASHED + idx] += int(sign)
     return rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..errors import InvalidActionError
 from ..rngutil import substream
-from .base import N_HASHED, EnvInstance, Environment, add_hashed, int_difficulty
+from .base import EnvInstance, Environment, int_difficulty
 
 FINISH = "Finish."
 ENTITIES = ["Alex", "Fae", "Max", "Polly", "Rex", "Sam", "Stella", "Wren"]
@@ -47,8 +47,8 @@ class LogicChainEnv(Environment):
     solution_sep = "~"
     reward_start = (0, 0)  # (gold transitions, steps): the reward is w * hits / steps
     # premise match(1) + finish(1) + reaches conclusion(1) + revisit(1)
-    # + step fraction(1) + bias(1) + hashed
-    feature_dim = 6 + N_HASHED
+    # + step fraction(1) + bias(1)
+    feature_dim = 6
 
     def parse_instance(self):
         doc = json.loads(self.goal)
@@ -128,7 +128,6 @@ class LogicChainEnv(Environment):
         vec[3] = 1.0 if action in hist else 0.0
         vec[4] = self.step_fraction(len(hist))
         vec[5] = 1.0
-        add_hashed(vec[6:], ("logic", claim, action))
         return vec
 
 

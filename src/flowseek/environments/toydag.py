@@ -7,12 +7,14 @@ results on this environment are exactly checkable against the enumeration
 oracle. A state's parents are the graph's edges into it from the states that
 s0 reaches, one per edge even when two actions of one state lead to it, so
 uniform P_B never leaks backward mass off the instance's DAG and Z is the sum
-of the reachable terminals' rewards.
+of the reachable terminals' rewards. A cycle that s0 reaches, or a reward that
+is no finite number, makes the instance malformed.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -35,6 +37,10 @@ class ToyDagEnv(Environment):
         self.rewards: dict[str, float] = doc["rewards"]
         if self.s0 not in self.edges:
             raise KeyError(f"s0 {self.s0!r} is no state of the graph")
+        for terminal, value in self.rewards.items():
+            if type(value) not in (int, float) or not math.isfinite(value):  # bool is no number
+                raise StructuralError(f"the reward of {terminal!r} is {value!r}, "
+                                      "not a finite number")
         pairs = [(s, a) for s in sorted(self.edges) for a in sorted(self.edges[s])]
         self._pair_index = {pair: i for i, pair in enumerate(pairs)}
         # one parent per edge from a state s0 reaches: an edge from a state off
@@ -48,6 +54,17 @@ class ToyDagEnv(Environment):
                 if child not in self._parents:
                     stack.append(child)
                 self._parents[child] = self._parents.get(child, 0) + 1
+        # Kahn's order over the states s0 reaches: one left out lies on a cycle,
+        # which would make the walk from s0 endless
+        ins = dict(self._parents)
+        order = [] if self.s0 in ins else [self.s0]
+        for state in order:
+            for child in self.edges.get(state, {}).values():
+                ins[child] -= 1
+                if not ins[child]:
+                    order.append(child)
+        if len(order) < len(ins.keys() | {self.s0}):
+            raise StructuralError("the graph has a cycle that s0 reaches")
 
     def _actions(self, state):
         return sorted(self.edges[state])

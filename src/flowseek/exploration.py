@@ -45,6 +45,14 @@ class ExplorationSchedule:
 
     def __post_init__(self) -> None:
         check_finite_floats(self)
+        for name in ("eps_start", "eps_end", "replay_prob_start", "replay_prob_end"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        for name in ("beta_start", "beta_end"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
     def at(self, iteration: int) -> tuple[float, float, float]:
         frac = min(max(iteration / max(self.total_iterations, 1), 0.0), 1.0)

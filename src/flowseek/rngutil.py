@@ -24,12 +24,3 @@ def substream(seed: int, *tags: object) -> np.random.Generator:
     """Return a Generator for the stream named by `tags` under `seed`."""
     words = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_tag_to_word(t) for t in tags]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
-
-
-def stable_hash(*parts: object, bits: int = 64) -> int:
-    """Deterministic cross-platform hash of the string forms of `parts`."""
-    h = hashlib.blake2b(digest_size=bits // 8)
-    for p in parts:
-        h.update(str(p).encode("utf-8"))
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "little")

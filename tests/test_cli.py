@@ -13,6 +13,7 @@ from flowseek.environments import ENV_IDS, EnvInstance, read_instances, write_in
 from flowseek.environments.game24 import generate_instances as game24_instances
 from flowseek.environments.game24 import make_instance, solve_game24
 from flowseek.environments.toydag import generate_instances as toydag_instances
+from flowseek.environments.toydag import make_graph_goal
 
 from conftest import two_terminal_instance
 
@@ -564,6 +565,34 @@ def test_bad_instance_line_is_data_error(tmp_path, capsys, line, message):
     assert run_cli("oracle", "--instances", inst_path, "--out", out) == 3
     err = capsys.readouterr().err
     assert str(inst_path) in err and "line 2" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "edges, rewards, message",
+    [
+        ({"s0": {"a": "b", "t": "t1"}, "b": {"c": "s0"}}, {"t1": 1.0}, "has a cycle"),
+        ({"s0": {"a": "b", "t": "t1"}, "b": {"c": "t1"}}, {"t1": "high"}, "not a finite number"),
+        ({"s0": {"a": "b", "t": "t1"}, "b": {"c": "t1"}}, {"t1": float("nan")},
+         "not a finite number"),
+    ],
+)
+@pytest.mark.parametrize("command", ["oracle", "train"])
+def test_bad_toydag_graph_is_data_error(tmp_path, capsys, edges, rewards, message, command):
+    inst_path = tmp_path / "toy.jsonl"
+    goal = make_graph_goal(edges, rewards)
+    write_instances(inst_path, [EnvInstance("toydag", "bad", "s0", goal, 3)])
+    if command == "oracle":
+        out = tmp_path / "o.csv"
+        argv = ["--instances", inst_path, "--out", out]
+    else:
+        out = tmp_path / "run"
+        argv = [tmp_path / "c.json"]
+        argv[0].write_text(json.dumps({"env_id": "toydag", "instances_path": str(inst_path),
+                                       "iterations": 5, "out_dir": str(out)}))
+    assert run_cli(command, *argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "instance bad:" in err
     assert not out.exists()
 
 

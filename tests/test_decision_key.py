@@ -92,7 +92,7 @@ def test_feature_rows_match_pinned_digest():
             for action, row in zip(env.valid_actions(state), env.feature_matrix(state)):
                 digest.update(row.astype("<f8").tobytes())
                 stack.append(env.apply(state, action))
-    assert digest.hexdigest() == "c9b835034a23a9af9336c9663d3848fa172e0916a3e34e982abe8b07c299c135"
+    assert digest.hexdigest() == "ebe1f873bc62699f0095be661fe9fd738745fc67060e03dee3e7d2146bf807aa"
 
 
 def test_apply_matches_history_key():

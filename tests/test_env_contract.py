@@ -4,7 +4,8 @@
 a terminal state of the env's `Dag`, `valid_actions` raises
 `TerminalQueryError`, and `apply` raises one of the two. Where the reward's
 terminal part is the success weight, `success_term` is `w` at exactly the
-terminals whose trajectories succeed.
+terminals whose trajectories succeed. In game24, cube2x2 and arc1d, no two
+actions of one state share a feature row, so the policy can tell them apart.
 """
 
 import dataclasses
@@ -76,3 +77,27 @@ def test_success_term_is_w_exactly_at_successful_terminals(env_id):
         assert env.success_term(states[-1]) == (env.w if success else 0.0), states[-1]
         outcomes.add(success)
     assert outcomes == {False, True}  # both kinds of terminal are checked
+
+
+DISTINCT_ROW_INSTANCES = {
+    "game24": lambda: generate_instances("game24", 4, seed=1, difficulty="1-10"),
+    # a budget of 3 keeps the walks small
+    "cube2x2": lambda: [dataclasses.replace(inst, max_steps=3)
+                        for inst in generate_instances("cube2x2", 4, seed=1, difficulty="2")],
+    "arc1d": lambda: generate_instances("arc1d", 2, seed=1),
+}
+
+
+@pytest.mark.parametrize("env_id", sorted(DISTINCT_ROW_INSTANCES))
+def test_no_two_actions_of_a_state_share_a_row(env_id):
+    states = 0
+    for inst in DISTINCT_ROW_INSTANCES[env_id]():
+        env = make_env(inst)
+        dag = env.dag(10**6)
+        for i, state in enumerate(dag.states):
+            if dag.offsets[i] == dag.offsets[i + 1]:
+                continue
+            rows = env.feature_matrix(state)
+            assert len({row.tobytes() for row in rows}) == len(rows), state
+            states += 1
+    assert states > 250

@@ -310,7 +310,7 @@ def test_env_outputs_match_pinned_digest():
     for inst in (four, six):
         for scorer in ("uniform", "progress"):
             update_dag_digest(digest, make_env(inst, scorer=scorer))
-    assert digest.hexdigest() == "fb96de45be8093380361066785c4747366bc45eb68ccaf2d03933f2b394d34f1"
+    assert digest.hexdigest() == "6ae2653bb784531fa7556bf2e8641b95d2976727197e62ddb80f7aee3300482c"
 
 
 # -- the process-wide configuration table ---------------------------------------

@@ -376,4 +376,4 @@ def test_env_outputs_match_pinned_digest():
                 continue
             for action, child in kids:
                 stack.append((actions + [action], states + [child]))
-    assert digest.hexdigest() == "df43d9ec5b3b304fd904b33a801a013a486473766fc42ee0a0db6cf634b97182"
+    assert digest.hexdigest() == "782a3afa74f05a795d7c8fa1cfd4242c4d63d98e4e8b46420cd0ce98e10d424b"

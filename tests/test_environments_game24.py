@@ -158,41 +158,6 @@ def test_generated_instances_solvable_and_deterministic():
         assert inst.max_steps == 3
 
 
-def test_feature_audit_dimension_and_collisions():
-    """Pairs that differ in remaining values or action rarely share a vector.
-
-    Same-values pairs reached through different histories featurize
-    identically on purpose (shared subproblem, shared weights).
-    """
-    env = make_env(make_instance([4, 4, 6, 8], "audit"))
-    seen = {}
-    collisions = 0
-    total = 0
-    stack = [env.s0]
-    visited = {env.s0}
-    while stack:
-        state = stack.pop()
-        if env.is_terminal(state):
-            continue
-        values = state.split("|left=")[1]
-        for action, vec in zip(env.valid_actions(state), env.feature_matrix(state)):
-            assert vec.shape == (env.feature_dim,)
-            sig = vec.tobytes()
-            identity = (values, action)
-            if sig in seen:
-                if seen[sig] != identity:
-                    collisions += 1
-            else:
-                total += 1
-            seen[sig] = identity
-            child = env.apply(state, action)
-            if child not in visited:
-                visited.add(child)
-                stack.append(child)
-    assert total > 300
-    assert collisions / total < 0.02
-
-
 def test_progress_scorer_survives_extreme_potential_changes():
     from flowseek.environments.base import P_SCORE_MAX, P_SCORE_MIN, SCORERS, Environment
     from flowseek.errors import ScorerContractError

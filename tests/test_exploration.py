@@ -33,6 +33,21 @@ def test_schedule_endpoints_exact():
     assert mid[0] == pytest.approx((0.3 + 0.01) / 2)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("eps_start", -0.5), ("eps_end", 1.01), ("replay_prob_start", 1.5),
+    ("replay_prob_end", -0.1), ("beta_start", -1.0), ("beta_end", -1e-9),
+])
+def test_schedule_out_of_range_is_refused_when_built(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        ExplorationSchedule(**{name: value})
+
+
+def test_schedule_range_ends_are_accepted():
+    sched = ExplorationSchedule(eps_start=0.0, eps_end=1.0, replay_prob_start=1.0,
+                                replay_prob_end=0.0, beta_start=0.0, beta_end=0.0)
+    assert sched.at(0) == (0.0, 0.0, 1.0)
+
+
 def test_eps_one_is_uniform_rollout(toy_env):
     # with a degenerate policy, eps=1 still explores both branches uniformly
     params, tab = biased_params_tab(toy_env, "left", 50.0)

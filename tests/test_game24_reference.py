@@ -3,13 +3,12 @@
 The env reads its rows and flags from facts kept once per multiset on the
 process-wide decode table. The reference below recomputes every row from the
 state text alone, as the per-row featurizer did before those facts existed:
-bucketing, the 24 tests, the combinable-pair count and three hashes per row.
+bucketing, the 24 tests and the combinable-pair count.
 The hands reach every bucket branch (negative, zero, non-integer, 1-13,
 14-23, 24, 25-48, over 48) and repeat numbers, and a second env set, built
 after other hands have filled the table, must give the same rows.
 """
 
-import hashlib
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -21,22 +20,10 @@ from flowseek.environments.game24 import enumerate_actions, generate_instances, 
 
 TARGET = Fraction(24)
 N_BUCKETS = 20
-N_HASHED = 32
 
 
 def ref_values(state):
     return tuple(sorted(Fraction(tok) for tok in state.split("|left=")[1].split()))
-
-
-def ref_hashed(dim, *tokens):
-    vec = np.zeros(dim)
-    for tok in tokens:
-        h = hashlib.blake2b(digest_size=8)
-        h.update(str(tok).encode("utf-8"))
-        h.update(b"\x1f")
-        h = int.from_bytes(h.digest(), "little")
-        vec[h % dim] += 1.0 if (h >> 32) & 1 else -1.0
-    return vec
 
 
 def ref_bucket(v):
@@ -78,7 +65,6 @@ def ref_pairs_reaching_target(values):
 
 def ref_featurize(state, action):
     values = ref_values(state)
-    left = " ".join(str(v) for v in values)
     nxt = dict(enumerate_actions(values))[action]
     ranks = {}
     for rank, v in enumerate(values):
@@ -87,7 +73,7 @@ def ref_featurize(state, action):
     rank_x = ranks[x_str]
     rank_y = rank_x + 1 if y_str == x_str else ranks[y_str]
 
-    vec = np.zeros(4 + 16 + 3 + 3 * N_BUCKETS + 3 + 4 + 1 + N_HASHED)
+    vec = np.zeros(4 + 16 + 3 + 3 * N_BUCKETS + 3 + 4 + 1)
     off = 0
     vec[off + "+-*/".index(op)] = 1.0
     off += 4
@@ -111,8 +97,6 @@ def ref_featurize(state, action):
         vec[off + 3] = 1.0
     off += 4
     vec[off] = 1.0
-    off += 1
-    vec[off:] = ref_hashed(N_HASHED, ("g24v", left), ("g24a", action), ("g24va", left, action))
     return vec
 
 

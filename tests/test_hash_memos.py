@@ -1,12 +1,11 @@
 """Feature rows come from templates kept on process-wide tables, and match a
-row that hashes every token.
+row built column by column.
 
 game24 keeps each multiset's rows on its decode-table entry, blocksworld each
 configuration's on its table entry, and cube2x2 keeps them in a bounded map
-keyed by dense index. A set of envs built after another set has filled the
-tables hashes nothing. Its rows must equal the rows built after the tables
-are cleared, and the rows of the test-local copies below of the featurizers
-that hashed every token with `add_hashed`.
+keyed by dense index. The rows of a set of envs built after another set has
+filled the tables must equal the rows built after the tables are cleared, and
+the rows of the test-local featurizers below, which set every column per call.
 """
 
 import dataclasses
@@ -15,15 +14,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from flowseek.environments import base, blocksworld, cube2x2, game24, generate_instances, make_envs
-from flowseek.environments.base import add_hashed
+from flowseek.environments import blocksworld, cube2x2, game24, generate_instances, make_envs
 
 from conftest import reachable_nonterminal
 
 
 def old_game24_row(env, state, action):
     values = game24.parse_values(state.split("|left=")[1])
-    left = game24.fmt_values(values)
     nxt = dict(game24.enumerate_actions(values))[action]
     ranks = {}
     for rank, v in enumerate(values):
@@ -36,7 +33,6 @@ def old_game24_row(env, state, action):
     vec[4 + min(rank_x, 3) * 4 + min(rank_y, 3)] = 1.0
     for col in game24._successor_columns(nxt):
         vec[col] = 1.0
-    add_hashed(vec[game24._HASHED:], ("g24v", left), ("g24a", action), ("g24va", left, action))
     return vec
 
 
@@ -58,7 +54,6 @@ def old_blocksworld_row(env, state, action):
     vec[14] = 1.0 if after.hand is None else 0.0
     vec[16] = env.step_fraction(step)
     vec[17] = 1.0
-    add_hashed(vec[18:], ("bw", state.split("|", 1)[1], action))
     return vec
 
 
@@ -75,7 +70,6 @@ def old_cube_row(env, state, action):
     vec[28 + (placed & oriented).bit_count()] = 1.0
     vec[37] = env.step_fraction(step)
     vec[38] = 1.0
-    add_hashed(vec[39:], ("cube", state.split("|", 1)[1], action))
     return vec
 
 
@@ -117,14 +111,9 @@ def test_rows_are_the_same_from_warm_and_cleared_memos_and_the_old_featurizer(na
     instances = make_instances()
     clear_tables(monkeypatch)
     cold = all_rows(instances)
-    hashed = []
-    stable_hash = base.stable_hash
-    monkeypatch.setattr(base, "stable_hash", lambda token: hashed.append(token) or stable_hash(token))
     warm = all_rows(instances)
-    assert not hashed, "a warm process hashed a row token"
     clear_tables(monkeypatch)
     cleared = all_rows(instances)
-    assert hashed, "cleared tables were filled without hashing"
     envs = make_envs(instances)
     for key, rows in warm.items():
         env, state = envs[key[0]], key[1]

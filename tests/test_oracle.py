@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowseek.environments import make_env
+from flowseek.environments.base import EnvInstance
 from flowseek.environments.game24 import make_instance, solve_game24
-from flowseek.environments.toydag import generate_instances
-from flowseek.errors import EnumerationCapError
+from flowseek.environments.toydag import generate_instances, make_graph_goal
+from flowseek.errors import EnumerationCapError, StructuralError
 from flowseek.oracle import (
     enumerate_dag,
     policy_terminal_dist,
@@ -99,6 +100,35 @@ def test_toydag_counts_a_parent_per_edge():
     assert summary.Z == 2.0 == sum(env.rewards.values())
     assert summary.target_terminal_dist == {"t1": 0.5, "t2": 0.5}
     assert reference_enumerate_dag(inst, env).Z == pytest.approx(2.0, rel=1e-12)
+
+
+def graph_instance(edges, rewards, instance_id="g"):
+    return EnvInstance("toydag", instance_id, "s0", make_graph_goal(edges, rewards), 3)
+
+
+CYCLIC_GRAPHS = {
+    "through-s0": {"s0": {"a": "b", "t": "t1"}, "b": {"c": "s0"}},
+    "below-s0": {"s0": {"a": "b"}, "b": {"c": "d", "t": "t1"}, "d": {"e": "b"}},
+    "self-loop": {"s0": {"a": "b", "t": "t1"}, "b": {"c": "b"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CYCLIC_GRAPHS))
+def test_toydag_cycle_that_s0_reaches_is_refused_at_parse_time(name):
+    with pytest.raises(StructuralError, match="instance cyc: the graph has a cycle"):
+        make_env(graph_instance(CYCLIC_GRAPHS[name], {"t1": 1.0}, "cyc"))
+
+
+def test_toydag_cycle_that_s0_does_not_reach_is_kept_off_the_dag():
+    edges = {"s0": {"a": "t1", "b": "t2"}, "x": {"c": "y"}, "y": {"d": "x"}}
+    inst = graph_instance(edges, {"t1": 1.0, "t2": 3.0})
+    assert enumerate_dag(inst, make_env(inst)).target_terminal_dist == {"t1": 0.25, "t2": 0.75}
+
+
+@pytest.mark.parametrize("value", ["high", "2.5", float("nan"), float("inf"), True, None])
+def test_toydag_reward_that_is_no_finite_number_is_refused_at_parse_time(value):
+    with pytest.raises(StructuralError, match="instance bad: the reward of 't1'"):
+        make_env(graph_instance({"s0": {"a": "t1"}}, {"t1": value}, "bad"))
 
 
 def second_enumerator(env):

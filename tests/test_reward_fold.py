@@ -76,11 +76,11 @@ POLICY_CASES = {name: inst for name, (inst, settings)
 POLICY_CASES["tabular-game24"] = GAME24
 
 POLICY_DIGESTS = {
-    "arc1d": "cffd99da1229246261d70263391d3f85a4ae6805bc47eb961a638811539932cb",
-    "blocksworld-4": "09953766e45af900baf7cba9ec3060c71a9bcfdbd93c851d41e75db67cad4eea",
-    "cube2x2-3": "d78632a1fbf0798696701b5a32dadc99408eed75f765a073942579be50ff5ef9",
-    "game24": "f6a8a4ebe21bf897fd10b65d58c2b4c0fef5005eba70863581b534bee5782ba7",
-    "logicchain": "f5c683bdf7b39176acd8689d967fcd95897aad75fea166381abf7c8fd5d461a4",
+    "arc1d": "c448ee6c7775bd682db0751d5ce885665defd8b2909b2dbc6f1c11abd12ed6fd",
+    "blocksworld-4": "7c579a20bdfb0e61c6c2bf37930b37418acd964e67326b276ea959da1a1b94fb",
+    "cube2x2-3": "3d823f873147d6ffe0db7ff01e51e69b9df6e025b6ccb6f062057e874e87eecb",
+    "game24": "d1a2d2ee8ca85a0a0db9dd6e4091775bd800d6281d8a394fee1914346a00479c",
+    "logicchain": "0b6dd10429769e509fdb88d507404e008047da780b1719b374bac2b7b2afd769",
     "tabular-game24": "125c681eb9e1a35d4b50a9ea54486d0717511342481b0a348d107c14cf41d3e0",
     "toydag": "a5a6038d5371a8fb8de9c960a9dffdd2f5cc36d80f291bbd2b8f7284b6221573",
 }

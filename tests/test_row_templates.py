@@ -8,7 +8,7 @@ goal or budget. Their rows are read from cold tables, again from the warm
 tables, and then from cleared tables in the other instance order. Every
 reachable non-terminal state's `feature_matrix` must equal the rows of the
 test-local featurizers in `test_hash_memos.py` and `test_game24_reference.py`,
-which hash every token and read none of the templates.
+which set every column per call and read none of the templates.
 """
 
 import dataclasses
