@@ -3,8 +3,9 @@
 Rollouts mix epsilon-uniform steps with tempered policy sampling, but the
 recorded log P_F terms always come from the online (temperature-1) policy,
 which is what the losses score. A rollout can also sum those terms' gradient
-from its own forward passes, so the trainer rescores only replayed, offline
-and local-search trajectories. The replay buffer keeps one pool of complete
+as it runs, so the trainer rescores only replayed, offline and local-search
+trajectories; rollouts that share a memo dict run each decision point's
+forward pass once. The replay buffer keeps one pool of complete
 trajectories per instance, with priority equal to the reward (or log1p
 reward), and samples an instance's pool proportionally. Local search
 truncates the last K steps of a high-reward trajectory, re-rolls them with
@@ -20,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyBufferError
 from .flow_core import Trajectory
-from .policy import PolicyParams, action_logits, sample_action, step_grad
+from .policy import PolicyParams, memo_logits, sample_action, step_grad
 
 
 def check_finite_floats(obj) -> None:
@@ -96,21 +97,27 @@ def sample_trajectory_mixed(
     beta: float,
     rng: np.random.Generator,
     grad: np.ndarray | None = None,
+    *,
+    memo: dict | None = None,
 ) -> Trajectory:
     """Roll out one complete trajectory under the eps/beta behavior policy.
 
     beta == 0 is the greedy limit of tempered sampling: the highest logit,
-    ties to the first action. With `grad`, each step's gradient of its log P_F
-    term is added into it in step order, from the step's own forward pass: on
-    zeros that is `trajectory_logpf_and_grad`'s gradient at `params`, bit for bit.
+    ties to the first action. Each step reads its distribution through `memo`
+    (see `policy.memo_logits`), so rollouts that share one dict at one
+    `params` run each decision point's forward pass once; without it the
+    rollout makes its own. With `grad`, each step's gradient of its log P_F
+    term is added into it in step order: on zeros that is
+    `trajectory_logpf_and_grad`'s gradient at `params`, bit for bit.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0,1], got {eps}")
     if beta < 0.0:
         raise ValueError(f"beta must be non-negative, got {beta}")
+    memo = {} if memo is None else memo
 
     def step(state: str) -> tuple[str, float]:
-        dist = action_logits(params, state, env)
+        dist = memo_logits(params, state, env, memo)
         if rng.random() < eps:
             i = int(rng.integers(len(dist.action_ids)))
         elif beta == 0.0:

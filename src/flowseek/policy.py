@@ -110,6 +110,18 @@ def action_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
     return ActionDistribution(actions, logits, _log_softmax(logits), feats, hidden)
 
 
+def memo_logits(params: PolicyParams, state: str, env, memo: dict) -> ActionDistribution:
+    """`action_logits(params, state, env)`, run once per `env.decision_key(state)` in `memo`.
+
+    `memo` holds one env's distributions at `params`: a caller starts a new one
+    when either changes. Callers only read a distribution, so sharing it is safe."""
+    key = env.decision_key(state)
+    dist = memo.get(key)
+    if dist is None:
+        dist = memo[key] = action_logits(params, state, env)
+    return dist
+
+
 def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generator) -> int:
     """Index into `dist.action_ids` drawn from softmax(logits / beta).
 
@@ -146,10 +158,12 @@ def step_grad(params: PolicyParams, dist: ActionDistribution, idx: int) -> np.nd
 
 
 def step_logprob_and_grad(
-    params: PolicyParams, state: str, action: str, env
+    params: PolicyParams, state: str, action: str, env, memo: dict | None = None
 ) -> tuple[float, np.ndarray]:
-    """log P_F(action | state) and its gradient w.r.t. the flat parameter vector."""
-    dist = action_logits(params, state, env)
+    """log P_F(action | state) and its gradient w.r.t. the flat parameter vector.
+
+    The distribution at `state` is read through `memo` (see `memo_logits`)."""
+    dist = memo_logits(params, state, env, {} if memo is None else memo)
     try:
         idx = dist.action_ids.index(action)
     except ValueError:
@@ -157,12 +171,19 @@ def step_logprob_and_grad(
     return float(dist.log_probs[idx]), step_grad(params, dist, idx)
 
 
-def trajectory_logpf_and_grad(params: PolicyParams, traj, env) -> tuple[list[float], np.ndarray]:
-    """Per-step log P_F terms and the gradient of their sum under `params`."""
+def trajectory_logpf_and_grad(
+    params: PolicyParams, traj, env, memo: dict | None = None
+) -> tuple[list[float], np.ndarray]:
+    """Per-step log P_F terms and the gradient of their sum under `params`.
+
+    Each step's distribution is read through `memo` (see `memo_logits`), so a
+    caller that scores several trajectories at one `params` passes one dict and
+    runs each decision point's forward pass once."""
+    memo = {} if memo is None else memo
     terms: list[float] = []
     total_grad = np.zeros_like(params.vector)
     for state, action in zip(traj.states[:-1], traj.actions):
-        lp, g = step_logprob_and_grad(params, state, action, env)
+        lp, g = step_logprob_and_grad(params, state, action, env, memo)
         terms.append(lp)
         total_grad += g
     return terms, total_grad

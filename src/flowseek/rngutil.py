@@ -22,5 +22,11 @@ def _tag_to_word(tag: object) -> int:
 
 def substream(seed: int, *tags: object) -> np.random.Generator:
     """Return a Generator for the stream named by `tags` under `seed`."""
-    words = [int(seed) & 0xFFFFFFFFFFFFFFFF] + [_tag_to_word(t) for t in tags]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
+    seed = int(seed) & 0xFFFFFFFFFFFFFFFF
+    # the uint32 words SeedSequence would coerce the list [seed, *tag words]
+    # into, built here at once: the seed's low word, its high word if nonzero,
+    # then one word per tag
+    words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
+    words += [_tag_to_word(t) for t in tags]
+    entropy = np.array(words, dtype=np.uint32)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

@@ -8,6 +8,12 @@ instance has offline data), then applies one optimizer step. Every trajectory
 entering a loss is scored at the current parameters: an explore rollout sums
 its log P_F gradient as it runs, and exploit draws and local-search finds get
 their log P_F terms and gradient recomputed (buffer entries keep no gradient).
+A batch's trajectories share decision points, so each iteration keeps one
+memo from the env's `decision_key` to its distribution at the iteration's
+parameters (`policy.memo_logits`): the rollouts and the rescoring run each
+decision point's forward pass once, and a trajectory drawn twice into one
+batch is rescored once. Both reuse values a fresh pass would compute bit for
+bit, so no output moves.
 
 Exploitation draws are restricted to the current instance's entries (the
 replay buffer keeps one pool per instance): phi targets the per-instance log
@@ -281,6 +287,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         batch_trajs: list[Trajectory] = []
         grads: list[np.ndarray] = []  # Σ ∇log P_F of batch_trajs' explore rollouts
         found: list[Trajectory] = []  # local-search finds, logged without a phi
+        memo: dict = {}  # decision_key -> ActionDistribution at this iteration's params
 
         if not explore:
             pool = offline_pool.get(inst.instance_id)
@@ -300,7 +307,8 @@ def train(config: TrainConfig, instances: list[EnvInstance],
             grads = [np.zeros_like(params.vector) for _ in range(m)]
             batch_trajs = [
                 sample_trajectory_mixed(
-                    params, env, eps, beta, substream(config.seed, "rollout", i, slot), grad
+                    params, env, eps, beta, substream(config.seed, "rollout", i, slot), grad,
+                    memo=memo,
                 )
                 for slot, grad in enumerate(grads)
             ]
@@ -320,10 +328,15 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 if config.local_search.to_training:
                     batch_trajs = batch_trajs + found
 
-        # score the batch trajectories no rollout scored at the current parameters
+        # score the batch trajectories no rollout scored at the current
+        # parameters, each distinct one once
         fresh = batch_trajs[: len(grads)]
+        scored: dict[tuple, tuple[list[float], np.ndarray]] = {}
         for traj in batch_trajs[len(grads):]:
-            terms, grad = trajectory_logpf_and_grad(params, traj, env)
+            key = tuple(traj.actions)
+            if key not in scored:
+                scored[key] = trajectory_logpf_and_grad(params, traj, env, memo)
+            terms, grad = scored[key]
             fresh.append(dataclasses.replace(traj, logpf_terms=terms))
             grads.append(grad)
         phis = [phi(t, env) for t in fresh]
