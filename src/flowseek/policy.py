@@ -160,9 +160,8 @@ def step_grad(params: PolicyParams, dist: ActionDistribution, idx: int) -> np.nd
 def step_logprob_and_grad(
     params: PolicyParams, state: str, action: str, env, memo: dict | None = None
 ) -> tuple[float, np.ndarray]:
-    """log P_F(action | state) and its gradient w.r.t. the flat parameter vector.
-
-    The distribution at `state` is read through `memo` (see `memo_logits`)."""
+    """log P_F(action | state) and its gradient w.r.t. the flat parameter vector,
+    with the distribution at `state` read through `memo` (see `memo_logits`)."""
     dist = memo_logits(params, state, env, {} if memo is None else memo)
     try:
         idx = dist.action_ids.index(action)
@@ -176,9 +175,8 @@ def trajectory_logpf_and_grad(
 ) -> tuple[list[float], np.ndarray]:
     """Per-step log P_F terms and the gradient of their sum under `params`.
 
-    Each step's distribution is read through `memo` (see `memo_logits`), so a
-    caller that scores several trajectories at one `params` passes one dict and
-    runs each decision point's forward pass once."""
+    A caller scoring several trajectories at one `params` passes one `memo`
+    (see `memo_logits`), so each decision point's forward pass runs once."""
     memo = {} if memo is None else memo
     terms: list[float] = []
     total_grad = np.zeros_like(params.vector)

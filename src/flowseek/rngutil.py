@@ -23,9 +23,8 @@ def _tag_to_word(tag: object) -> int:
 def substream(seed: int, *tags: object) -> np.random.Generator:
     """Return a Generator for the stream named by `tags` under `seed`."""
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    # the uint32 words SeedSequence would coerce the list [seed, *tag words]
-    # into, built here at once: the seed's low word, its high word if nonzero,
-    # then one word per tag
+    # the uint32 words SeedSequence coerces the list [seed, *tag words] into,
+    # so every stream stays the same: low word, high word if nonzero, tags
     words = [seed & 0xFFFFFFFF, seed >> 32] if seed >> 32 else [seed]
     words += [_tag_to_word(t) for t in tags]
     entropy = np.array(words, dtype=np.uint32)
