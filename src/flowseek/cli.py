@@ -339,7 +339,7 @@ def cmd_sample(args) -> int:
             env = envs[inst.instance_id]
             for k in range(args.n):
                 # the greedy decode does not depend on rng, so one serves every k
-                if k == 0 or not args.argmax:
+                if k == 0 or beta != 0.0:
                     rng = substream(seed, "sample", inst.instance_id, k)
                     traj = sample_trajectory_mixed(params, env, eps=0.0, beta=beta, rng=rng)
                 success = env.is_success(traj)

@@ -143,10 +143,9 @@ def generate_instances(
 
 
 def replay_trajectory(env: Environment, actions: list[str]) -> Trajectory:
-    """Rebuild a complete trajectory by applying `actions` from s0.
+    """Rebuild a trajectory by applying `actions` from s0, and reward it.
 
-    logpf terms are zero placeholders; callers re-score before any loss use.
-    """
+    It is complete when the last state is terminal."""
     states = [env.s0]
     for action in actions:
         states.append(env.apply(states[-1], action))  # raises if illegal
@@ -154,7 +153,6 @@ def replay_trajectory(env: Environment, actions: list[str]) -> Trajectory:
         instance_id=env.instance.instance_id,
         states=states,
         actions=list(actions),
-        logpf_terms=[0.0] * len(actions),
         is_complete=env.is_terminal(states[-1]),
     )
     traj.reward = env.reward(traj)

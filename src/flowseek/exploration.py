@@ -1,15 +1,14 @@
 """Behavior-policy machinery: mixed rollouts, prioritized replay, local search.
 
-Rollouts mix epsilon-uniform steps with tempered policy sampling, but the
-recorded log P_F terms always come from the online (temperature-1) policy,
-which is what the losses score. A rollout can also sum those terms' gradient
-as it runs, so the trainer rescores only replayed, offline and local-search
-trajectories; rollouts that share a memo dict run each decision point's
-forward pass once. The replay buffer keeps one pool of complete
-trajectories per instance, with priority equal to the reward (or log1p
-reward), and samples an instance's pool proportionally. Local search
-truncates the last K steps of a high-reward trajectory, re-rolls them with
-uniform-random valid actions, and keeps only strict reward improvements.
+Rollouts mix epsilon-uniform steps with tempered policy sampling and return
+the path and its reward only; the trainer scores every batch trajectory at
+the current parameters in one place. Rollouts that share a memo dict run each
+decision point's forward pass, and each of its tempered cdfs, once. The replay
+buffer keeps one pool of complete trajectories per instance, with priority
+equal to the reward (or log1p reward), and samples an instance's pool
+proportionally. Local search truncates the last K steps of a high-reward
+trajectory, re-rolls them with uniform-random valid actions, and keeps only
+strict reward improvements.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 
 from .errors import EmptyBufferError
 from .flow_core import Trajectory
-from .policy import PolicyParams, memo_logits, sample_action, step_grad
+from .policy import PolicyParams, memo_logits, sample_action
 
 
 def check_finite_floats(obj) -> None:
@@ -75,17 +74,14 @@ class ExplorationSchedule:
 def _rollout(env, instance_id: str, states: list[str], actions: list[str], step) -> Trajectory:
     """Extend the prefix `states`/`actions` to a terminal state and reward the result.
 
-    `step(state)` returns the action to take and its log P_F term; prefix steps
-    get 0.0 terms."""
-    logpf = [0.0] * len(actions)
+    `step(state)` returns the action to take."""
     state = states[-1]
     while not env.is_terminal(state):
-        action, lp = step(state)
+        action = step(state)
         state = env.apply(state, action)
         states.append(state)
         actions.append(action)
-        logpf.append(lp)
-    traj = Trajectory(instance_id, states, actions, logpf, is_complete=True)
+    traj = Trajectory(instance_id, states, actions, is_complete=True)
     traj.reward = env.reward(traj)
     return traj
 
@@ -96,7 +92,6 @@ def sample_trajectory_mixed(
     eps: float,
     beta: float,
     rng: np.random.Generator,
-    grad: np.ndarray | None = None,
     *,
     memo: dict | None = None,
 ) -> Trajectory:
@@ -105,10 +100,10 @@ def sample_trajectory_mixed(
     beta == 0 is the greedy limit of tempered sampling: the highest logit,
     ties to the first action. Each step reads its distribution through `memo`
     (see `policy.memo_logits`), so rollouts that share one dict at one
-    `params` run each decision point's forward pass once; without it the
-    rollout makes its own. With `grad`, each step's gradient of its log P_F
-    term is added into it in step order: on zeros that is
-    `trajectory_logpf_and_grad`'s gradient at `params`, bit for bit.
+    `params` run each decision point's forward pass, and temper it at each
+    beta, once; without it the rollout makes its own. The trajectory carries
+    no log P_F: a caller that needs it scores the path at the parameters it
+    trains.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0,1], got {eps}")
@@ -116,7 +111,7 @@ def sample_trajectory_mixed(
         raise ValueError(f"beta must be non-negative, got {beta}")
     memo = {} if memo is None else memo
 
-    def step(state: str) -> tuple[str, float]:
+    def step(state: str) -> str:
         dist = memo_logits(params, state, env, memo)
         if rng.random() < eps:
             i = int(rng.integers(len(dist.action_ids)))
@@ -124,9 +119,7 @@ def sample_trajectory_mixed(
             i = int(np.argmax(dist.logits))
         else:
             i = sample_action(dist, beta, rng)
-        if grad is not None:
-            np.add(grad, step_grad(params, dist, i), out=grad)
-        return dist.action_ids[i], float(dist.log_probs[i])
+        return dist.action_ids[i]
 
     return _rollout(env, env.instance.instance_id, [env.s0], [], step)
 
@@ -201,9 +194,9 @@ def local_search(
         return []
     candidates: list[Trajectory] = []
 
-    def step(state: str) -> tuple[str, float]:
+    def step(state: str) -> str:
         options = env.cached_valid_actions(state)
-        return options[int(rng.integers(len(options)))], 0.0
+        return options[int(rng.integers(len(options)))]
 
     for _ in range(num_recon):
         if k_mode == "uniform":

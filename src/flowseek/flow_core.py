@@ -1,7 +1,7 @@
 """Flow-theoretic quantities over complete trajectories.
 
-A complete trajectory carries its per-step forward log-probabilities and a
-terminal reward. The per-trajectory residual
+A complete trajectory is a path and its terminal reward. The per-trajectory
+residual
 
     phi = log R + sum(log P_B) - sum(log P_F)
 
@@ -11,10 +11,12 @@ squared residual against a learned log-Z scalar. Backward probabilities are
 uniform over parents; in tree mode every state has one parent and the P_B sum
 vanishes.
 
-Gradients are analytic. The losses only depend on parameters through the
--sum(log P_F) term of each phi, so callers pass, per trajectory, the gradient
-of sum(log P_F) with respect to the flat parameter vector (see
-`policy.trajectory_logpf_and_grad`). Reward and P_B terms are constants.
+sum(log P_F) depends on the parameters, so a trajectory stores none: callers
+score it at the parameters they train (`policy.trajectory_logpf_and_grad`)
+and pass the sum to `phi`. Gradients are analytic. The losses only depend on
+parameters through the -sum(log P_F) term of each phi, so callers pass, per
+trajectory, the gradient of sum(log P_F) with respect to the flat parameter
+vector. Reward and P_B terms are constants.
 """
 
 from __future__ import annotations
@@ -30,16 +32,14 @@ from .errors import BatchTooSmallError, InvalidRewardError, StructuralError
 
 @dataclass
 class Trajectory:
-    """An ordered (state, action) path from s0 to a terminal state.
+    """An ordered (state, action) path from s0 to a terminal state, and its reward.
 
-    `states` has one more entry than `actions`; `logpf_terms` holds the
-    natural-log forward probability of each step, scored at temperature 1.
+    `states` has one more entry than `actions`.
     """
 
     instance_id: str
     states: list[str]
     actions: list[str]
-    logpf_terms: list[float]
     reward: float = 0.0
     is_complete: bool = False
 
@@ -52,9 +52,6 @@ class Trajectory:
     @property
     def n_steps(self) -> int:
         return len(self.actions)
-
-    def sum_logpf(self) -> float:
-        return float(sum(self.logpf_terms))
 
 
 def log_pb_uniform(traj: Trajectory, env) -> float:
@@ -74,13 +71,14 @@ def log_pb_uniform(traj: Trajectory, env) -> float:
     return total
 
 
-def phi(traj: Trajectory, env) -> float:
-    """log R + sum(log P_B) - sum(log P_F) for a complete trajectory."""
+def phi(traj: Trajectory, env, sum_logpf: float) -> float:
+    """log R + sum(log P_B) - sum_logpf for a complete trajectory, where
+    `sum_logpf` is its sum(log P_F) at the current parameters."""
     if not traj.is_complete:
         raise InvalidRewardError("phi requires a complete trajectory")
     if traj.reward <= 0.0:
         raise InvalidRewardError(f"phi requires reward > 0, got {traj.reward}")
-    return math.log(traj.reward) + log_pb_uniform(traj, env) - traj.sum_logpf()
+    return math.log(traj.reward) + log_pb_uniform(traj, env) - sum_logpf
 
 
 def loss_logvar(

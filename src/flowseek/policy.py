@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,13 +54,15 @@ class PolicyParams:
 @dataclass
 class ActionDistribution:
     """Softmax distribution over the valid actions at one state (temperature 1),
-    with the feature rows and the mlp hidden layer (None for linear) behind it."""
+    with the feature rows and the mlp hidden layer (None for linear) behind it,
+    and the normalized cdf of each temperature `sample_action` has drawn at."""
 
     action_ids: list[str]
     logits: np.ndarray
     log_probs: np.ndarray
     feats: np.ndarray | None = None
     hidden: np.ndarray | None = None
+    cdfs: dict[float, np.ndarray] = field(default_factory=dict)
 
 
 def param_count(variant: str, feature_dim: int, hidden_dim: int) -> int:
@@ -114,7 +116,8 @@ def memo_logits(params: PolicyParams, state: str, env, memo: dict) -> ActionDist
     """`action_logits(params, state, env)`, run once per `env.decision_key(state)` in `memo`.
 
     `memo` holds one env's distributions at `params`: a caller starts a new one
-    when either changes. Callers only read a distribution, so sharing it is safe."""
+    when either changes. Callers only read a distribution or add the tempered
+    cdfs that depend on it alone, so sharing it is safe."""
     key = env.decision_key(state)
     dist = memo.get(key)
     if dist is None:
@@ -122,19 +125,29 @@ def memo_logits(params: PolicyParams, state: str, env, memo: dict) -> ActionDist
     return dist
 
 
-def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generator) -> int:
-    """Index into `dist.action_ids` drawn from softmax(logits / beta).
-
-    beta > 1 flattens the distribution. The draw is `Generator.choice`'s: one
-    `random()` searched in the normalized cdf, so it takes the same numbers."""
-    if beta <= 0:
-        raise ValueError(f"temperature must be positive, got {beta}")
+def tempered_cdf(dist: ActionDistribution, beta: float) -> np.ndarray:
+    """Normalized cdf of softmax(dist.logits / beta); raises on NaN probabilities."""
     log_probs = dist.log_probs if beta == 1.0 else _log_softmax(dist.logits / beta)
     probs = np.exp(log_probs)
     cdf = np.cumsum(probs / probs.sum())
     if math.isnan(cdf[-1]):
         raise ValueError("probabilities contain NaN")
     cdf /= cdf[-1]
+    return cdf
+
+
+def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generator) -> int:
+    """Index into `dist.action_ids` drawn from softmax(logits / beta).
+
+    beta > 1 flattens the distribution. The draw is `Generator.choice`'s: one
+    `random()` searched in the normalized cdf, so it takes the same numbers.
+    The cdf is kept on `dist` per beta, so rollouts sharing a memo (see
+    `memo_logits`) temper each decision point once."""
+    if beta <= 0:
+        raise ValueError(f"temperature must be positive, got {beta}")
+    cdf = dist.cdfs.get(beta)
+    if cdf is None:
+        cdf = dist.cdfs[beta] = tempered_cdf(dist, beta)
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 

@@ -4,16 +4,15 @@ Each iteration visits one training instance (round-robin); a seeded draw then
 chooses between exploring (sample a batch of mixed rollouts, run local search
 on the batch's best trajectory, push everything into the replay buffer) and
 exploiting (redraw a batch from the buffer, or from the offline pool when the
-instance has offline data), then applies one optimizer step. Every trajectory
-entering a loss is scored at the current parameters: an explore rollout sums
-its log P_F gradient as it runs, and exploit draws and local-search finds get
-their log P_F terms and gradient recomputed (buffer entries keep no gradient).
+instance has offline data), then applies one optimizer step. Trajectories
+carry no log-probabilities, so one loop scores every trajectory entering a
+loss at the current parameters, whether it is a rollout, a replayed or
+offline draw or a local-search find, and each distinct action sequence once.
 A batch's trajectories share decision points, so each iteration keeps one
 memo from the env's `decision_key` to its distribution at the iteration's
-parameters (`policy.memo_logits`): the rollouts and the rescoring run each
-decision point's forward pass once, and a trajectory drawn twice into one
-batch is rescored once. Both reuse values a fresh pass would compute bit for
-bit, so no output moves.
+parameters (`policy.memo_logits`): the rollouts and the scoring run each
+decision point's forward pass once. The memo reuses values a fresh pass would
+compute bit for bit, so no output moves.
 
 Exploitation draws are restricted to the current instance's entries (the
 replay buffer keeps one pool per instance): phi targets the per-instance log
@@ -23,7 +22,6 @@ their partition values.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import time
@@ -285,7 +283,6 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         explore = u < (1.0 - replay_prob)
         phase = "explore" if explore else "exploit"
         batch_trajs: list[Trajectory] = []
-        grads: list[np.ndarray] = []  # Σ ∇log P_F of batch_trajs' explore rollouts
         found: list[Trajectory] = []  # local-search finds, logged without a phi
         memo: dict = {}  # decision_key -> ActionDistribution at this iteration's params
 
@@ -304,13 +301,11 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                     phase = "explore_fallback"
 
         if explore:
-            grads = [np.zeros_like(params.vector) for _ in range(m)]
             batch_trajs = [
                 sample_trajectory_mixed(
-                    params, env, eps, beta, substream(config.seed, "rollout", i, slot), grad,
-                    memo=memo,
+                    params, env, eps, beta, substream(config.seed, "rollout", i, slot), memo=memo
                 )
-                for slot, grad in enumerate(grads)
+                for slot in range(m)
             ]
             best = max(range(m), key=lambda j: batch_trajs[j].reward)
             for traj in batch_trajs:
@@ -328,18 +323,15 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 if config.local_search.to_training:
                     batch_trajs = batch_trajs + found
 
-        # score the batch trajectories no rollout scored at the current
-        # parameters, each distinct one once
-        fresh = batch_trajs[: len(grads)]
-        scored: dict[tuple, tuple[list[float], np.ndarray]] = {}
-        for traj in batch_trajs[len(grads):]:
+        # score every batch trajectory at the current parameters, each
+        # distinct action sequence once
+        scored: dict[tuple, tuple[float, np.ndarray]] = {}
+        for traj in batch_trajs:
             key = tuple(traj.actions)
             if key not in scored:
-                scored[key] = trajectory_logpf_and_grad(params, traj, env, memo)
-            terms, grad = scored[key]
-            fresh.append(dataclasses.replace(traj, logpf_terms=terms))
-            grads.append(grad)
-        phis = [phi(t, env) for t in fresh]
+                terms, grad = trajectory_logpf_and_grad(params, traj, env, memo)
+                scored[key] = phi(traj, env, sum(terms)), grad
+        phis, grads = zip(*(scored[tuple(t.actions)] for t in batch_trajs))
 
         if config.loss == "logvar":
             loss, grad = loss_logvar(phis, grads)
@@ -366,7 +358,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 grad = grad * (config.max_grad_norm / norm)
         params = apply_update(params, grad, opt, lr_override=lr)
 
-        logged = [(phase, t, v) for t, v in zip(fresh, phis)]
+        logged = [(phase, t, v) for t, v in zip(batch_trajs, phis)]
         logged += [("local_search", t, None) for t in found]
         for tag, traj, phi_val in logged:
             report.trajectory_log.append(
@@ -384,7 +376,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
                 "iteration": i,
                 "phase": phase,
                 "mean_loss": loss,
-                "mean_reward": float(np.mean([t.reward for t in fresh])),
+                "mean_reward": float(np.mean([t.reward for t in batch_trajs])),
                 "buffer_size": len(buffer),
                 "eps": eps,
                 "beta": beta,

@@ -132,7 +132,6 @@ def reference_enumerate_dag(instance, env, cap=10**6):
             instance_id=instance.instance_id,
             states=states,
             actions=actions,
-            logpf_terms=[0.0] * len(actions),
             is_complete=True,
         )
         reward = env.reward(traj)

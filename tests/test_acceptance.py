@@ -97,12 +97,11 @@ def test_criterion_2_gradient_correctness():
 
             def evaluate(v, kind):
                 p = PolicyParams(variant, env.feature_dim, hidden, v)
-                fresh, grads = [], []
+                phis, grads = [], []
                 for t in trajs:
                     terms, g = trajectory_logpf_and_grad(p, t, env)
-                    fresh.append(dataclasses.replace(t, logpf_terms=terms))
+                    phis.append(phi(t, env, sum(terms)))
                     grads.append(g)
-                phis = [phi(t, env) for t in fresh]
                 if kind == "logvar":
                     return loss_logvar(phis, grads)
                 return loss_tb_logz(phis, 0.3, grads)[:2]
@@ -205,8 +204,8 @@ def test_criterion_5_replay_proportionality():
         from flowseek.flow_core import Trajectory
 
         buf = ReplayBuffer(capacity=4)
-        hi = Trajectory("i", ["a", "b"], ["hi"], [0.0], reward=3.0, is_complete=True)
-        lo = Trajectory("i", ["a", "b"], ["lo"], [0.0], reward=1.0, is_complete=True)
+        hi = Trajectory("i", ["a", "b"], ["hi"], reward=3.0, is_complete=True)
+        lo = Trajectory("i", ["a", "b"], ["lo"], reward=1.0, is_complete=True)
         buffer_insert(buf, hi)
         buffer_insert(buf, lo)
         assert buf.pools["i"][1] == [3.0, 1.0]
@@ -389,14 +388,15 @@ def test_criterion_10_phi_shift_invariance():
             parent_mode = "tree"
 
         trajs = [
-            Trajectory("i", ["a", "b"], ["x"], [math.log(0.4)], reward=2.0, is_complete=True),
-            Trajectory("i", ["a", "b"], ["y"], [math.log(0.6)], reward=7.0, is_complete=True),
-            Trajectory("i", ["a", "b"], ["z"], [math.log(0.2)], reward=0.5, is_complete=True),
-            Trajectory("i", ["a", "b"], ["w"], [math.log(0.9)], reward=1.0, is_complete=True),
+            (Trajectory("i", ["a", "b"], ["x"], reward=2.0, is_complete=True), math.log(0.4)),
+            (Trajectory("i", ["a", "b"], ["y"], reward=7.0, is_complete=True), math.log(0.6)),
+            (Trajectory("i", ["a", "b"], ["z"], reward=0.5, is_complete=True), math.log(0.2)),
+            (Trajectory("i", ["a", "b"], ["w"], reward=1.0, is_complete=True), math.log(0.9)),
         ]
-        base = [phi(t, TreeEnv()) for t in trajs]
+        base = [phi(t, TreeEnv(), lp) for t, lp in trajs]
         base_loss, _ = loss_logvar(base)
-        scaled = [phi(dataclasses.replace(t, reward=t.reward * 10.0), TreeEnv()) for t in trajs]
+        scaled = [phi(dataclasses.replace(t, reward=t.reward * 10.0), TreeEnv(), lp)
+                  for t, lp in trajs]
         scaled_loss, _ = loss_logvar(scaled)
         for p0, p1 in zip(base, scaled):
             assert p1 - p0 == pytest.approx(math.log(10.0), abs=1e-9)

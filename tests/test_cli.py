@@ -332,6 +332,30 @@ def test_sample_argmax_decodes_once_per_instance(tmp_path, monkeypatch):
     assert out.read_text() == "".join(json.dumps(r, sort_keys=True) + "\n" for r in expected)
 
 
+def test_sample_beta_zero_decodes_once_per_instance_as_argmax_does(tmp_path, monkeypatch):
+    from flowseek import exploration
+
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=50)
+    write_instances(inst_path, toydag_instances(3, 1))
+    assert run_cli("train", config_path) == 0
+    decode = exploration.sample_trajectory_mixed
+    calls = []
+
+    def counting(params, env, *args, **kwargs):
+        calls.append(env.instance.instance_id)
+        return decode(params, env, *args, **kwargs)
+
+    monkeypatch.setattr(exploration, "sample_trajectory_mixed", counting)
+    code, greedy = sample_to(tmp_path, run_dir, inst_path, "b0.jsonl", n=3,
+                             extra=("--beta", "0"))
+    assert code == 0
+    assert calls == [inst.instance_id for inst in read_instances(inst_path)]
+    code, argmax = sample_to(tmp_path, run_dir, inst_path, "am.jsonl", n=3,
+                             extra=("--argmax",))
+    assert code == 0
+    assert greedy.read_bytes() == argmax.read_bytes()
+
+
 def test_sample_n_below_one_is_usage_error(tmp_path):
     config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
     run_cli("train", config_path)

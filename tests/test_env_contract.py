@@ -72,7 +72,7 @@ def test_success_term_is_w_exactly_at_successful_terminals(env_id):
     env = make_env(INSTANCES[env_id])
     outcomes = set()
     for actions, states in paths_to_terminals(env, env.dag(10**6)):
-        traj = Trajectory("contract", states, actions, [0.0] * len(actions), is_complete=True)
+        traj = Trajectory("contract", states, actions, is_complete=True)
         success = env.is_success(traj)
         assert env.success_term(states[-1]) == (env.w if success else 0.0), states[-1]
         outcomes.add(success)

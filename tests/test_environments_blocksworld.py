@@ -287,7 +287,7 @@ def update_dag_digest(digest, env):
         actions, states = stack.pop()
         kids = env.children(states[-1])
         if kids is None:
-            traj = Trajectory("pin", states, actions, [0.0] * len(actions))
+            traj = Trajectory("pin", states, actions)
             digest.update(env.reward(traj).hex().encode())
             continue
         for action, child in kids:

@@ -371,7 +371,7 @@ def test_env_outputs_match_pinned_digest():
             actions, states = stack.pop()
             kids = env.children(states[-1])
             if kids is None:
-                traj = Trajectory("pin", states, actions, [0.0] * len(actions))
+                traj = Trajectory("pin", states, actions)
                 digest.update(env.reward(traj).hex().encode())
                 continue
             for action, child in kids:

@@ -14,14 +14,13 @@ from flowseek.exploration import (
     sample_trajectory_mixed,
 )
 from flowseek.flow_core import Trajectory
-from flowseek.policy import PolicyParams
+from flowseek.policy import PolicyParams, trajectory_logpf_and_grad
 from flowseek.rngutil import substream
 
 
 def make_traj(instance_id, actions, reward):
     states = ["s"] + [f"s{i}" for i in range(len(actions))]
-    return Trajectory(instance_id, states, list(actions), [0.0] * len(actions),
-                      reward=reward, is_complete=True)
+    return Trajectory(instance_id, states, list(actions), reward=reward, is_complete=True)
 
 
 def test_schedule_endpoints_exact():
@@ -73,7 +72,8 @@ def test_eps_zero_beta_one_is_on_policy(toy_env):
     for k in range(20):
         traj = sample_trajectory_mixed(params, tab, 0.0, 1.0, substream(k, "e0"))
         assert traj.actions[0] == "left"  # P(left) ~ 1 under the degenerate policy
-        assert traj.logpf_terms[0] == pytest.approx(0.0, abs=1e-20)
+        terms, _ = trajectory_logpf_and_grad(params, traj, tab)
+        assert terms[0] == pytest.approx(0.0, abs=1e-20)
 
 
 def test_eps_half_mixing_frequency_binomial(toy_env):
@@ -110,7 +110,7 @@ def test_beta_zero_is_greedy_with_ties_to_first(toy_env):
     zero = PolicyParams("linear", tab.feature_dim, 64, np.zeros(tab.feature_dim))
     traj = sample_trajectory_mixed(zero, tab, 0.0, 0.0, substream(0, "tie"))
     assert traj.actions[0] == "left"
-    assert traj.logpf_terms[0] == pytest.approx(math.log(0.5))
+    assert trajectory_logpf_and_grad(zero, traj, tab)[0][0] == pytest.approx(math.log(0.5))
 
 
 def test_negative_beta_rejected(toy_env):
@@ -312,6 +312,7 @@ def reference_sample_action(dist, beta, rng):
 
 
 def reference_sample_trajectory_mixed(params, env, eps, beta, rng):
+    """The rollout and the log P_F term of each of its steps."""
     from flowseek.policy import action_logits
 
     state = env.s0
@@ -330,9 +331,9 @@ def reference_sample_trajectory_mixed(params, env, eps, beta, rng):
         state = env.apply(state, action)
         states.append(state)
         actions.append(action)
-    traj = Trajectory(env.instance.instance_id, states, actions, logpf, is_complete=True)
+    traj = Trajectory(env.instance.instance_id, states, actions, is_complete=True)
     traj.reward = env.reward(traj)
-    return traj
+    return traj, logpf
 
 
 def reference_local_search(traj_best, env, num_recon, k_mode, rng):
@@ -356,8 +357,7 @@ def reference_local_search(traj_best, env, num_recon, k_mode, rng):
             state = env.apply(state, action)
             states.append(state)
             actions.append(action)
-        cand = Trajectory(traj_best.instance_id, states, actions, [0.0] * len(actions),
-                          is_complete=True)
+        cand = Trajectory(traj_best.instance_id, states, actions, is_complete=True)
         cand.reward = env.reward(cand)
         if cand.reward > traj_best.reward:
             candidates.append(cand)
@@ -381,9 +381,9 @@ def paired_envs(name):
 
 
 def same_trajectory(got, want):
-    return (got.instance_id, got.states, got.actions, got.logpf_terms, got.reward,
+    return (got.instance_id, got.states, got.actions, got.reward,
             got.is_complete) == (want.instance_id, want.states, want.actions,
-                                 want.logpf_terms, want.reward, want.is_complete)
+                                 want.reward, want.is_complete)
 
 
 @pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))
@@ -397,32 +397,11 @@ def test_sample_trajectory_mixed_matches_reference_loop(name):
         eps, beta = (0.0, 0.3, 1.0)[k % 3], (0.0, 0.5, 1.0, 2.0)[k % 4]
         rng, ref_rng = substream(k, "mixed", name), substream(k, "mixed", name)
         got = sample_trajectory_mixed(params[j], envs[j][0], eps, beta, rng)
-        want = reference_sample_trajectory_mixed(params[j], envs[j][1], eps, beta, ref_rng)
+        want, want_terms = reference_sample_trajectory_mixed(params[j], envs[j][1], eps, beta,
+                                                             ref_rng)
         assert same_trajectory(got, want), k
+        assert trajectory_logpf_and_grad(params[j], got, envs[j][0])[0] == want_terms, k
         assert rng.random() == ref_rng.random()  # both drew the same numbers
-
-
-@pytest.mark.parametrize("variant", ["linear", "mlp"])
-@pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))
-def test_rollout_gradient_equals_rescoring(name, variant):
-    from conftest import random_params
-
-    from flowseek.policy import trajectory_logpf_and_grad
-
-    grid = [(eps, beta) for eps in (0.0, 0.3, 1.0) for beta in (0.0, 0.5, 1.0, 2.0)]
-    for j, (env, ref_env) in enumerate(paired_envs(name)):
-        params = random_params(variant, env, hidden=4, seed=j)
-        for k, (eps, beta) in enumerate(grid * 2):
-            grad = np.zeros_like(params.vector)
-            rng, ref_rng = substream(k, "grad", name, j), substream(k, "grad", name, j)
-            traj = sample_trajectory_mixed(params, env, eps, beta, rng, grad)
-            # summing the gradient changes neither the rollout nor its draws
-            plain = sample_trajectory_mixed(params, ref_env, eps, beta, ref_rng)
-            assert same_trajectory(traj, plain)
-            assert rng.random() == ref_rng.random()
-            terms, want = trajectory_logpf_and_grad(params, traj, ref_env)
-            assert traj.logpf_terms == terms
-            assert np.array_equal(grad, want)  # equal floats, no tolerance
 
 
 @pytest.mark.parametrize("name", sorted(ROLLOUT_INSTANCES))

@@ -21,8 +21,8 @@ from conftest import random_params, rollout
 
 
 def make_traj(states, actions, logpf, reward, instance_id="t"):
-    t = Trajectory(instance_id, states, actions, logpf, reward=reward, is_complete=True)
-    return t
+    """A complete trajectory and the sum of the log P_F terms `logpf`."""
+    return Trajectory(instance_id, states, actions, reward=reward, is_complete=True), sum(logpf)
 
 
 class FakeTreeEnv:
@@ -44,38 +44,38 @@ class FakeExactEnv:
 
 
 def test_log_pb_tree_mode_is_zero():
-    traj = make_traj(["a", "b", "c"], ["x", "y"], [-0.1, -0.2], 1.0)
+    traj, _ = make_traj(["a", "b", "c"], ["x", "y"], [-0.1, -0.2], 1.0)
     assert log_pb_uniform(traj, FakeTreeEnv()) == 0.0
 
 
 def test_log_pb_two_steps_nine_parents():
     # pinned against the cube inverse-move enumeration in test_environments_cube
-    traj = make_traj(["a", "b", "c"], ["x", "y"], [-0.1, -0.2], 1.0)
+    traj, _ = make_traj(["a", "b", "c"], ["x", "y"], [-0.1, -0.2], 1.0)
     env = FakeExactEnv({"b": 9, "c": 9})
     assert log_pb_uniform(traj, env) == pytest.approx(2 * math.log(1 / 9))
 
 
 def test_log_pb_single_step_three_parents():
-    traj = make_traj(["a", "b"], ["x"], [-0.1], 1.0)
+    traj, _ = make_traj(["a", "b"], ["x"], [-0.1], 1.0)
     env = FakeExactEnv({"b": 3})
     assert log_pb_uniform(traj, env) == pytest.approx(math.log(1 / 3))
 
 
 def test_phi_tree_one_step():
-    traj = make_traj(["a", "b"], ["x"], [math.log(0.5)], 100.0)
-    assert phi(traj, FakeTreeEnv()) == pytest.approx(math.log(100) - math.log(0.5))
-    assert phi(traj, FakeTreeEnv()) == pytest.approx(5.2983, abs=1e-4)
+    traj, lp = make_traj(["a", "b"], ["x"], [math.log(0.5)], 100.0)
+    assert phi(traj, FakeTreeEnv(), lp) == pytest.approx(math.log(100) - math.log(0.5))
+    assert phi(traj, FakeTreeEnv(), lp) == pytest.approx(5.2983, abs=1e-4)
 
 
 def test_phi_identity_case():
-    traj = make_traj(["a", "b"], ["x"], [0.0], 1.0)
-    assert phi(traj, FakeTreeEnv()) == 0.0
+    traj, lp = make_traj(["a", "b"], ["x"], [0.0], 1.0)
+    assert phi(traj, FakeTreeEnv(), lp) == 0.0
 
 
 def test_phi_rejects_nonpositive_reward():
-    traj = make_traj(["a", "b"], ["x"], [0.0], 0.0)
+    traj, lp = make_traj(["a", "b"], ["x"], [0.0], 0.0)
     with pytest.raises(InvalidRewardError):
-        phi(traj, FakeTreeEnv())
+        phi(traj, FakeTreeEnv(), lp)
 
 
 def test_phi_matches_independent_resummation(toy_env):
@@ -83,15 +83,14 @@ def test_phi_matches_independent_resummation(toy_env):
     params = random_params("linear", toy_env, seed=3)
     traj = rollout(toy_env, seed=5, eps=0.0)
     terms, _ = trajectory_logpf_and_grad(params, traj, toy_env)
-    traj = dataclasses.replace(traj, logpf_terms=terms)
     expected = math.log(traj.reward)
     for t in terms:
         expected -= t
-    assert phi(traj, toy_env) == pytest.approx(expected, rel=1e-12)
+    assert phi(traj, toy_env, sum(terms)) == pytest.approx(expected, rel=1e-12)
 
 
-def phis_of(trajs, env):
-    return [phi(t, env) for t in trajs]
+def phis_of(scored, env):
+    return [phi(t, env, lp) for t, lp in scored]
 
 
 def test_loss_logvar_zero_variance():
@@ -128,7 +127,7 @@ def test_loss_logvar_zero_iff_equal_phis():
 
 def test_loss_tb_singleton_zero_iff_z_matches():
     traj = make_traj(["a", "b"], ["x"], [math.log(0.5)], 100.0)
-    z_val = phi(traj, FakeTreeEnv())
+    z_val = phi(traj[0], FakeTreeEnv(), traj[1])
     loss, _, grad_z = loss_tb_logz(phis_of([traj], FakeTreeEnv()), z_val)
     assert loss == pytest.approx(0.0, abs=1e-20)
     assert grad_z == pytest.approx(0.0, abs=1e-9)
@@ -153,7 +152,7 @@ def test_logvar_shift_invariance_under_reward_scaling(k):
     env = FakeTreeEnv()
     base_phis = phis_of(trajs, env)
     base_loss, _ = loss_logvar(base_phis)
-    scaled = [dataclasses.replace(t, reward=t.reward * k) for t in trajs]
+    scaled = [(dataclasses.replace(t, reward=t.reward * k), lp) for t, lp in trajs]
     scaled_phis = phis_of(scaled, env)
     scaled_loss, _ = loss_logvar(scaled_phis)
     for p0, p1 in zip(base_phis, scaled_phis):
@@ -220,12 +219,12 @@ def test_gradients_match_finite_differences(variant, loss_kind):
         from flowseek.policy import PolicyParams
 
         p = PolicyParams(variant, env.feature_dim, 4, vec)
-        fresh, gs = [], []
+        scored, gs = [], []
         for t in trajs:
             terms, g = trajectory_logpf_and_grad(p, t, env)
-            fresh.append(dataclasses.replace(t, logpf_terms=terms))
+            scored.append((t, sum(terms)))
             gs.append(g)
-        phis = phis_of(fresh, env)
+        phis = phis_of(scored, env)
         if loss_kind == "logvar":
             return loss_logvar(phis, gs)
         return loss_tb_logz(phis, 0.4, gs)[:2]
@@ -239,4 +238,4 @@ def test_trajectory_shape_invariant():
     from flowseek.errors import StructuralError
 
     with pytest.raises(StructuralError):
-        Trajectory("x", ["a", "b"], ["u", "v"], [0.0, 0.0])
+        Trajectory("x", ["a", "b"], ["u", "v"])

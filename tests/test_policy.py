@@ -20,6 +20,7 @@ from flowseek.policy import (
     sample_action,
     save_checkpoint,
     step_logprob_and_grad,
+    trajectory_logpf_and_grad,
 )
 from flowseek.rngutil import substream
 
@@ -108,7 +109,7 @@ def reference_choice_index(logits, beta, rng):
     return int(rng.choice(len(probs), p=probs))
 
 
-@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, math.inf])
 def test_sample_action_draws_as_generator_choice(beta):
     gen = substream(0, "logits", beta)
     for k in range(300):
@@ -118,19 +119,25 @@ def test_sample_action_draws_as_generator_choice(beta):
             logits[int(gen.integers(n))] += (40.0, 800.0)[k % 3 - 1]
         dist = ActionDistribution([str(a) for a in range(n)], logits, _log_softmax(logits))
         rng, ref = substream(k, "draw"), substream(k, "draw")
-        assert sample_action(dist, beta, rng) == reference_choice_index(logits, beta, ref)
+        # the second draw reads the cdf the first kept on `dist`
+        for _ in range(2):
+            assert sample_action(dist, beta, rng) == reference_choice_index(logits, beta, ref)
         assert rng.bit_generator.state == ref.bit_generator.state
+        assert list(dist.cdfs) == [beta]
 
 
 def test_sample_action_nan_logit_is_value_error():
     logits = np.array([0.3, np.nan, -1.0])
     dist = ActionDistribution(["a", "b", "c"], logits, _log_softmax(logits))
     rng, ref = substream(0, "nan"), substream(0, "nan")
-    with pytest.raises(ValueError):
-        reference_choice_index(logits, 1.0, ref)
-    with pytest.raises(ValueError):
-        sample_action(dist, 1.0, rng)
+    # no cdf is kept, so a repeated draw raises again
+    for beta in (1.0, 0.5, 1.0):
+        with pytest.raises(ValueError):
+            reference_choice_index(logits, beta, ref)
+        with pytest.raises(ValueError):
+            sample_action(dist, beta, rng)
     assert rng.bit_generator.state == ref.bit_generator.state
+    assert not dist.cdfs
 
 
 def test_uniform_sampling_frequency_chi_square(toy_env):
@@ -163,7 +170,8 @@ def test_scoring_is_temperature_independent(toy_env):
         traj = sample_trajectory_mixed(params, toy_env, 0.0, beta, substream(7, "t", beta))
         idx = ["left", "right"].index(traj.actions[0])
         expected = log_prob(traj.actions[0])
-        assert traj.logpf_terms[0] == pytest.approx(expected, rel=1e-12)
+        terms, _ = trajectory_logpf_and_grad(params, traj, toy_env)
+        assert terms[0] == pytest.approx(expected, rel=1e-12)
     assert log_prob("left") == lp_before
 
 

@@ -2,13 +2,14 @@
 
 `trainer.train` gives each iteration one dict from the env's `decision_key`
 to its distribution at that iteration's parameters. The explore rollouts and
-the rescoring read it, and a trajectory drawn twice into one batch is scored
-once. None of this may change a draw, a log-prob or a gradient.
+the one scoring loop read it, each distribution keeps its tempered cdfs, and
+each distinct action sequence of a batch is scored once. None of this may
+change a draw, a log-prob or a gradient.
 """
 
 import collections
+import math
 
-import numpy as np
 import pytest
 
 from flowseek import policy, trainer
@@ -93,27 +94,76 @@ def test_an_invalid_action_raises_through_a_filled_memo():
     good = sample_trajectory_mixed(params, env, 0.0, 1.0, substream(0, "memo"), memo=memo)
     assert env.decision_key(env.s0) in memo
     bad = Trajectory("g", good.states, ["no-such-action"] + good.actions[1:],
-                     good.logpf_terms, reward=good.reward, is_complete=True)
+                     reward=good.reward, is_complete=True)
     with pytest.raises(InvalidActionError):
         trajectory_logpf_and_grad(params, bad, env, memo)
 
 
+def test_every_batch_trajectory_is_scored_once_per_iteration(tmp_path, monkeypatch):
+    # explore rollouts and local-search finds sent to training go through the
+    # same loop as the exploit draws: one call per distinct action sequence
+    instances = [make_instance(h, f"g{i}") for i, h in enumerate(HANDS)]
+    config = game24_config(tmp_path, instances)
+    calls = []
+    seen_params = []  # kept alive, so no two iterations' params share an id
+    original = trainer.trajectory_logpf_and_grad
+
+    def counted(params, traj, env, memo=None):
+        seen_params.append(params)
+        calls.append((id(params), tuple(traj.actions)))
+        return original(params, traj, env, memo)
+
+    monkeypatch.setattr(trainer, "trajectory_logpf_and_grad", counted)
+    _, report = train(config, instances)
+    iteration_of = {}  # each iteration scores at its own params
+    for params_id, _ in calls:
+        iteration_of.setdefault(params_id, len(iteration_of))
+    scored = collections.defaultdict(list)
+    for params_id, actions in calls:
+        scored[iteration_of[params_id]].append(actions)
+    batches = collections.defaultdict(set)
+    for rec in report.trajectory_log:
+        if rec["phase"] != "local_search":
+            batches[rec["iteration"]].add(tuple(rec["actions"]))
+    assert len(scored) == len(batches) == config.iterations
+    for i, batch in batches.items():
+        assert sorted(scored[i]) == sorted(batch), i
+    finds = {(rec["iteration"], tuple(rec["actions"])) for rec in report.trajectory_log
+             if rec["phase"] == "local_search"}
+    explored = [i for i, rec in enumerate(report.records) if rec["phase"] == "explore"]
+    assert explored and finds
+    assert all(actions in batches[i] for i, actions in finds)
+
+
 @pytest.mark.parametrize("variant", ["linear", "mlp"])
-@pytest.mark.parametrize("env_id,difficulty", [
-    ("game24", None), ("cube2x2", "2"), ("blocksworld", "4"),
-])
-def test_rollouts_sharing_a_memo_keep_their_own_gradient(env_id, difficulty, variant):
-    for j, inst in enumerate(generate_instances(env_id, 3, seed=3, difficulty=difficulty)):
-        env, ref_env = make_env(inst), make_env(inst)
-        params = random_params(variant, env, hidden=4, seed=j)
-        memo = {}
-        for k, (eps, beta) in enumerate([(0.0, 1.0), (0.3, 2.0), (0.0, 0.0), (1.0, 1.0)] * 4):
-            grad = np.zeros_like(params.vector)
-            rng, ref_rng = substream(k, "memo", j), substream(k, "memo", j)
-            traj = sample_trajectory_mixed(params, env, eps, beta, rng, grad, memo=memo)
-            plain = sample_trajectory_mixed(params, ref_env, eps, beta, ref_rng)
-            assert (traj.actions, traj.logpf_terms) == (plain.actions, plain.logpf_terms)
-            assert rng.random() == ref_rng.random()
-            terms, want = trajectory_logpf_and_grad(params, traj, ref_env)
-            assert traj.logpf_terms == terms
-            assert np.array_equal(grad, want)  # equal floats, no tolerance
+def test_rollouts_sharing_a_memo_temper_each_decision_point_once(variant, monkeypatch):
+    inst = generate_instances("game24", 1, seed=3)[0]
+    env, ref_env = make_env(inst), make_env(inst)
+    params = random_params(variant, env, hidden=4, seed=1)
+    tempered = collections.Counter()
+    seen_dists = []  # kept alive, so no two distributions share an id
+    original = policy.tempered_cdf
+
+    def counted(dist, beta):
+        seen_dists.append(dist)
+        tempered[(id(dist), beta)] += 1
+        return original(dist, beta)
+
+    monkeypatch.setattr(policy, "tempered_cdf", counted)
+    memo = {}
+    for k in range(40):
+        beta = (0.5, 1.0, 2.0, math.inf)[k % 4]
+        rng, ref_rng = substream(k, "temper"), substream(k, "temper")
+        got = sample_trajectory_mixed(params, env, 0.0, beta, rng, memo=memo)
+        # a rollout without a memo tempers fresh distributions
+        want = sample_trajectory_mixed(params, ref_env, 0.0, beta, ref_rng)
+        assert got.actions == want.actions, k
+        assert rng.random() == ref_rng.random()  # both drew the same numbers
+    shared = {id(dist) for dist in memo.values()}
+    in_memo = collections.Counter({key: n for key, n in tempered.items() if key[0] in shared})
+    assert in_memo and max(in_memo.values()) == 1
+    assert {beta for _, beta in in_memo} == {0.5, 1.0, 2.0, math.inf}
+    # each memo entry holds exactly the cdfs the rollouts tempered at it
+    assert sum(len(dist.cdfs) for dist in memo.values()) == len(in_memo)
+    # the rollouts without a memo tempered more often than the shared ones
+    assert len(in_memo) < sum(n for key, n in tempered.items() if key[0] not in shared)

@@ -101,7 +101,7 @@ def test_trajectory_logpf_idempotent_and_fresh(toy_env):
     params = random_params("linear", toy_env, seed=5)
     traj = rollout(toy_env, seed=1, eps=1.0)
     once, grad_once = trajectory_logpf_and_grad(params, traj, toy_env)
-    rescored = dataclasses.replace(traj, logpf_terms=once)
+    rescored = dataclasses.replace(traj)  # a copy scores as the original does
     twice, grad_twice = trajectory_logpf_and_grad(params, rescored, toy_env)
     assert once == twice
     np.testing.assert_array_equal(grad_once, grad_twice)
@@ -117,7 +117,7 @@ def test_trajectory_logpf_rejects_corrupt_action(toy_env):
     from flowseek.flow_core import Trajectory
 
     params = init_params("linear", toy_env.feature_dim)
-    bad = Trajectory("toy-2term", ["s0", "mid_l"], ["no-such-action"], [0.0],
+    bad = Trajectory("toy-2term", ["s0", "mid_l"], ["no-such-action"],
                      reward=1.0, is_complete=True)
     with pytest.raises(InvalidActionError):
         trajectory_logpf_and_grad(params, bad, toy_env)
@@ -362,7 +362,7 @@ def test_every_logged_phi_is_scored_at_the_iteration_params(variant):
         scored.setdefault(i, []).append(rec["actions"])
         traj = replay_trajectory(env, rec["actions"])
         terms, _ = trajectory_logpf_and_grad(snapshots[i], traj, env)
-        assert rec["phi"] == phi(dataclasses.replace(traj, logpf_terms=terms), env), i
+        assert rec["phi"] == phi(traj, env, sum(terms)), i
     assert found and set(scored) == set(range(40))
     for i, actions in found.items():  # each find enters the loss after the batch
         assert scored[i][config.batch_size:] == actions
