@@ -336,7 +336,8 @@ def cmd_sample(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as f:
         for inst in instances:
-            env = envs[inst.instance_id]
+            # dropped after its samples, so the memo `params` keeps for it goes too
+            env = envs.pop(inst.instance_id)
             for k in range(args.n):
                 # the greedy decode does not depend on rng, so one serves every k
                 if k == 0 or beta != 0.0:

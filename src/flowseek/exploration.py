@@ -2,13 +2,13 @@
 
 Rollouts mix epsilon-uniform steps with tempered policy sampling and return
 the path and its reward only; the trainer scores every batch trajectory at
-the current parameters in one place. Rollouts that share a memo dict run each
-decision point's forward pass, and each of its tempered cdfs, once. The replay
-buffer keeps one pool of complete trajectories per instance, with priority
-equal to the reward (or log1p reward), and samples an instance's pool
-proportionally. Local search truncates the last K steps of a high-reward
-trajectory, re-rolls them with uniform-random valid actions, and keeps only
-strict reward improvements.
+the current parameters in one place. Rollouts at one params snapshot share
+its memo (`policy.memo_logits`), so they run each decision point's forward
+pass, and each of its tempered cdfs, once. The replay buffer keeps one pool
+of complete trajectories per instance, with priority equal to the reward (or
+log1p reward), and samples an instance's pool proportionally. Local search
+truncates the last K steps of a high-reward trajectory, re-rolls them with
+uniform-random valid actions, and keeps only strict reward improvements.
 """
 
 from __future__ import annotations
@@ -92,27 +92,23 @@ def sample_trajectory_mixed(
     eps: float,
     beta: float,
     rng: np.random.Generator,
-    *,
-    memo: dict | None = None,
 ) -> Trajectory:
     """Roll out one complete trajectory under the eps/beta behavior policy.
 
     beta == 0 is the greedy limit of tempered sampling: the highest logit,
-    ties to the first action. Each step reads its distribution through `memo`
-    (see `policy.memo_logits`), so rollouts that share one dict at one
-    `params` run each decision point's forward pass, and temper it at each
-    beta, once; without it the rollout makes its own. The trajectory carries
-    no log P_F: a caller that needs it scores the path at the parameters it
-    trains.
+    ties to the first action. Each step reads its distribution from the memo
+    that `params` keeps per env (see `policy.memo_logits`), so all rollouts
+    at one snapshot run each decision point's forward pass, and temper it at
+    each beta, once. The trajectory carries no log P_F: a caller that needs
+    it scores the path at the parameters it trains.
     """
     if not 0.0 <= eps <= 1.0:
         raise ValueError(f"eps must be in [0,1], got {eps}")
     if beta < 0.0:
         raise ValueError(f"beta must be non-negative, got {beta}")
-    memo = {} if memo is None else memo
 
     def step(state: str) -> str:
-        dist = memo_logits(params, state, env, memo)
+        dist = memo_logits(params, state, env)
         if rng.random() < eps:
             i = int(rng.integers(len(dist.action_ids)))
         elif beta == 0.0:

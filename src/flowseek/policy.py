@@ -7,13 +7,16 @@ over the valid-action set. Sampling may temper the logits; scoring for
 training always happens at temperature 1.
 
 Parameters live in a single flat float64 vector so optimizers and
-finite-difference checks stay trivial.
+finite-difference checks stay trivial. Each `PolicyParams` is a snapshot
+with a read-only vector that keeps, per env, the memo of its distributions;
+an optimizer step returns a new snapshot, with an empty memo.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,17 +29,23 @@ DEFAULT_HIDDEN_DIM = 64
 
 @dataclass
 class PolicyParams:
-    """Flat parameter vector plus the shape metadata to interpret it."""
+    """Flat parameter vector plus the shape metadata to interpret it, and the
+    memo of each env's distributions at that vector (see `memo_logits`)."""
 
     variant: str  # "linear" or "mlp"
     feature_dim: int
     hidden_dim: int
     vector: np.ndarray
+    # env -> {decision_key: ActionDistribution}; an entry goes with its env
+    memos: weakref.WeakKeyDictionary = field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.variant not in ("linear", "mlp"):
             raise ValueError(f"unknown policy variant {self.variant!r}")
-        self.vector = np.asarray(self.vector, dtype=np.float64)
+        # a read-only copy: the memo holds only while the vector cannot change
+        self.vector = np.array(self.vector, dtype=np.float64)
+        self.vector.flags.writeable = False
         if self.vector.shape != (param_count(self.variant, self.feature_dim, self.hidden_dim),):
             raise ValueError("parameter vector length does not match variant/shape")
         if not np.all(np.isfinite(self.vector)):
@@ -112,12 +121,16 @@ def action_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
     return ActionDistribution(actions, logits, _log_softmax(logits), feats, hidden)
 
 
-def memo_logits(params: PolicyParams, state: str, env, memo: dict) -> ActionDistribution:
-    """`action_logits(params, state, env)`, run once per `env.decision_key(state)` in `memo`.
+def memo_logits(params: PolicyParams, state: str, env) -> ActionDistribution:
+    """`action_logits(params, state, env)`, once per `env.decision_key(state)` per snapshot.
 
-    `memo` holds one env's distributions at `params`: a caller starts a new one
-    when either changes. Callers only read a distribution or add the tempered
-    cdfs that depend on it alone, so sharing it is safe."""
+    The distributions live in `params.memos[env]`, which lasts while both the
+    snapshot and the env do, so every rollout and scoring pass at one snapshot
+    shares them. Callers only read a distribution or add the tempered cdfs
+    that depend on it alone, so sharing it is safe."""
+    memo = params.memos.get(env)
+    if memo is None:
+        memo = params.memos[env] = {}
     key = env.decision_key(state)
     dist = memo.get(key)
     if dist is None:
@@ -141,8 +154,8 @@ def sample_action(dist: ActionDistribution, beta: float, rng: np.random.Generato
 
     beta > 1 flattens the distribution. The draw is `Generator.choice`'s: one
     `random()` searched in the normalized cdf, so it takes the same numbers.
-    The cdf is kept on `dist` per beta, so rollouts sharing a memo (see
-    `memo_logits`) temper each decision point once."""
+    The cdf is kept on `dist` per beta, so rollouts at one params snapshot
+    (see `memo_logits`) temper each decision point once."""
     if beta <= 0:
         raise ValueError(f"temperature must be positive, got {beta}")
     cdf = dist.cdfs.get(beta)
@@ -171,11 +184,11 @@ def step_grad(params: PolicyParams, dist: ActionDistribution, idx: int) -> np.nd
 
 
 def step_logprob_and_grad(
-    params: PolicyParams, state: str, action: str, env, memo: dict | None = None
+    params: PolicyParams, state: str, action: str, env
 ) -> tuple[float, np.ndarray]:
     """log P_F(action | state) and its gradient w.r.t. the flat parameter vector,
-    with the distribution at `state` read through `memo` (see `memo_logits`)."""
-    dist = memo_logits(params, state, env, {} if memo is None else memo)
+    with the distribution at `state` read through `memo_logits`."""
+    dist = memo_logits(params, state, env)
     try:
         idx = dist.action_ids.index(action)
     except ValueError:
@@ -183,18 +196,15 @@ def step_logprob_and_grad(
     return float(dist.log_probs[idx]), step_grad(params, dist, idx)
 
 
-def trajectory_logpf_and_grad(
-    params: PolicyParams, traj, env, memo: dict | None = None
-) -> tuple[list[float], np.ndarray]:
+def trajectory_logpf_and_grad(params: PolicyParams, traj, env) -> tuple[list[float], np.ndarray]:
     """Per-step log P_F terms and the gradient of their sum under `params`.
 
-    A caller scoring several trajectories at one `params` passes one `memo`
-    (see `memo_logits`), so each decision point's forward pass runs once."""
-    memo = {} if memo is None else memo
+    Trajectories scored at one `params` share its memo (see `memo_logits`),
+    so each decision point's forward pass runs once."""
     terms: list[float] = []
     total_grad = np.zeros_like(params.vector)
     for state, action in zip(traj.states[:-1], traj.actions):
-        lp, g = step_logprob_and_grad(params, state, action, env, memo)
+        lp, g = step_logprob_and_grad(params, state, action, env)
         terms.append(lp)
         total_grad += g
     return terms, total_grad

@@ -8,11 +8,11 @@ instance has offline data), then applies one optimizer step. Trajectories
 carry no log-probabilities, so one loop scores every trajectory entering a
 loss at the current parameters, whether it is a rollout, a replayed or
 offline draw or a local-search find, and each distinct action sequence once.
-A batch's trajectories share decision points, so each iteration keeps one
-memo from the env's `decision_key` to its distribution at the iteration's
-parameters (`policy.memo_logits`): the rollouts and the scoring run each
-decision point's forward pass once. The memo reuses values a fresh pass would
-compute bit for bit, so no output moves.
+A batch's trajectories share decision points, and each iteration's params
+snapshot keeps the memo from the env's `decision_key` to its distribution
+(`policy.memo_logits`), so the rollouts and the scoring run each decision
+point's forward pass once; the optimizer step's new snapshot starts empty.
+The memo reuses values a fresh pass would compute bit for bit.
 
 Exploitation draws are restricted to the current instance's entries (the
 replay buffer keeps one pool per instance): phi targets the per-instance log
@@ -284,7 +284,6 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         phase = "explore" if explore else "exploit"
         batch_trajs: list[Trajectory] = []
         found: list[Trajectory] = []  # local-search finds, logged without a phi
-        memo: dict = {}  # decision_key -> ActionDistribution at this iteration's params
 
         if not explore:
             pool = offline_pool.get(inst.instance_id)
@@ -303,7 +302,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         if explore:
             batch_trajs = [
                 sample_trajectory_mixed(
-                    params, env, eps, beta, substream(config.seed, "rollout", i, slot), memo=memo
+                    params, env, eps, beta, substream(config.seed, "rollout", i, slot)
                 )
                 for slot in range(m)
             ]
@@ -329,7 +328,7 @@ def train(config: TrainConfig, instances: list[EnvInstance],
         for traj in batch_trajs:
             key = tuple(traj.actions)
             if key not in scored:
-                terms, grad = trajectory_logpf_and_grad(params, traj, env, memo)
+                terms, grad = trajectory_logpf_and_grad(params, traj, env)
                 scored[key] = phi(traj, env, sum(terms)), grad
         phis, grads = zip(*(scored[tuple(t.actions)] for t in batch_trajs))
 

@@ -356,6 +356,33 @@ def test_sample_beta_zero_decodes_once_per_instance_as_argmax_does(tmp_path, mon
     assert greedy.read_bytes() == argmax.read_bytes()
 
 
+def test_sample_runs_each_forward_pass_once_per_instance(tmp_path, monkeypatch):
+    # the draws of one instance share the checkpoint's params snapshot, and so
+    # its memo: each decision point's forward pass runs once per instance, and
+    # an instance's memo goes with its env once its draws are written
+    from flowseek import policy
+
+    config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=50)
+    write_instances(inst_path, toydag_instances(3, 1))
+    assert run_cli("train", config_path) == 0
+    forward = policy.action_logits
+    calls, memos_held = [], []
+
+    def counting(params, state, env):
+        calls.append((env.instance.instance_id, env.decision_key(state)))
+        memos_held.append(len(params.memos))
+        return forward(params, state, env)
+
+    monkeypatch.setattr(policy, "action_logits", counting)
+    code, out = sample_to(tmp_path, run_dir, inst_path, "s.jsonl", n=8)
+    assert code == 0
+    assert len(calls) == len(set(calls))
+    steps = sum(len(json.loads(line)["actions"]) for line in out.read_text().splitlines())
+    assert len(calls) < steps
+    assert len({instance_id for instance_id, _ in calls}) == 3
+    assert max(memos_held) == 1
+
+
 def test_sample_n_below_one_is_usage_error(tmp_path):
     config_path, inst_path, run_dir = write_toy_setup(tmp_path, iterations=20)
     run_cli("train", config_path)
