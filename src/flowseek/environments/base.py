@@ -152,8 +152,10 @@ class Environment:
     one EnvInstance. All methods are pure. `valid_actions` raises
     `TerminalQueryError` at a terminal and otherwise returns the subclass's
     `_actions(state)`; game24 overrides it to read both facts off one decode
-    entry. Only exact-mode subclasses define `parent_count`: a tree-mode
-    state has one parent, and nothing asks.
+    entry. `children` lists a state's edges through `apply`; game24,
+    blocksworld and cube2x2 override it to decode the state once and build
+    each child key from the decode. Only exact-mode subclasses define
+    `parent_count`: a tree-mode state has one parent, and nothing asks.
 
     A reward is a fold along the trajectory: it starts at `reward_start`,
     `reward_step(acc, state, child)` takes each transition in path order,
@@ -347,7 +349,11 @@ class Environment:
     def children(self, state: str) -> list[tuple[str, str]] | None:
         """`(action, child)` per action of `cached_valid_actions`, in its order; None if terminal.
 
-        Uncached: `dag` keeps the edges of its one walk."""
+        Uncached: `dag` keeps the edges of its one walk. game24, blocksworld
+        and cube2x2 override it with the same list, built from one decode of
+        the state and no `apply` call; an override leaves
+        `cached_valid_actions` filled for each state it expands, as this one
+        does."""
         if self.is_terminal(state):
             return None
         return [(a, self.apply(state, a)) for a in self.cached_valid_actions(state)]

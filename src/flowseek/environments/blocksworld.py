@@ -8,20 +8,25 @@ a clear target. Goals are conjunctions of on-relations.
 A state key is `t=<step>|hand=<block or ->|on=<block:support,...>`: the step
 index (exact parent mode) and the configuration. Every key an env builds lists
 the blocks sorted; a start read from an instance file may list them in any
-order, which moves neither its actions nor its rows. Inside, an env reads
-the step from the key and the configuration from one process-wide table that
-fills lazily, one entry per configuration text. An entry holds only what no
-goal changes: the supports, the valid actions in order, the entry each action
-leads to, the parent entries that the four inverse actions reach and an int8
-template of the actions' feature rows without their goal and step columns.
-Goal facts (relations satisfied, goal met) are computed from an entry's
-supports on each call, so envs with different goals share the table; an env
-keeps its goal columns per entry in its own memo and writes them, with the
-step column, on each call. A state's parent count is its number of
-inverse-action parents that do not meet the goal: a terminal state has no
-edges. The table holds at most one entry per configuration of each block set
-seen: 866 for five blocks (the generator's 6-step instances), 125 for four and
-22 for three.
+order, which moves neither its actions nor its rows. Inside, an env decodes
+each key once, into its step and the entry of its configuration in one
+process-wide table that fills lazily, one entry per configuration text. The
+env keeps each decode in its own memo: `children` and `apply` store every key
+they build with the entry its action leads to, and any other key is parsed on
+its first query, so the `Dag` walk builds each child key from its parent's
+entry and every later query on a state is one lookup.
+
+A table entry holds only what no goal changes: the supports, the valid
+actions in order, the entry each action leads to, the parent entries that the
+four inverse actions reach and an int8 template of the actions' feature rows
+without their goal and step columns. Goal facts (relations satisfied, goal
+met) are computed from an entry's supports on each call, so envs with
+different goals share the table; an env keeps its goal columns per entry in
+its own memo and writes them, with the step column, on each call. A state's
+parent count is its number of inverse-action parents that do not meet the
+goal: a terminal state has no edges. The table holds at most one entry per
+configuration of each block set seen: 866 for five blocks (the generator's
+6-step instances), 125 for four and 22 for three.
 """
 
 from __future__ import annotations
@@ -113,13 +118,15 @@ class _Config:
 
     `actions` is the list `valid_actions` returns. `next` (each action's
     entry), `parents` (the entries one action leads here from) and `rows` are
-    filled on first read (`__getattr__`). `rows` holds the int8 feature rows
-    of `actions` with the goal columns (4-13 and 15) and the step column 0: a
-    row sets its action type, whether the hand is empty after it and the bias.
-    Callers must not change `actions` or `rows`.
+    properties that fill their slot on first read. `rows` holds the int8
+    feature rows of `actions` with the goal columns (4-13 and 15) and the step
+    column 0: a row sets its action type, whether the hand is empty after it
+    and the bias. Callers must not change `actions` or `rows`. The class
+    defines no `__getattr__`, which would keep CPython from specialising its
+    slot reads.
     """
 
-    __slots__ = ("text", "hand", "on", "actions", "next", "rows", "parents")
+    __slots__ = ("text", "hand", "on", "actions", "_next", "_rows", "_parents")
 
     def __init__(self, text: str):
         hand, on = _parse_config(text)
@@ -130,29 +137,36 @@ class _Config:
                             for x in clear]
         else:
             self.actions = [f"putdown {hand}", *(f"stack {hand} {y}" for y in clear)]
+        self._next = self._rows = self._parents = None
 
-    def __getattr__(self, name):
-        # runs only while the slot `name` is unset: fill it, then read it
-        if name == "next":
-            self.next = {a: _entry(_encode_config(*_move(self.hand, self.on, a)))
-                         for a in self.actions}
-        elif name == "rows":
+    @property
+    def next(self) -> dict[str, "_Config"]:
+        if self._next is None:
+            self._next = {a: _entry(_encode_config(*_move(self.hand, self.on, a)))
+                          for a in self.actions}
+        return self._next
+
+    @property
+    def rows(self) -> np.ndarray:
+        if self._rows is None:
             rows = np.zeros((len(self.actions), FEATURE_DIM), np.int8)
             for row, action in enumerate(self.actions):
                 rows[row, _VERBS.index(action.split()[0])] = 1
                 rows[row, 14] = self.next[action].hand is None
                 rows[row, 17] = 1  # the bias
-            self.rows = rows
-        elif name == "parents":
+            self._rows = rows
+        return self._rows
+
+    @property
+    def parents(self) -> list["_Config"]:
+        if self._parents is None:
             hand, on = self.hand, self.on
             if hand is None:  # the last action put down or stacked some clear block x
                 prev = [(x, {b: s for b, s in on.items() if b != x}) for x in _clear_blocks(on)]
             else:  # the last action lifted `hand` from the table or from a clear block
                 prev = [(None, {**on, hand: s}) for s in ("table", *_clear_blocks(on))]
-            self.parents = [_entry(_encode_config(*p)) for p in prev]
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+            self._parents = [_entry(_encode_config(*p)) for p in prev]
+        return self._parents
 
 
 _TABLE: dict[str, _Config] = {}  # configuration text -> its entry, for the whole process
@@ -208,7 +222,8 @@ class BlocksWorldEnv(Environment):
         check_physics(self.s0)
         self.goal_relations = _parse_goal(self.goal)
         self._goal_cells: dict[_Config, np.ndarray] = {}
-        step, entry = _read(self.s0)
+        self._states: dict[str, tuple[int, _Config]] = {}  # see `_decode`
+        step, entry = self._decode(self.s0)
         named = {b for b, _ in self.goal_relations}
         named |= {s for _, s in self.goal_relations if s != "table"}
         missing = named - set(entry.on) - {entry.hand}
@@ -220,21 +235,50 @@ class BlocksWorldEnv(Environment):
         if _goal_met(entry.on, self.goal_relations):
             raise StructuralError("the start already meets the goal")
 
+    def _decode(self, state):
+        """`_read(state)`, kept in this env's memo: `apply` and `children`
+        store each key they build, and any other key is read on a miss."""
+        decoded = self._states.get(state)
+        if decoded is None:
+            decoded = self._states[state] = _read(state)
+        return decoded
+
+    def _terminal(self, step, entry):
+        return step >= self.max_steps or _goal_met(entry.on, self.goal_relations)
+
     def _actions(self, state):
-        return _read(state)[1].actions
+        return self._decode(state)[1].actions
 
     def apply(self, state, action):
         if action not in self.cached_valid_actions(state):
             raise InvalidActionError(f"action {action!r} invalid at {state!r}")
-        step, entry = _read(state)
-        return f"t={step + 1}|{entry.next[action].text}"
+        step, entry = self._decode(state)
+        after = entry.next[action]
+        child = f"t={step + 1}|{after.text}"
+        self._states[child] = (step + 1, after)
+        return child
+
+    def children(self, state):
+        # the base method's list, with one decode and one terminal test per
+        # state and each child key built from the entry's links
+        step, entry = self._decode(state)
+        if self._terminal(step, entry):
+            return None
+        step += 1
+        head, links = f"t={step}|", entry.next
+        kids = []
+        for action in self.cached_valid_actions(state):
+            after = links[action]
+            kid = head + after.text
+            self._states[kid] = (step, after)
+            kids.append((action, kid))
+        return kids
 
     def is_terminal(self, state):
-        step, entry = _read(state)
-        return step >= self.max_steps or _goal_met(entry.on, self.goal_relations)
+        return self._terminal(*self._decode(state))
 
     def solved(self, terminal):
-        return _goal_met(_read(terminal)[1].on, self.goal_relations)
+        return _goal_met(self._decode(terminal)[1].on, self.goal_relations)
 
     def edge_term(self, state, child):
         return -1.0 / math.log(self.step_score(state, child))
@@ -244,7 +288,7 @@ class BlocksWorldEnv(Environment):
         return self.lam
 
     def parent_count(self, state):
-        step, entry = _read(state)
+        step, entry = self._decode(state)
         if step == 0:
             raise StructuralError("parent count undefined for the initial state")
         # a parent that meets the goal is terminal and has no edges
@@ -257,7 +301,7 @@ class BlocksWorldEnv(Environment):
         return count
 
     def potential(self, state):
-        return float(_satisfied(_read(state)[1].on, self.goal_relations))
+        return float(_satisfied(self._decode(state)[1].on, self.goal_relations))
 
     def _goal_ones(self, entry: _Config) -> np.ndarray:
         """The goal columns that are 1 in the rows at `entry` (the rest are 0),
@@ -281,7 +325,7 @@ class BlocksWorldEnv(Environment):
         return flat
 
     def feature_matrix(self, state):
-        step, entry = _read(state)
+        step, entry = self._decode(state)
         mat = entry.rows.astype(np.float64)
         mat.put(self._goal_ones(entry), 1.0)
         mat[:, _STEP_COLUMN] = self.step_fraction(step)

@@ -12,6 +12,8 @@ Inside, an env reads each key once into (step, permutation rank, twist rank)
 on a dense index of every reachable configuration, built once per process.
 Moves, terminal tests, distances and the placed/oriented counts are then
 reads of per-rank tables, and a child's key joins its ranks' digit strings.
+`children` and `apply` keep each child key they build with its ranks, so the
+`Dag` walk parses only the start, and `children` tests each state once.
 The feature rows of a configuration's 9 moves, without the step column, are
 kept per dense index for the whole process as an int8 template, filled from
 the rank tables on first read; the step fraction is written per call.
@@ -245,6 +247,22 @@ class Cube2x2Env(Environment):
         child = f"t={step + 1}|{_PERM_DIGITS[p]}|{_TWIST_DIGITS[t]}"
         self._ranks[child] = (step + 1, p, t)
         return child
+
+    def children(self, state):
+        # the base method's list, with one decode and one terminal test per
+        # state and each child's ranks read off the move tables
+        step, p, t = self._ranks_of(state)
+        if not (p or t) or step >= self.max_steps:
+            return None
+        step += 1
+        kids = []
+        for action in self.cached_valid_actions(state):
+            m = _MOVE_INDEX[action]
+            after_p, after_t = _PERM_NEXT[m][p], _TWIST_NEXT[m][t]
+            kid = f"t={step}|{_PERM_DIGITS[after_p]}|{_TWIST_DIGITS[after_t]}"
+            self._ranks[kid] = (step, after_p, after_t)
+            kids.append((action, kid))
+        return kids
 
     def is_terminal(self, state):
         step, p, t = self._ranks_of(state)

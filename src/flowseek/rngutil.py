@@ -8,16 +8,23 @@ and independent of call order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=65536)
+def _text_word(text: str) -> int:
+    """The word of a string tag, hashed once: phase names and instance ids repeat."""
+    digest = hashlib.blake2b(text.encode("utf-8"), digest_size=4).digest()
+    return int.from_bytes(digest, "little")
+
+
 def _tag_to_word(tag: object) -> int:
     if isinstance(tag, (int, np.integer)):
         return int(tag) & 0xFFFFFFFF
-    digest = hashlib.blake2b(str(tag).encode("utf-8"), digest_size=4).digest()
-    return int.from_bytes(digest, "little")
+    return _text_word(str(tag))
 
 
 def substream(seed: int, *tags: object) -> np.random.Generator:

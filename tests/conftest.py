@@ -87,6 +87,41 @@ def random_params(variant, env, hidden=4, seed=0, scale=0.3):
     return PolicyParams(variant, env.feature_dim, hidden, base.vector + noise)
 
 
+def walk_then_warm(env, rollouts=50):
+    """The env's `Dag`, walked with no `apply` call, after which the oracle's
+    two passes and `rollouts` policy rollouts read and fill its memos."""
+    from flowseek.oracle import enumerate_dag, policy_terminal_dist
+
+    applied = []
+    env.apply = lambda state, action: applied.append(action) or type(env).apply(env, state, action)
+    dag = env.dag(10**6)
+    del env.apply
+    assert applied == [], "the walk applied actions"
+    params = random_params("linear", env, seed=3)
+    enumerate_dag(env.instance, env)
+    policy_terminal_dist(params, env.instance, env)
+    for k in range(rollouts):
+        sample_trajectory_mixed(params, env, 0.5, 1.0, substream(k, "warm"))
+    return dag
+
+
+def assert_answers_like_fresh_envs(env, states, **settings):
+    """Each state's answers from `env` equal those of an env built for that state alone."""
+    for state in states:
+        fresh = make_env(env.instance, **settings)
+        terminal = fresh.is_terminal(state)
+        assert env.is_terminal(state) == terminal, state
+        assert env.solved(state) == fresh.solved(state), state
+        assert env.children(state) == fresh.children(state), state
+        if state != env.s0:
+            assert env.parent_count(state) == fresh.parent_count(state), state
+        if terminal:
+            continue
+        for action in fresh.valid_actions(state):
+            assert env.apply(state, action) == fresh.apply(state, action), (state, action)
+        assert env.feature_matrix(state).tobytes() == fresh.feature_matrix(state).tobytes(), state
+
+
 # -- reference enumerator: one trajectory at a time, with the uncached env methods --
 
 

@@ -20,6 +20,8 @@ from flowseek.errors import InvalidActionError, StructuralError, TerminalQueryEr
 from flowseek.flow_core import Trajectory
 from flowseek.rngutil import substream
 
+from conftest import assert_answers_like_fresh_envs, walk_then_warm
+
 
 def decode(state):
     """(step, hand, supports) of a blocksworld state key, parsed without the env."""
@@ -411,3 +413,20 @@ def test_envs_with_different_goals_agree_whichever_fills_the_table(monkeypatch):
         digests.append(tuple(pair) if first is inst else tuple(reversed(pair)))
     assert digests[0] == digests[1] == digests[2]
     assert digests[0][0] != digests[0][1]
+
+
+@pytest.mark.parametrize("start", ["sorted", "unsorted"])
+def test_state_memo_answers_like_a_fresh_decode(start):
+    inst = generate_instances(1, seed=7, difficulty="4")[0]
+    if start == "unsorted":  # a start key from a file may list its blocks in any order
+        head, body = inst.s0.split("|on=")
+        inst = dataclasses.replace(inst, s0=f"{head}|on={','.join(reversed(body.split(',')))}")
+        assert list(decode(inst.s0)[2]) != sorted(decode(inst.s0)[2])
+    env = make_env(inst, scorer="progress")
+    dag = walk_then_warm(env)
+    assert_answers_like_fresh_envs(env, dag.states, scorer="progress")
+    for state in dag.states:
+        assert env.potential(state) == make_env(inst, scorer="progress").potential(state)
+    assert len(env._states) >= len(dag.states)
+    for state, decoded in env._states.items():
+        assert decoded == blocksworld._read(state), state

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -19,6 +20,8 @@ from flowseek.environments.cube2x2 import (
 from flowseek.errors import StructuralError
 from flowseek.flow_core import Trajectory
 from flowseek.rngutil import substream
+
+from conftest import assert_answers_like_fresh_envs, walk_then_warm
 
 
 def config_of(state):
@@ -319,8 +322,6 @@ def test_unreachable_start_is_structural_error(fresh_table, s0):
 
 
 def test_decode_memo_matches_fresh_decode_after_training():
-    import dataclasses
-
     from flowseek.trainer import TrainConfig, build_envs, train
 
     instances = [dataclasses.replace(inst, max_steps=3)
@@ -334,6 +335,17 @@ def test_decode_memo_matches_fresh_decode_after_training():
             # the ranks spell the key back, and the dense index agrees with the bytes
             assert state == f"t={step}|{cube2x2._PERM_DIGITS[p]}|{cube2x2._TWIST_DIGITS[t]}"
             assert distance_to_solved(config_of(state)) == cube2x2._dist[729 * p + t]
+
+
+def test_rank_memo_answers_like_a_fresh_decode():
+    inst = dataclasses.replace(generate_instances(1, seed=7, difficulty="2")[0], max_steps=3)
+    env = make_env(inst)
+    dag = walk_then_warm(env)
+    assert_answers_like_fresh_envs(env, dag.states)
+    assert len(env._ranks) >= len(dag.states)
+    for state, ranks in env._ranks.items():
+        t_part, cp, co = state.split("|")
+        assert ranks == (int(t_part[2:]), cube2x2._PERM_RANK[cp], cube2x2._TWIST_RANK[co]), state
 
 
 def test_rank_moves_match_apply_move():

@@ -21,3 +21,14 @@ def list_substream(seed, *tags):
 ])
 def test_substream_draws_what_the_list_construction_draws(seed, tags):
     assert substream(seed, *tags).random(3).tolist() == list_substream(seed, *tags).random(3).tolist()
+
+
+# blake2b words of string tags, taken before the words were memoised
+PINNED_WORDS = {"rollout": 1276925279, "sample": 2075585070, "": 634351890, "g24-7": 3532688331,
+                "blocksworld-6-1-0": 2405939925, 1.5: 278004620}
+
+
+@pytest.mark.parametrize("tag", list(PINNED_WORDS))
+def test_a_string_tag_keeps_its_word_when_read_again(tag):
+    # the second read comes from the memo of words
+    assert _tag_to_word(tag) == _tag_to_word(tag) == PINNED_WORDS[tag]

@@ -38,16 +38,6 @@ from test_hash_memos import clear_tables, old_blocksworld_row, old_cube_row
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def filled(entry, name) -> bool:
-    """Whether the lazy slot `name` of a table entry is set, without setting
-    it: `object.__getattribute__` skips the entry's filling `__getattr__`."""
-    try:
-        object.__getattribute__(entry, name)
-    except AttributeError:
-        return False
-    return True
-
-
 def blocksworld_instances():
     four = generate_instances("blocksworld", 2, 22, "4")  # one start, two goals
     six = generate_instances("blocksworld", 2, 22, "6")
@@ -123,7 +113,8 @@ def test_goal_and_step_columns_stay_off_the_shared_stores(monkeypatch):
     env = make_env(blocksworld_instances()[0])
     for state in reachable_nonterminal(env):
         env.feature_matrix(state)
-    templates = [entry.rows for entry in blocksworld._TABLE.values() if filled(entry, "rows")]
+    # the filled templates, read from the slot behind the `rows` property, which would fill it
+    templates = [entry._rows for entry in blocksworld._TABLE.values() if entry._rows is not None]
     assert templates
     call_columns = [*range(4, 14), 15, 16]  # the goal columns and the step fraction
     for rows in templates:
